@@ -37,7 +37,8 @@ from .io import write_csv, write_json
 from .killed_sim import exit_cdf, simulate_killed
 from .mimic import mimic_compare
 from .picard import solve_fixed_point
-from .renewal import estimate_restart_kernel, log_survival_check, volterra_solve
+from .renewal import (estimate_restart_kernel, log_survival_check, restart_times,
+                      volterra_solve)
 from .reward_opt import optimize_policy, policy_family
 from .verify import VERIFY_SEED, run_verify
 
@@ -77,13 +78,19 @@ def _write_paths_bin(out: Path, ens) -> None:
     (out / "paths.bin").write_bytes(arr.tobytes())
 
 
+def _sim_config(cfg, model, record_controls: bool = False):
+    """The sim config of a command; none reads the recorded outside time."""
+    return build_sim_config(cfg, model, record_controls=record_controls,
+                            record_outside_time=False)
+
+
 def _picard_block(cfg) -> tuple[float, int]:
     return (float(optional(cfg, "picard.tol", 1e-2)),
             int(optional(cfg, "picard.max_iter", 10)))
 
 
 def _cmd_simulate(cfg, model, out, threads):
-    sim = build_sim_config(cfg, model)
+    sim = _sim_config(cfg, model)
     if model.drift.mf_gain != 0.0:
         raise ConfigError(
             "invalid 'model.drift.mf_gain': simulate runs with no "
@@ -99,7 +106,7 @@ def _cmd_simulate(cfg, model, out, threads):
 
 
 def _cmd_picard(cfg, model, out, threads):
-    sim = build_sim_config(cfg, model)
+    sim = _sim_config(cfg, model)
     control = _control_from_config(cfg, model)
     tol, max_iter = _picard_block(cfg)
     fp = solve_fixed_point(model, control, sim, tol=tol, max_iter=max_iter)
@@ -111,7 +118,7 @@ def _cmd_picard(cfg, model, out, threads):
 
 
 def _cmd_fv(cfg, model, out, threads):
-    sim = build_sim_config(cfg, model)
+    sim = _sim_config(cfg, model)
     policy = build_policy(cfg, model)
     variant = optional(cfg, "fv.variant", "meanfield")
     cap = int(optional(cfg, "fv.reinsertion_cap", DEFAULT_REINSERTION_CAP))
@@ -140,14 +147,19 @@ def _cmd_fv(cfg, model, out, threads):
 
 
 def _cmd_renewal(cfg, model, out, threads):
-    sim = build_sim_config(cfg, model)
+    sim = _sim_config(cfg, model)
     if sim.grid[0] != 0.0:
         raise ConfigError("invalid 'sim.grid': renewal needs a grid starting at 0")
     policy = build_policy(cfg, model)
+    # Restart columns start on output-grid nodes, so dt_r defaults to the grid step.
+    dt_r = float(optional(cfg, "renewal.dt_r", sim.grid[1] - sim.grid[0]))
+    try:
+        restart_times(sim.grid, dt_r, sim.dt)
+    except ValueError as e:
+        raise ConfigError(f"invalid 'renewal.dt_r': {e}")
+    n_paths = int(optional(cfg, "renewal.n_paths", 2000))
     tol, max_iter = _picard_block(cfg)
     fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)
-    dt_r = float(optional(cfg, "renewal.dt_r", 10.0 * sim.dt))
-    n_paths = int(optional(cfg, "renewal.n_paths", 2000))
     kernel = estimate_restart_kernel(model, policy, fp.flow, sim, dt_r,
                                      n_paths, threads=threads)
     grid_r = kernel.u_grid
@@ -171,7 +183,7 @@ def _cmd_renewal(cfg, model, out, threads):
 
 
 def _cmd_mimic(cfg, model, out, threads):
-    sim = build_sim_config(cfg, model)
+    sim = _sim_config(cfg, model, record_controls=True)
     open_control = build_open_control(cfg, model)
     tol, max_iter = _picard_block(cfg)
     rep = mimic_compare(model, open_control, sim,
@@ -193,7 +205,7 @@ def _cmd_mimic(cfg, model, out, threads):
 
 
 def _cmd_optimize(cfg, model, out, threads):
-    sim = build_sim_config(cfg, model)
+    sim = _sim_config(cfg, model, record_controls=True)
     kind = str(require(cfg, "optimize.family"))
     family = policy_family(model, kind,
                            time_bins=int(optional(cfg, "optimize.time_bins", 2)),

@@ -139,7 +139,10 @@ def build_model(cfg: dict) -> ModelSpec:
         )
 
 
-def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
+def build_sim_config(cfg: dict, model: ModelSpec, *, record_controls: bool = True,
+                     record_outside_time: bool = True) -> SimConfig:
+    """The sim section as a SimConfig; what to record is the caller's to say,
+    as only the caller knows what it reads."""
     grid_spec = require(cfg, "sim.grid")
     with _building("sim.grid"):
         if "times" in grid_spec:
@@ -156,8 +159,8 @@ def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
             grid=grid,
             bridge_correction=bool(optional(cfg, "sim.bridge_correction", True)),
             min_survivors=int(optional(cfg, "sim.min_survivors", 1)),
-            record_controls=bool(optional(cfg, "sim.record_controls", True)),
-            record_outside_time=bool(optional(cfg, "sim.record_outside_time", True)),
+            record_controls=record_controls,
+            record_outside_time=record_outside_time,
         )
 
 

@@ -62,6 +62,32 @@ class RestartKernel:
         return float(np.nanmax(vals)) if vals else 0.0
 
 
+def restart_times(times: np.ndarray, dt_r: float, dt: float) -> np.ndarray:
+    """Restart times 0, dt_r, ... before the last of times, checked against it.
+
+    Raises ValueError unless dt_r divides the horizon, is a multiple of
+    the simulation step dt, and puts every restart time on a node of
+    times, the grid of the flow the columns restart from.
+    """
+    times = np.asarray(times, dtype=float)
+    if not dt_r > 0:
+        raise ValueError("dt_r must be positive")
+    t_end = float(times[-1])
+    n_r = int(round(t_end / dt_r))
+    if n_r < 1 or abs(n_r * dt_r - t_end) > _TIME_TOL:
+        raise ValueError("dt_r must divide the flow horizon evenly")
+    steps_per = dt_r / dt
+    if abs(steps_per - round(steps_per)) > 1e-6:
+        raise ValueError("dt_r must be a multiple of the simulation step")
+    s_grid = np.arange(n_r) * dt_r
+    nearest = times[np.searchsorted(times, s_grid - _TIME_TOL, side="left")]
+    off = np.abs(nearest - s_grid) > _TIME_TOL
+    if off.any():
+        raise ValueError(f"restart time {s_grid[np.argmax(off)]:g} is not a node "
+                         "of the flow grid")
+    return s_grid
+
+
 def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
                             flow: MeasureFlow, config: SimConfig, dt_r: float,
                             n_paths: int, threads: int = 1) -> RestartKernel:
@@ -69,23 +95,16 @@ def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
 
     Column i restarts n_paths particles at s = i * dt_r from the flow
     node there and records the exit-time CDF on the remaining window.
+    Every s must be a node of the flow grid (see restart_times).
     Columns are independent (derived seeds) so threading over them
     leaves the result bit-identical.
     """
     if not isinstance(policy, FeedbackPolicy):
         raise ValueError("restart estimation requires a feedback policy")
+    s_grid = restart_times(flow.times, dt_r, config.dt)
     t_end = float(flow.times[-1])
-    n_r = int(round(t_end / dt_r))
-    if n_r < 1 or abs(n_r * dt_r - t_end) > _TIME_TOL:
-        raise ValueError("dt_r must divide the flow horizon evenly")
-    steps_per = dt_r / config.dt
-    if abs(steps_per - round(steps_per)) > 1e-6:
-        raise ValueError("dt_r must be a multiple of the simulation step")
-
-    s_grid = np.arange(n_r) * dt_r
+    n_r = s_grid.shape[0]
     u_grid = np.arange(n_r + 1) * dt_r
-    for s in s_grid:
-        flow.index_at(s)  # raises if the flow grid lacks a node at s
 
     def column(i: int) -> tuple[np.ndarray, np.ndarray]:
         s = float(s_grid[i])

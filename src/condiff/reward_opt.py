@@ -9,11 +9,12 @@ reward identically equal to one integrates to the horizon exactly.
 Optimization evaluates candidate policies under common random numbers:
 every candidate re-solves the fixed point and re-simulates with the
 same seed, so objective differences between candidates are not buried
-in Monte Carlo noise.
+in Monte Carlo noise.  A cross-entropy generation solves all its
+candidates' fixed points as one stacked ensemble.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -26,7 +27,7 @@ from .measures import EmpiricalMeasure, MeasureFlow, conditional_empirical
 from .model import (ConstantPolicy, FeedbackPolicy, GridPolicy, LinearPolicy,
                     ModelSpec, RewardSpec)
 from .parallel import indexed_map
-from .picard import solve_fixed_point
+from .picard import solve_fixed_points
 
 DEFAULT_BATCHES = 20
 
@@ -89,8 +90,8 @@ def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
     reward = ens.model.reward if reward is None else reward
     times = ens.times
     deltas = np.diff(times)
-    values = _running_values(reward, flow, times, ens.snapshots, ens.controls)
     alive_masks = [ens.alive_at(m) for m in range(times.shape[0])]
+    values = _running_values(reward, flow, times, ens.snapshots, ens.controls)
 
     def totals(sel: slice) -> tuple[float, float]:
         run = 0.0
@@ -262,9 +263,11 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
     penalty.  Candidates whose ensemble depletes (or whose reinsertion
     run blows up) score -inf and stay in the trace.
 
-    method "nelder-mead" is sequential; "cross-entropy" evaluates each
-    generation's population in parallel when threads > 1, with results
-    independent of the thread count.
+    method "nelder-mead" is sequential; "cross-entropy" draws generations
+    of 16 and evaluates the first budget samples.  A generation solves
+    its candidates' fixed points in one stacked pass; threads > 1 spreads
+    only the "fv" rescoring over a thread pool, and results do not
+    depend on the thread count.
     """
     if objective not in ("conditional", "fv"):
         raise ValueError("objective must be 'conditional' or 'fv'")
@@ -275,22 +278,31 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
 
     lo = np.asarray(family.lo, dtype=float)
     hi = np.asarray(family.hi, dtype=float)
+    candidate_config = replace(config, record_outside_time=False)
 
-    def evaluate(params: np.ndarray) -> tuple[float, float]:
-        policy = family.build(model, params)
-        try:
-            fp = solve_fixed_point(model, policy, config, tol=picard_tol,
-                                   max_iter=picard_max_iter)
-            if objective == "conditional":
-                report = eval_reward_conditional(fp.ensemble, fp.flow)
-            else:
-                fv = simulate_fv_meanfield(model, policy, fp.flow, config,
-                                           reinsertion_cap=reinsertion_cap)
-                report = eval_reward_fv(fv, fp.flow,
-                                        reinsertion_cost=reinsertion_cost)
-        except (SurvivorDepletion, TotalExtinction, ReinsertionBlowup):
-            return -np.inf, np.nan
-        return report.total, report.total_se
+    def evaluate(samples) -> list[tuple[float, float]]:
+        policies = [family.build(model, params) for params in samples]
+        solves = solve_fixed_points(model, policies, candidate_config, tol=picard_tol,
+                                    max_iter=picard_max_iter)
+
+        def score(j: int) -> tuple[float, float]:
+            fp, solves[j] = solves[j], None  # the ensemble goes once scored
+            if isinstance(fp, SurvivorDepletion):
+                return -np.inf, np.nan
+            try:
+                if objective == "conditional":
+                    report = eval_reward_conditional(fp.ensemble, fp.flow)
+                else:
+                    fv = simulate_fv_meanfield(model, policies[j], fp.flow, config,
+                                               reinsertion_cap=reinsertion_cap)
+                    report = eval_reward_fv(fv, fp.flow,
+                                            reinsertion_cost=reinsertion_cost)
+            except (SurvivorDepletion, TotalExtinction, ReinsertionBlowup):
+                return -np.inf, np.nan
+            return report.total, report.total_se
+
+        return indexed_map(score, range(len(policies)),
+                           threads=threads if objective == "fv" else 1)
 
     trace_params: list[np.ndarray] = []
     trace_values: list[float] = []
@@ -303,7 +315,7 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
 
     if method == "nelder-mead":
         def neg(params):
-            value, se = evaluate(params)
+            [(value, se)] = evaluate([params])
             record(params, value, se)
             return np.inf if value == -np.inf else -value
 
@@ -316,11 +328,12 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
         mean = np.asarray(family.init, dtype=float)
         std = (hi - lo) / 4.0
         std_floor = 1e-6 * (hi - lo)
-        generations = max(1, budget // pop)
-        for _ in range(generations):
+        for start in range(0, budget, pop):
+            # Every generation draws pop samples, so the stream does not
+            # depend on the budget; the last evaluates only the remainder.
             samples = np.clip(mean + std * gen.standard_normal((pop, family.dim)),
-                              lo, hi)
-            results = indexed_map(evaluate, list(samples), threads=threads)
+                              lo, hi)[: budget - start]
+            results = evaluate(samples)
             values = [v for v, _ in results]
             for params, (value, se) in zip(samples, results):
                 record(params, value, se)

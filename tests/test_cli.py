@@ -112,9 +112,24 @@ def test_renewal_command(tmp_path, capsys):
     assert rc == 2
     assert "grid" in capsys.readouterr().err
 
+    # restart times must be flow nodes, and dt_r defaults to the grid step
+    rc = run("renewal", tmp_path / "between", "sim.grid.step=0.1",
+             "renewal.dt_r=0.05")
+    assert rc == 2
+    assert "renewal.dt_r" in capsys.readouterr().err
+    rc = run("renewal", tmp_path / "default", "sim.grid.step=0.1",
+             "renewal.n_paths=100", "renewal.dt_r=null")
+    assert rc == 0
+    kernel = np.loadtxt(tmp_path / "default" / "kernel.csv", delimiter=",",
+                        skiprows=1)
+    assert np.allclose(np.unique(kernel[:, 0]), np.arange(10) * 0.1)
+
 
 def test_mimic_command(tmp_path):
-    rc = run("mimic", tmp_path, "mimic.time_bins=4", "mimic.space_bins=8")
+    # recording is the command's to choose: the sim section cannot turn
+    # off the controls mimic regresses
+    rc = run("mimic", tmp_path, "mimic.time_bins=4", "mimic.space_bins=8",
+             "sim.record_controls=false")
     assert rc == 0
     compare = (tmp_path / "compare.csv").read_text().splitlines()
     assert compare[0] == "J_open,J_closed,delta,se"

@@ -86,6 +86,11 @@ def test_build_model_and_sim_from_default():
     assert config.grid[0] == 0.0
     assert config.grid[-1] == 1.0
 
+    assert config.record_controls and config.record_outside_time
+    quiet = build_sim_config(apply_overrides(cfg, ["sim.record_controls=false"]), model,
+                             record_outside_time=False)
+    assert quiet.record_controls and not quiet.record_outside_time
+
     explicit = apply_overrides(cfg, ["sim.grid={\"times\": [0.0, 0.5, 1.0]}"])
     config2 = build_sim_config(explicit, model)
     assert np.array_equal(config2.grid, [0.0, 0.5, 1.0])

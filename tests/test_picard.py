@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from condiff.killed_sim import SimConfig, conditional_flow, simulate_killed, uniform_grid
+from condiff.errors import SurvivorDepletion
+from condiff.geometry import Box, Interval
+from condiff.killed_sim import (SimConfig, conditional_flow, exit_cdf, simulate_killed,
+                                uniform_grid)
 from condiff.measures import flow_distance
-from condiff.model import ConstantPolicy
-from condiff.picard import flow_update, solve_fixed_point
-from condiff.scenarios import attractive_interval, driftless_interval
+from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
+                           ModelSpec, PolicyStack, UniformBox)
+from condiff.picard import flow_update, solve_fixed_point, solve_fixed_points
+from condiff.reward_opt import eval_reward_conditional
+from condiff.scenarios import attractive_interval, driftless_interval, rich_reward
 
 
 def test_uncoupled_model_converges_immediately():
@@ -63,3 +68,97 @@ def test_non_convergence_is_reported_not_raised():
     assert not fp.converged
     assert fp.iterations == 2
     assert len(fp.distance_trace) == 2
+
+
+def _assert_same_solve(stacked, single):
+    assert stacked.iterations == single.iterations
+    assert stacked.distance_trace == single.distance_trace
+    assert stacked.converged == single.converged
+    for a, b in zip(stacked.flow.nodes, single.flow.nodes):
+        assert a.points.tobytes() == b.points.tobytes()
+    for name in ("exit_times", "snapshots", "controls"):
+        assert getattr(stacked.ensemble, name).tobytes() == \
+            getattr(single.ensemble, name).tobytes()
+
+
+def test_stacked_solves_match_single_solves_with_depletion():
+    # Strong pushes deplete below min_survivors while the rest converge
+    # after two, three or four sweeps; blocks leave the stack one by one.
+    model = attractive_interval(kappa=1.0, reward=rich_reward(0.0))
+    config = SimConfig(300, 0.01, 17, uniform_grid(1.0, 0.1), min_survivors=80)
+    policies = [ConstantPolicy((v,), model.control_set) for v in np.linspace(-1, 1, 9)]
+    stacked = solve_fixed_points(model, policies, config, tol=4e-3, max_iter=6)
+    depleted = 0
+    for policy, result in zip(policies, stacked):
+        if isinstance(result, SurvivorDepletion):
+            depleted += 1
+            with pytest.raises(SurvivorDepletion):
+                solve_fixed_point(model, policy, config, tol=4e-3, max_iter=6)
+        else:
+            _assert_same_solve(result, solve_fixed_point(model, policy, config,
+                                                         tol=4e-3, max_iter=6))
+    assert 0 < depleted < len(policies)
+    assert len({r.iterations for r in stacked
+                if not isinstance(r, SurvivorDepletion)}) >= 3
+
+
+def _matrix_control_model(dim):
+    """Two controls on a box of dim 1 or 2: the drift takes a matrix product."""
+    lo, hi = (-1.0,) * dim, (1.0,) * dim
+    return ModelSpec(
+        domain=Box(lo, hi) if dim == 2 else Interval(-1.0, 1.0),
+        sigma=((0.8, 0.0), (0.0, 0.6)) if dim == 2 else ((0.8,),),
+        drift=DriftSpec(base_kind="zero", mf_gain=1.0,
+                        control_matrix=((0.9, 0.35), (0.15, 1.1))[:dim], clip_bound=3.0),
+        control_set=ControlBox((-1.0, -1.0), (1.0, 1.0)), horizon=0.5,
+        reward=rich_reward(0.0), initial=UniformBox((-0.5,) * dim, (0.5,) * dim))
+
+
+@pytest.mark.parametrize("dim,kind", [(2, "linear"), (2, "constant"), (1, "constant")])
+def test_stacked_solves_match_with_two_controls(dim, kind):
+    # A constant stack on one dimension with two controls is the case
+    # where a product over broadcast controls would round differently.
+    model = _matrix_control_model(dim)
+    config = SimConfig(200, 0.01, 19, uniform_grid(0.5, 0.1))
+    draws = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 2 + 2 * dim))
+    if kind == "linear":
+        policies = [LinearPolicy(p[:2], p[2:].reshape(2, dim), model.control_set)
+                    for p in draws]
+    else:
+        policies = [ConstantPolicy(p[:2], model.control_set) for p in draws]
+    for policy, result in zip(policies, solve_fixed_points(model, policies, config)):
+        _assert_same_solve(result, solve_fixed_point(model, policy, config))
+
+
+def test_depleted_stack_reports_each_block_its_own_error():
+    # Every block depletes in the first sweep, at its own time and count.
+    model = attractive_interval(kappa=1.0, reward=rich_reward(0.0))
+    config = SimConfig(300, 0.01, 17, uniform_grid(1.0, 0.1), min_survivors=150)
+    policies = [ConstantPolicy((v,), model.control_set) for v in (-1.0, -0.5, 0.0, 0.7)]
+    stacked = solve_fixed_points(model, policies, config, tol=4e-3, max_iter=6)
+    seen = set()
+    for policy, err in zip(policies, stacked):
+        with pytest.raises(SurvivorDepletion) as single:
+            solve_fixed_point(model, policy, config, tol=4e-3, max_iter=6)
+        assert (err.time, err.survivors) == (single.value.time, single.value.survivors)
+        seen.add((err.time, err.survivors))
+    assert len(seen) == len(policies)
+
+
+def test_stacked_ensemble_is_read_per_block():
+    model = attractive_interval(kappa=0.0, reward=rich_reward(0.0))
+    config = SimConfig(2 * 200, 0.01, 5, uniform_grid(0.5, 0.1))
+    stack = PolicyStack(ConstantPolicy((v,), model.control_set) for v in (-0.5, 0.5))
+    ens = simulate_killed(model, stack, None, config)
+    for read in (conditional_flow, lambda e: exit_cdf(e, [0.5]),
+                 lambda e: eval_reward_conditional(e, conditional_flow(e))):
+        with pytest.raises(ValueError, match="one block at a time"):
+            read(ens)
+    single = SimConfig(200, 0.01, 5, uniform_grid(0.5, 0.1))
+    alone = simulate_killed(model, stack.policies[1], None, single)
+    assert ens.block(1).exit_times.tobytes() == alone.exit_times.tobytes()
+    assert np.array_equal(exit_cdf(ens.block(1), [0.5]), exit_cdf(alone, [0.5]))
+    # a stack of one policy is that policy's own run
+    one = simulate_killed(model, PolicyStack([stack.policies[1]]), None, single)
+    assert one.blocks == 1
+    assert one.snapshots.tobytes() == alone.snapshots.tobytes()

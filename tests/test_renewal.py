@@ -153,3 +153,8 @@ def test_estimate_requires_compatible_steps():
     with pytest.raises(ValueError):
         estimate_restart_kernel(model, policy, flow, config, dt_r=0.0501,
                                 n_paths=50)
+    # divides the horizon and the step, but restarts at 0.05 fall between
+    # the flow's nodes
+    with pytest.raises(ValueError, match="not a node"):
+        estimate_restart_kernel(model, policy, flow, config, dt_r=0.05,
+                                n_paths=50)

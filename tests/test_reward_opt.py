@@ -7,9 +7,10 @@ from condiff.killed_sim import (SimConfig, conditional_flow, simulate_killed,
                                 uniform_grid)
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, ModelSpec,
                            PointMass, RewardSpec)
+from condiff.picard import solve_fixed_point
 from condiff.reward_opt import (PolicyFamily, eval_reward_conditional,
                                 eval_reward_fv, optimize_policy, policy_family)
-from condiff.scenarios import driftless_interval, rich_reward
+from condiff.scenarios import attractive_interval, driftless_interval, rich_reward
 
 
 def cost_only_model(horizon=0.25):
@@ -107,6 +108,38 @@ def test_cross_entropy_thread_invariance():
     assert res1.trace_params.tobytes() == res4.trace_params.tobytes()
     assert abs(res1.best_params[0]) < 0.1
     assert res1.metadata["objective"] == "conditional"
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "grid"])
+def test_cross_entropy_generation_matches_single_solves(kind):
+    # A generation is one stacked pass; each score must equal the
+    # candidate's own fixed point and reward, bit for bit.
+    model = attractive_interval(horizon=0.5, reward=rich_reward(0.0))
+    config = SimConfig(200, 0.01, 38, uniform_grid(0.5, 0.05))
+    family = policy_family(model, kind)
+    res = optimize_policy(model, family, config, method="cross-entropy", budget=16,
+                          picard_tol=5e-3)
+    for params, value, se in zip(res.trace_params, res.trace_values, res.trace_ses):
+        fp = solve_fixed_point(model, family.build(model, params), config, tol=5e-3)
+        report = eval_reward_conditional(fp.ensemble, fp.flow)
+        assert (value, se) == (report.total, report.total_se)
+
+
+def test_cross_entropy_honours_the_budget():
+    model = cost_only_model()
+    family = PolicyFamily("constant", 1, (0.6,), (-1.0,), (1.0,))
+    config = SimConfig(100, 0.01, 39, uniform_grid(0.25, 0.05))
+    runs = {budget: optimize_policy(model, family, config, method="cross-entropy",
+                                    budget=budget)
+            for budget in (8, 16, 20)}
+    for budget, res in runs.items():
+        assert res.n_evals == budget == res.trace_values.shape[0]
+    # every generation draws its full population, so a shorter budget is a
+    # prefix of a longer one
+    full = runs[20].trace_params
+    assert np.array_equal(runs[16].trace_params, full[:16])
+    assert np.array_equal(runs[8].trace_params, full[:8])
+    assert np.array_equal(runs[8].trace_values, runs[20].trace_values[:8])
 
 
 def test_depleting_candidates_score_minus_inf():
