@@ -22,15 +22,14 @@ from .model import (Cloud, ConstantPolicy, ControlBox, DriftSpec,
                     ModelSpec, NoisePeekControl, OpenLoopControl,
                     PiecewiseControl, PointMass, RandomizedSignControl,
                     RewardSpec, UniformBox, drift_given_mean)
-from .killed_sim import (KilledEnsemble, SimConfig, analytic_interval_survival,
-                         conditional_flow, exit_cdf, girsanov_survival_floor,
-                         restrict_ensemble, simulate_killed, survival_curve,
+from .killed_sim import (KilledEnsemble, Restarts, SimConfig,
+                         analytic_interval_survival, conditional_flow, exit_cdf,
+                         girsanov_survival_floor, restrict_ensemble, simulate_killed,
                          uniform_grid)
 from .picard import FixedPointResult, flow_update, solve_fixed_point
 from .fleming_viot import (FVCorrespondence, FVTrace, fv_correspondence_report,
                            simulate_fv_finite, simulate_fv_meanfield)
-from .renewal import (RestartKernel, estimate_restart_kernel, first_exit_cdf,
-                      log_survival_check, volterra_fixed_point_iteration,
+from .renewal import (RestartKernel, estimate_restart_kernel, log_survival_check,
                       volterra_solve)
 from .mimic import (MimicReport, RegressionGrid, build_regression_grid,
                     mimic_compare, regress_feedback)

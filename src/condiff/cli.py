@@ -59,15 +59,30 @@ def _write_survival_csv(out: Path, ens) -> None:
                for m in range(ens.times.shape[0])])
 
 
+class _FlowRows:
+    """The rows of flow.csv, made one at a time as the writer reads them.
+
+    Sized, so a caller that counts rows (the benchmark's tracer) still can.
+    """
+
+    def __init__(self, ens):
+        self.ens = ens
+        self.alive = [np.flatnonzero(ens.alive_at(m)) for m in range(ens.times.shape[0])]
+
+    def __len__(self) -> int:
+        return sum(idx.shape[0] for idx in self.alive)
+
+    def __iter__(self):
+        for m, idx in enumerate(self.alive):
+            t = self.ens.times[m]
+            for i in idx:
+                yield (t, int(i), *self.ens.snapshots[m, i])
+
+
 def _write_flow_csv(out: Path, ens) -> None:
     d = ens.snapshots.shape[2]
     header = ["time", "particle"] + [f"x{k + 1}" for k in range(d)]
-    rows = []
-    for m in range(ens.times.shape[0]):
-        t = ens.times[m]
-        for i in np.flatnonzero(ens.alive_at(m)):
-            rows.append((t, int(i), *ens.snapshots[m, i]))
-    write_csv(out / "flow.csv", header, rows)
+    write_csv(out / "flow.csv", header, _FlowRows(ens))
 
 
 def _write_paths_bin(out: Path, ens) -> None:
@@ -160,8 +175,7 @@ def _cmd_renewal(cfg, model, out, threads):
     n_paths = int(optional(cfg, "renewal.n_paths", 2000))
     tol, max_iter = _picard_block(cfg)
     fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)
-    kernel = estimate_restart_kernel(model, policy, fp.flow, sim, dt_r,
-                                     n_paths, threads=threads)
+    kernel = estimate_restart_kernel(model, policy, fp.flow, sim, dt_r, n_paths)
     grid_r = kernel.u_grid
     cdf1 = exit_cdf(fp.ensemble, grid_r)
     f = volterra_solve(cdf1, kernel, grid_r)
@@ -277,12 +291,15 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True,
                        help="JSON config (or a manifest.json from a previous run)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="threads for the fv rescoring of optimize; "
+                            "other commands ignore it")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE", help="dot-path config override")
     pv = sub.add_parser("verify")
     pv.add_argument("--out", required=True, help="output directory")
-    pv.add_argument("--threads", type=int, default=1)
+    pv.add_argument("--threads", type=int, default=1,
+                    help="recorded in the manifest; C11 runs its own widths")
 
     args = parser.parse_args(argv)
     out = Path(args.out)
@@ -290,7 +307,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.command == "verify":
-            report = run_verify(out, threads=args.threads, log=print)
+            report = run_verify(out, log=print)
             extra = report.pop("_manifest_extra", {})
             _write_manifest(out, "verify", None, VERIFY_SEED, args.threads,
                             time.perf_counter() - start,

@@ -22,14 +22,15 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Write rows one line at a time, so an iterable of rows is never held."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("row width does not match the header")
-        lines.append(",".join(_format_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError("row width does not match the header")
+            f.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 def _json_default(value):

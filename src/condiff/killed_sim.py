@@ -11,9 +11,11 @@ excluded from conditional statistics.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A run
-may also carry B blocks of N particles under one PolicyStack: every
-block sees the same initial sample and the same draws, so block b is bit
-for bit the run of policies[b] alone, at the cost of one pass.
+may also carry B blocks of N particles in one pass, each bit for bit a
+run of its own: under a PolicyStack every block sees the same initial
+sample and the same draws, so block b is the run of policies[b] alone;
+under Restarts every block starts at its own time from its own sample
+and draws from its own seed, so block b is the run restarted there.
 """
 from __future__ import annotations
 
@@ -75,6 +77,36 @@ class SimConfig:
         return np.round((self.grid - self.grid[0]) / self.dt).astype(np.int64)
 
 
+@dataclass(frozen=True)
+class Restarts:
+    """Independent runs that one pass carries as its blocks.
+
+    Block b starts at starts[b] from a sample of laws[b] and draws from
+    seeds[b], keyed by its own step count, so it is bit for bit the run
+    with that seed and initial law, t0 = starts[b] and the grid that
+    starts there and continues with the later nodes of the pass's grid.
+    Starts never decrease, so the blocks started by any step are a prefix
+    of the stack; a block is neither advanced nor drawn for before its start.
+    """
+
+    starts: tuple
+    seeds: tuple
+    laws: tuple
+
+    def __post_init__(self):
+        starts = tuple(float(s) for s in self.starts)
+        if not len(starts) == len(self.seeds) == len(self.laws) >= 1:
+            raise ValueError("restarts need one start, seed and law per block")
+        if any(later < earlier for earlier, later in zip(starts, starts[1:])):
+            raise ValueError("restart times must not decrease")
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "laws", tuple(self.laws))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
 @dataclass
 class KilledEnsemble:
     """Outcome of one killed simulation.
@@ -87,7 +119,9 @@ class KilledEnsemble:
     per-particle vectors block after block; block(b) reads block b as an
     ordinary ensemble, and depleted[b] is the SurvivorDepletion that
     ended it, or None.  Survival and alive masks are read per block:
-    a stacked ensemble itself refuses them.
+    a stacked ensemble itself refuses them.  A run of Restarts keeps
+    its Restarts; a block that starts after a node holds its initial
+    sample in that node's snapshot.
     """
 
     model: ModelSpec
@@ -101,29 +135,41 @@ class KilledEnsemble:
     seed: int
     blocks: int = 1
     depleted: tuple = (None,)
+    restarts: Restarts | None = None
 
     @property
     def n(self) -> int:
         return self.initial_points.shape[0]
 
     def block(self, b: int) -> "KilledEnsemble":
-        """Block b as a view of this ensemble; raises the depletion that ended it."""
+        """Block b as a view of this ensemble; raises the depletion that ended it.
+
+        A restarted block reads as its own run: its times begin at its
+        start, with its initial sample as the first snapshot.
+        """
         if self.depleted[b] is not None:
             raise self.depleted[b]
-        if self.blocks == 1:
+        if self.blocks == 1 and self.restarts is None:
             return self
         size = self.n // self.blocks
         part = slice(b * size, (b + 1) * size)
+        first, times, seed = 0, self.times, self.seed
+        if self.restarts is not None:
+            start = self.restarts.starts[b]
+            first = int(np.searchsorted(self.times, start + _TIME_TOL, side="right")) - 1
+            times = np.concatenate([[start], self.times[first + 1:]])
+            seed = self.restarts.seeds[b]
         return KilledEnsemble(
             model=self.model,
-            times=self.times,
+            times=times,
             initial_points=self.initial_points[part],
             exit_times=self.exit_times[part],
-            snapshots=self.snapshots[:, b],
-            controls=None if self.controls is None else self.controls[:, b],
-            outside_time=None if self.outside_time is None else self.outside_time[:, part],
+            snapshots=self.snapshots[first:, b],
+            controls=None if self.controls is None else self.controls[first:, b],
+            outside_time=(None if self.outside_time is None
+                          else self.outside_time[first:, part]),
             dt=self.dt,
-            seed=self.seed,
+            seed=seed,
         )
 
     def _require_one_block(self):
@@ -147,11 +193,6 @@ class KilledEnsemble:
     @property
     def survival(self) -> np.ndarray:
         return self.survival_at(self.times)
-
-
-def survival_curve(ens: KilledEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Grid times and the survival probability at each node."""
-    return ens.times.copy(), ens.survival
 
 
 def conditional_flow(ens: KilledEnsemble) -> MeasureFlow:
@@ -183,25 +224,30 @@ def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
         seed=ens.seed,
         blocks=ens.blocks,
         depleted=ens.depleted,
+        restarts=ens.restarts,
     )
 
 
-def _flow_mean_per_step(flows, t0: float, dt: float, total_steps: int,
+def _flow_mean_per_step(flows, starts, first_steps, dt: float, total_steps: int,
                         needed: bool) -> np.ndarray | None:
-    """Per step, the flow mean the drift reads: (steps, d) for one flow,
-    (steps, B, 1, d) for one flow per block."""
+    """Per step, the flow mean each block's drift reads at its own time.
+
+    Block b reads flows[b] from step first_steps[b] on, at the times
+    starts[b] + j dt.  The result is (steps, B, 1, d); a block's steps
+    before its start are zero.
+    """
     if not needed:
         return None
     if flows is None:
         raise ValueError("the drift couples to the measure but no flow was supplied")
-    step_times = t0 + np.arange(total_steps) * dt
-    means = []
-    for flow in flows:
+    means = np.zeros((total_steps, len(flows), 1, flows[0].node_means.shape[1]))
+    for b, (flow, start, first) in enumerate(zip(flows, starts, first_steps)):
+        step_times = start + np.arange(total_steps - first) * dt
         idx = np.searchsorted(flow.times, step_times - _TIME_TOL, side="left")
         if np.any(idx >= flow.times.shape[0]):
             raise ValueError("flow grid does not cover the simulation window")
-        means.append(flow.node_means[idx])
-    return means[0] if len(means) == 1 else np.stack(means, axis=1)[:, :, None, :]
+        means[first:, b, 0] = flow.node_means[idx]
+    return means
 
 
 def _control_values(control, t: float, x: np.ndarray, state: dict) -> np.ndarray:
@@ -210,8 +256,36 @@ def _control_values(control, t: float, x: np.ndarray, state: dict) -> np.ndarray
     return control.values_at(t, x)
 
 
+def _block_controls(policy: FeedbackPolicy, times, x: np.ndarray) -> np.ndarray:
+    """Controls of blocks x[b] that each run on their own clock times[b]."""
+    return np.stack([policy.values_at(t, xb) for t, xb in zip(times, x)])
+
+
+def _initial_sample(law, n: int, seed: int, model: ModelSpec) -> np.ndarray:
+    x0 = np.array(law.sample(n, seed, rng.INITIAL_SAMPLE, 0), dtype=float)
+    if x0.shape != (n, model.dim):
+        raise ValueError(f"initial sample must have shape ({n}, {model.dim})")
+    if np.any(model.domain.boundary_distance(x0) < -BOUNDARY_TOL):
+        raise ValueError("initial points must lie in the closed domain")
+    return x0
+
+
+def _start_steps(restarts: Restarts, grid: np.ndarray, dt: float) -> np.ndarray:
+    """The pass step in which each restarted block starts."""
+    offsets = (np.asarray(restarts.starts) - grid[0]) / dt
+    steps = np.round(offsets).astype(np.int64)
+    if abs(restarts.starts[0] - grid[0]) > _TIME_TOL:
+        raise ValueError("the grid must start at the first restart")
+    if restarts.starts[-1] >= grid[-1] - _TIME_TOL:
+        raise ValueError("every restart must come before the last grid node")
+    if np.any(np.abs(offsets - steps) > 1e-6):
+        raise ValueError("restart times must be multiples of dt after the grid start")
+    return steps
+
+
 def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
-                    initial_law=None, t0: float | None = None) -> KilledEnsemble:
+                    initial_law=None, t0: float | None = None,
+                    restarts: Restarts | None = None) -> KilledEnsemble:
     """Simulate a killed ensemble and record it on the output grid.
 
     control is a FeedbackPolicy, an OpenLoopControl or a PolicyStack;
@@ -221,12 +295,20 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     share the initial sample and every draw; a block whose survivors
     fall below config.min_survivors is marked depleted, and the run
     raises once every block is, with each block's depletion in the
-    error's blocks.  The optional t0 starts the clock late,
-    which restart-kernel estimation uses; the grid must then start at t0.
+    error's blocks.  The optional t0 starts the clock late; the grid
+    must then start at t0.  Restarts split config.n_particles into one
+    block per restart, all under the feedback policy control and the
+    one flow flow_input, each on its own clock, seed and initial law
+    (see Restarts); the grid then starts at the first restart.
     """
     if not isinstance(control, (FeedbackPolicy, OpenLoopControl, PolicyStack)):
         raise ValueError("control must be a FeedbackPolicy, an OpenLoopControl "
                          "or a PolicyStack")
+    restarted = restarts is not None
+    if restarted and not isinstance(control, FeedbackPolicy):
+        raise ValueError("restarted blocks run under one feedback policy")
+    if restarted and (initial_law is not None or t0 is not None):
+        raise ValueError("restarted blocks bring their own start times and laws")
     grid = config.grid
     t_start = grid[0] if t0 is None else float(t0)
     if abs(grid[0] - t_start) > _TIME_TOL:
@@ -242,7 +324,7 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         control = control.policies[0]
         flow_input = None if flow_input is None else flow_input[0]
         stacked = False
-    blocks = len(control) if stacked else 1
+    blocks = len(restarts) if restarted else len(control) if stacked else 1
     n = config.n_particles
     if n % blocks:
         raise ValueError("n_particles must split evenly over the stacked blocks")
@@ -258,19 +340,26 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     node_steps = config.node_steps()
     total_steps = int(node_steps[-1])
 
-    law = model.initial if initial_law is None else initial_law
-    x0 = np.array(law.sample(n_block, seed, rng.INITIAL_SAMPLE, 0), dtype=float)
-    if x0.shape != (n_block, d):
-        raise ValueError(f"initial sample must have shape ({n_block}, {d})")
-    if np.any(domain.boundary_distance(x0) < -BOUNDARY_TOL):
-        raise ValueError("initial points must lie in the closed domain")
-    # Positions are (N, d), or (B, N, d) for a stack; flat is the (B * N, d)
+    # Positions are (N, d), or (B, N, d) for blocks; flat is the (B * N, d)
     # view of the same memory.
-    x = np.tile(x0, (blocks, 1, 1)) if stacked else x0
-
-    flows = flow_input if stacked or flow_input is None else (flow_input,)
-    means = _flow_mean_per_step(flows, t_start, dt, total_steps,
+    if restarted:
+        seeds = restarts.seeds
+        starts = np.asarray(restarts.starts)
+        first_steps = _start_steps(restarts, grid, dt)
+        x = np.stack([_initial_sample(law, n_block, s, model)
+                      for law, s in zip(restarts.laws, seeds)])
+        flows = None if flow_input is None else (flow_input,) * blocks
+    else:
+        starts = np.full(blocks, t_start)
+        first_steps = np.zeros(blocks, dtype=np.int64)
+        x0 = _initial_sample(model.initial if initial_law is None else initial_law,
+                             n_block, seed, model)
+        x = np.tile(x0, (blocks, 1, 1)) if stacked else x0
+        flows = flow_input if stacked or flow_input is None else (flow_input,)
+    means = _flow_mean_per_step(flows, starts, first_steps, dt, total_steps,
                                 needed=model.drift.mf_gain != 0.0)
+    if means is not None and x.ndim == 2:
+        means = means[:, 0, 0]
 
     open_loop = isinstance(control, OpenLoopControl)
     state = control.init_state(x0) if open_loop else {}
@@ -291,9 +380,12 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     outside_nodes = np.zeros((n_nodes, n)) if config.record_outside_time else None
 
     def record(node: int, t: float):
+        # A block that has not started yet holds its initial sample, which
+        # its own run records at its start time.
         snapshots[node] = x
         if controls is not None and fixed is None:
-            controls[node] = _control_values(control, t, x, state)
+            controls[node] = (_block_controls(control, np.maximum(starts, t), x)
+                              if restarted else _control_values(control, t, x, state))
         if outside_nodes is not None:
             outside_nodes[node] = outside
         if config.min_survivors > 0:
@@ -308,37 +400,67 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
                 raise SurvivorDepletion(t, int(survivors.max()), config.min_survivors,
                                         blocks=tuple(depleted))
 
+    def stamp(value, particles):
+        """Exit stamps: the step's time, or each restarted block's own."""
+        return np.repeat(value, n_block)[particles] if restarted else value
+
     record(0, t_start)
     for segment in range(n_nodes - 1):
         for k in range(int(node_steps[segment]), int(node_steps[segment + 1])):
-            t = t_start + k * dt
-            flat = x.reshape(n, d)
-            a = _control_values(control, t, x, state)
-            mean_k = means[k] if means is not None else None
-            b = drift_given_mean(model, t, x, mean_k, a)
-            z = rng.normals(seed, rng.GAUSS_STEP, k, (n_block, d))
+            if restarted:
+                # The started blocks are a prefix; each runs on its own clock
+                # and draws from its own seed, keyed by its own step.
+                active = int(np.searchsorted(first_steps, k, side="right"))
+                xs = x if active == blocks else x[:active]
+                local = k - first_steps[:active]
+                t = starts[:active] + local * dt
+                a = _block_controls(control, t, xs)
+                b = np.stack([drift_given_mean(model, t[j], xs[j],
+                                               None if means is None else means[k, j],
+                                               a[j]) for j in range(active)])
+                z = np.stack([rng.normals(seeds[j], rng.GAUSS_STEP, local[j], (n_block, d))
+                              for j in range(active)])
+            else:
+                active, xs = blocks, x
+                t = t_start + k * dt
+                a = _control_values(control, t, x, state)
+                mean_k = means[k] if means is not None else None
+                b = drift_given_mean(model, t, x, mean_k, a)
+                z = rng.normals(seed, rng.GAUSS_STEP, k, (n_block, d))
+            m = active * n_block
+            flat = xs.reshape(m, d)
+            alive_now = alive[:m]
             if outside_nodes is not None:
                 # Left-endpoint rule: time spent strictly outside the closure.
-                outside = outside + dt * (domain.boundary_distance(flat) < -BOUNDARY_TOL)
-            x_new = x + b * dt + (z @ sigma_t) * sqrt_dt
-            flat_new = x_new.reshape(n, d)
+                outside[:m] += dt * (domain.boundary_distance(flat) < -BOUNDARY_TOL)
+            x_new = xs + b * dt + (z @ sigma_t) * sqrt_dt
+            flat_new = x_new.reshape(m, d)
             inside_new = domain.contains_open(flat_new)
-            newly_exited = alive & ~inside_new
+            newly_exited = alive_now & ~inside_new
             if newly_exited.any():
-                exit_times[newly_exited] = t + dt
+                exit_times[:m][newly_exited] = stamp(t + dt, newly_exited)
             if config.bridge_correction:
-                candidates = np.flatnonzero(alive & inside_new)
+                candidates = np.flatnonzero(alive_now & inside_new)
                 if candidates.size:
                     p = domain.bridge_exit_probability(flat[candidates], flat_new[candidates],
                                                        dt, sigma)
-                    u = rng.uniforms(seed, rng.BRIDGE_KILL, k, (n_block,))
-                    killed = candidates[u[candidates % n_block] < p]
-                    exit_times[killed] = t + 0.5 * dt
+                    if restarted:
+                        u = np.concatenate([
+                            rng.uniforms(seeds[j], rng.BRIDGE_KILL, local[j], (n_block,))
+                            for j in range(active)])
+                    else:
+                        u = rng.uniforms(seed, rng.BRIDGE_KILL, k, (n_block,))
+                    # Shared draws repeat over the blocks of a stack.
+                    killed = candidates[u[candidates % u.shape[0]] < p]
+                    exit_times[killed] = stamp(t + 0.5 * dt, killed)
                     newly_exited[killed] = True
-            alive = alive & ~newly_exited
+            alive_now &= ~newly_exited
             if open_loop:
                 control.advance(state, t, z, dt)
-            x = x_new
+            if active == blocks:
+                x = x_new
+            else:
+                x[:active] = x_new
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
@@ -355,6 +477,7 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         seed=seed,
         blocks=blocks,
         depleted=tuple(depleted),
+        restarts=restarts,
     )
 
 

@@ -21,10 +21,9 @@ import numpy as np
 
 from . import rng
 from .errors import ContractionViolation, SurvivorDepletion
-from .killed_sim import KilledEnsemble, SimConfig, exit_cdf, simulate_killed
+from .killed_sim import Restarts, SimConfig, exit_cdf, simulate_killed
 from .measures import MeasureFlow
 from .model import Cloud, FeedbackPolicy, ModelSpec
-from .parallel import indexed_map
 
 _TIME_TOL = 1e-9
 _DENOM_FLOOR = 1e-12
@@ -90,14 +89,15 @@ def restart_times(times: np.ndarray, dt_r: float, dt: float) -> np.ndarray:
 
 def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
                             flow: MeasureFlow, config: SimConfig, dt_r: float,
-                            n_paths: int, threads: int = 1) -> RestartKernel:
+                            n_paths: int) -> RestartKernel:
     """Estimate K column by column with fresh restart ensembles.
 
     Column i restarts n_paths particles at s = i * dt_r from the flow
     node there and records the exit-time CDF on the remaining window.
-    Every s must be a node of the flow grid (see restart_times).
-    Columns are independent (derived seeds) so threading over them
-    leaves the result bit-identical.
+    Every s must be a node of the flow grid (see restart_times).  Each
+    column draws from its own derived seed, and all of them run as the
+    staggered blocks of one simulation pass (see Restarts), so column i
+    is bit for bit the run that restarts at s alone.
     """
     if not isinstance(policy, FeedbackPolicy):
         raise ValueError("restart estimation requires a feedback policy")
@@ -106,29 +106,24 @@ def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
     n_r = s_grid.shape[0]
     u_grid = np.arange(n_r + 1) * dt_r
 
-    def column(i: int) -> tuple[np.ndarray, np.ndarray]:
-        s = float(s_grid[i])
-        col_seed = rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i)
-        col_config = replace(config, n_particles=n_paths, seed=col_seed,
-                             grid=np.array([s, t_end]), min_survivors=0,
-                             record_controls=False, record_outside_time=False)
-        start = Cloud(flow.node_at(s).points)
-        ens = simulate_killed(model, policy, flow, col_config,
-                              initial_law=start, t0=s)
-        valid = n_r - i + 1
-        k_row = exit_cdf(ens, s + u_grid[:valid])
-        return k_row, np.sqrt(k_row * (1.0 - k_row) / n_paths)
-
-    rows = indexed_map(column, range(n_r), threads=threads)
+    restarts = Restarts(
+        starts=s_grid,
+        seeds=[rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i) for i in range(n_r)],
+        laws=[Cloud(flow.node_at(float(s)).points) for s in s_grid])
+    pass_config = replace(config, n_particles=n_r * n_paths, grid=np.array([0.0, t_end]),
+                          min_survivors=0, record_controls=False,
+                          record_outside_time=False)
+    ens = simulate_killed(model, policy, flow, pass_config, restarts=restarts)
 
     cdf = np.full((n_r, n_r + 1), np.nan)
     se = np.full((n_r, n_r + 1), np.nan)
     correction = 0.0
-    for i, (k_row, se_row) in enumerate(rows):
+    for i, s in enumerate(s_grid):
+        k_row = exit_cdf(ens.block(i), s + u_grid[:n_r - i + 1])
         mono = np.maximum.accumulate(k_row)
         correction = max(correction, float(np.max(mono - k_row)))
         cdf[i, : k_row.shape[0]] = mono
-        se[i, : k_row.shape[0]] = se_row
+        se[i, : k_row.shape[0]] = np.sqrt(k_row * (1.0 - k_row) / n_paths)
     return RestartKernel(s_grid=s_grid, u_grid=u_grid, cdf=cdf, se=se,
                          n_paths=n_paths, isotonic_correction=correction)
 
@@ -175,38 +170,6 @@ def volterra_solve(cdf_tau1, kernel: RestartKernel, grid) -> np.ndarray:
     return f
 
 
-def volterra_fixed_point_iteration(cdf_tau1, kernel: RestartKernel, grid,
-                                   tol: float = 1e-13,
-                                   max_iter: int = 10_000) -> np.ndarray:
-    """Solve the same discrete system by Picard iteration.
-
-    Converges geometrically at rate p_end < 1 and agrees with the
-    forward substitution to solver precision; kept as an independent
-    route through the same equations.
-    """
-    grid = np.asarray(grid, dtype=float)
-    cdf_tau1 = np.asarray(cdf_tau1, dtype=float)
-    n = _check_inputs(cdf_tau1, kernel, grid)
-    p_end = kernel.phat(float(grid[-1] - grid[0]))
-    if p_end >= 1.0 - _DENOM_FLOOR:
-        raise ContractionViolation(
-            f"one-cycle exit probability {p_end:.6g} reaches 1; "
-            "the renewal equation has no bounded solution")
-    f = cdf_tau1.copy()
-    for _ in range(max_iter):
-        f_next = cdf_tau1.copy()
-        for m in range(1, n):
-            acc = 0.0
-            for j in range(m):
-                acc += kernel.cdf[j, m - j] * (f[j + 1] - f[j])
-            f_next[m] += acc
-        delta = float(np.max(np.abs(f_next - f)))
-        f = f_next
-        if delta < tol:
-            break
-    return f
-
-
 @dataclass
 class LogSurvivalReport:
     """Residuals between a renewal curve and -log of a survival curve."""
@@ -235,7 +198,3 @@ def log_survival_check(times, f_values, survival) -> LogSurvivalReport:
                              neg_log_survival=neg_log, residuals=resid,
                              max_residual=float(resid.max()))
 
-
-def first_exit_cdf(ens: KilledEnsemble, grid) -> np.ndarray:
-    """The Volterra driving term, read off a killed ensemble."""
-    return exit_cdf(ens, np.asarray(grid, dtype=float))

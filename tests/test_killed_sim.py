@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 from math import erf, sqrt
 
 from condiff.errors import NumericalError, SurvivorDepletion
-from condiff.killed_sim import (SimConfig, analytic_interval_survival,
+from condiff.geometry import Box
+from condiff.killed_sim import (Restarts, SimConfig, analytic_interval_survival,
                                 conditional_flow, exit_cdf,
                                 girsanov_survival_floor, restrict_ensemble,
                                 simulate_killed, uniform_grid,
                                 without_mean_field)
-from condiff.model import ConstantPolicy, LinearPolicy
+from condiff.model import (Cloud, ConstantPolicy, ControlBox, DriftSpec, GridPolicy,
+                          LinearPolicy, ModelSpec, PointMass, RandomizedSignControl,
+                          UniformBox)
 from condiff.scenarios import (attractive_interval, boundary_start,
-                               driftless_interval)
+                               driftless_interval, rich_reward)
 
 
 def images_survival(t: float, terms: int = 200) -> float:
@@ -187,3 +191,78 @@ def test_flow_input_requires_matching_gain(driftless_flow):
     assert ens.survival[-1] > 0
     with pytest.raises(ValueError):
         simulate_killed(model, policy, None, config)
+
+
+def _coupled_box():
+    return ModelSpec(
+        domain=Box((-1.0, -1.0), (1.0, 1.0)), sigma=((0.8, 0.0), (0.3, 0.6)),
+        drift=DriftSpec(base_kind="affine", base_matrix=((-0.4, 0.1), (0.0, -0.2)),
+                        mf_gain=1.0, control_matrix=((0.9, 0.35), (0.15, 1.1)),
+                        clip_bound=3.0),
+        control_set=ControlBox((-1.0, -1.0), (1.0, 1.0)), horizon=0.5,
+        reward=rich_reward(0.0), initial=UniformBox((-0.5, -0.5), (0.5, 0.5)))
+
+
+def test_restarted_blocks_read_as_their_own_runs():
+    # A coupled box under a time-dependent policy whose bins end on steps,
+    # with starts on and between nodes: each block must use its own clock
+    # for the policy, the flow means and the exit stamps.
+    model = _coupled_box()
+    values = np.random.default_rng(11).uniform(-1.0, 1.0, (5, 4, 4, 2))
+    policy = GridPolicy.build(model, 5, 4, values)
+    flow = conditional_flow(simulate_killed(
+        without_mean_field(model), policy, None,
+        SimConfig(400, 0.01, 3, uniform_grid(0.5, 0.05))))
+    restarts = Restarts(starts=(0.0, 0.13, 0.2, 0.2, 0.41), seeds=(21, 22, 23, 24, 25),
+                        laws=(model.initial, Cloud(flow.node_at(0.15).points),
+                              PointMass((0.99, -0.2)), model.initial,
+                              Cloud(flow.node_at(0.4).points)))
+    n_block = 150
+    config = SimConfig(5 * n_block, 0.01, 7, np.array([0.0, 0.2, 0.35, 0.5]),
+                       min_survivors=0)
+    ens = simulate_killed(model, policy, flow, config, restarts=restarts)
+    assert ens.blocks == 5
+    for b, (start, seed, law) in enumerate(zip(restarts.starts, restarts.seeds,
+                                                restarts.laws)):
+        grid = np.concatenate([[start], config.grid[config.grid > start + 1e-9]])
+        alone = simulate_killed(model, policy, flow,
+                                replace(config, n_particles=n_block, seed=seed, grid=grid),
+                                initial_law=law, t0=start)
+        block = ens.block(b)
+        assert block.seed == seed
+        for name in ("times", "initial_points", "exit_times", "snapshots", "controls",
+                     "outside_time"):
+            got, want = getattr(block, name), getattr(alone, name)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), (b, name)
+    # the point start on the boundary's doorstep gives bridge kills in its
+    # first step, stamped at half a step after its own start
+    assert np.any(ens.block(2).exit_times == 0.2 + 0.5 * 0.01)
+
+
+def test_restarts_are_validated():
+    model = driftless_interval(horizon=0.5)
+    policy = ConstantPolicy((0.0,), model.control_set)
+    config = SimConfig(20, 0.01, 1, uniform_grid(0.5, 0.25), min_survivors=0)
+
+    def run(starts, control=policy, **kwargs):
+        restarts = Restarts(starts, range(len(starts)), (model.initial,) * len(starts))
+        return simulate_killed(model, control, None, config, restarts=restarts, **kwargs)
+
+    assert run((0.0, 0.25)).blocks == 2
+    with pytest.raises(ValueError, match="must not decrease"):
+        run((0.0, 0.3, 0.2, 0.4))
+    with pytest.raises(ValueError, match="first restart"):
+        run((0.1, 0.2))
+    with pytest.raises(ValueError, match="before the last grid node"):
+        run((0.0, 0.5))
+    with pytest.raises(ValueError, match="multiples of dt"):
+        run((0.0, 0.125))
+    with pytest.raises(ValueError, match="split evenly"):
+        run((0.0, 0.1, 0.2))
+    with pytest.raises(ValueError, match="their own start times"):
+        run((0.0, 0.25), initial_law=model.initial)
+    with pytest.raises(ValueError, match="one feedback policy"):
+        run((0.0, 0.25), control=RandomizedSignControl((0.0,), (1.0,), model.control_set))
+    with pytest.raises(ValueError, match="one start, seed and law"):
+        Restarts((0.0, 0.25), (1,), (model.initial,) * 2)

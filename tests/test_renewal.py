@@ -2,14 +2,17 @@
 import numpy as np
 import pytest
 
+from condiff import rng
 from condiff.errors import ContractionViolation, SurvivorDepletion
-from condiff.killed_sim import (SimConfig, conditional_flow, simulate_killed,
+from condiff.geometry import Box
+from condiff.killed_sim import (SimConfig, conditional_flow, exit_cdf, simulate_killed,
                                 uniform_grid)
-from condiff.model import ConstantPolicy
+from condiff.model import (Cloud, ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
+                           ModelSpec, UniformBox)
+from condiff.picard import solve_fixed_point
 from condiff.renewal import (RestartKernel, estimate_restart_kernel,
-                             first_exit_cdf, log_survival_check,
-                             volterra_fixed_point_iteration, volterra_solve)
-from condiff.scenarios import driftless_interval
+                             log_survival_check, volterra_solve)
+from condiff.scenarios import attractive_interval, driftless_interval, rich_reward
 
 
 def _analytic_kernel(n_r, dt_r, k_func):
@@ -24,6 +27,36 @@ def _analytic_kernel(n_r, dt_r, k_func):
     return RestartKernel(s_grid=s_grid, u_grid=u_grid, cdf=cdf,
                          se=np.zeros_like(cdf), n_paths=0,
                          isotonic_correction=0.0)
+
+
+def volterra_fixed_point_iteration(cdf_tau1, kernel: RestartKernel, grid,
+                                   tol: float = 1e-13,
+                                   max_iter: int = 10_000) -> np.ndarray:
+    """Solve the discrete renewal system by Picard iteration.
+
+    Converges geometrically at rate p_end < 1 and agrees with the
+    forward substitution to solver precision: an independent route
+    through the same equations.
+    """
+    grid = np.asarray(grid, dtype=float)
+    cdf_tau1 = np.asarray(cdf_tau1, dtype=float)
+    n = grid.shape[0]
+    p_end = kernel.phat(float(grid[-1] - grid[0]))
+    if p_end >= 1.0 - 1e-12:
+        raise ContractionViolation(f"one-cycle exit probability {p_end:.6g} reaches 1")
+    f = cdf_tau1.copy()
+    for _ in range(max_iter):
+        f_next = cdf_tau1.copy()
+        for m in range(1, n):
+            acc = 0.0
+            for j in range(m):
+                acc += kernel.cdf[j, m - j] * (f[j + 1] - f[j])
+            f_next[m] += acc
+        delta = float(np.max(np.abs(f_next - f)))
+        f = f_next
+        if delta < tol:
+            break
+    return f
 
 
 def _exponential_setup(n_r, lam=1.0, horizon=1.0):
@@ -132,13 +165,53 @@ def test_estimated_kernel_against_independent_run():
     fresh = simulate_killed(model, policy, None,
                             SimConfig(1500, 2e-3, 403, uniform_grid(0.5, 0.1),
                                       min_survivors=0))
-    reference = first_exit_cdf(fresh, kernel.u_grid)
+    reference = exit_cdf(fresh, kernel.u_grid)
     assert np.max(np.abs(kernel.cdf[0] - reference)) < 0.05
 
-    # threading over columns must not change a single bit
-    again = estimate_restart_kernel(model, policy, flow, kernel_config,
-                                    dt_r=0.1, n_paths=1500, threads=4)
-    assert again.cdf.tobytes() == kernel.cdf.tobytes()
+    # running the columns as blocks of one pass must not change a single bit
+    _assert_columns_run_alone(model, policy, flow, kernel_config, kernel)
+
+
+def _assert_columns_run_alone(model, policy, flow, config, kernel):
+    """Each kernel row equals its restart column simulated on its own."""
+    t_end = float(flow.times[-1])
+    for i, s in enumerate(kernel.s_grid):
+        column = SimConfig(kernel.n_paths, config.dt,
+                           rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i),
+                           np.array([s, t_end]), min_survivors=0)
+        alone = simulate_killed(model, policy, flow, column,
+                                initial_law=Cloud(flow.node_at(s).points), t0=s)
+        valid = kernel.u_grid.shape[0] - i
+        row = exit_cdf(alone, s + kernel.u_grid[:valid])
+        assert kernel.cdf[i, :valid].tobytes() == row.tobytes(), f"column {i}"
+        se = np.sqrt(row * (1.0 - row) / kernel.n_paths)
+        assert kernel.se[i, :valid].tobytes() == se.tobytes(), f"column {i}"
+
+
+def _coupled_box():
+    return ModelSpec(
+        domain=Box((-1.0, -1.0), (1.0, 1.0)), sigma=((0.8, 0.0), (0.3, 0.6)),
+        drift=DriftSpec(base_kind="zero", mf_gain=1.0,
+                        control_matrix=((0.9, 0.35), (0.15, 1.1)), clip_bound=3.0),
+        control_set=ControlBox((-1.0, -1.0), (1.0, 1.0)), horizon=0.4,
+        reward=rich_reward(0.0), initial=UniformBox((-0.6, -0.6), (0.6, 0.6)))
+
+
+@pytest.mark.parametrize("case", ["coupled_interval", "coupled_box"])
+def test_stacked_kernel_matches_columns_run_alone(case):
+    # Coupled drifts read the flow mean at each column's own times; the box
+    # adds two-dimensional steps and bridges over several faces.
+    if case == "coupled_interval":
+        model = attractive_interval(kappa=0.5, horizon=0.4, reward=rich_reward(0.0))
+        policy = ConstantPolicy((0.3,), model.control_set)
+    else:
+        model = _coupled_box()
+        policy = LinearPolicy((0.3, -0.2), ((-0.5, 0.1), (0.0, -0.5)), model.control_set)
+    config = SimConfig(600, 5e-3, 404, uniform_grid(0.4, 0.05), min_survivors=0)
+    flow = solve_fixed_point(model, policy, config, max_iter=2).flow
+    kernel = estimate_restart_kernel(model, policy, flow, config, dt_r=0.05, n_paths=300)
+    assert kernel.cdf.shape == (8, 9)
+    _assert_columns_run_alone(model, policy, flow, config, kernel)
 
 
 def test_estimate_requires_compatible_steps():
