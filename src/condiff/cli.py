@@ -94,9 +94,8 @@ def _write_paths_bin(out: Path, ens) -> None:
 
 
 def _sim_config(cfg, model, record_controls: bool = False):
-    """The sim config of a command; none reads the recorded outside time."""
-    return build_sim_config(cfg, model, record_controls=record_controls,
-                            record_outside_time=False)
+    """The sim config of a command; only optimize and mimic read controls."""
+    return build_sim_config(cfg, model, record_controls=record_controls)
 
 
 def _picard_block(cfg) -> tuple[float, int]:
@@ -137,6 +136,11 @@ def _cmd_fv(cfg, model, out, threads):
     policy = build_policy(cfg, model)
     variant = optional(cfg, "fv.variant", "meanfield")
     cap = int(optional(cfg, "fv.reinsertion_cap", DEFAULT_REINSERTION_CAP))
+    if cap < 0:
+        raise ConfigError(f"invalid 'fv.reinsertion_cap': must be nonnegative, got {cap}")
+    if variant == "finite" and sim.n_particles < 2:
+        raise ConfigError("invalid 'sim.n_particles': the finite variant needs "
+                          f"at least two particles, got {sim.n_particles}")
     if variant == "meanfield":
         tol, max_iter = _picard_block(cfg)
         fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)

@@ -139,8 +139,8 @@ def build_model(cfg: dict) -> ModelSpec:
         )
 
 
-def build_sim_config(cfg: dict, model: ModelSpec, *, record_controls: bool = True,
-                     record_outside_time: bool = True) -> SimConfig:
+def build_sim_config(cfg: dict, model: ModelSpec, *,
+                     record_controls: bool = True) -> SimConfig:
     """The sim section as a SimConfig; what to record is the caller's to say,
     as only the caller knows what it reads."""
     grid_spec = require(cfg, "sim.grid")
@@ -160,7 +160,6 @@ def build_sim_config(cfg: dict, model: ModelSpec, *, record_controls: bool = Tru
             bridge_correction=bool(optional(cfg, "sim.bridge_correction", True)),
             min_survivors=int(optional(cfg, "sim.min_survivors", 1)),
             record_controls=record_controls,
-            record_outside_time=record_outside_time,
         )
 
 

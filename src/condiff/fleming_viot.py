@@ -9,6 +9,11 @@ at a fresh sample of a frozen input flow (and reads the drift's measure
 argument from that flow).  The cumulative mean number of reinsertions
 per particle estimates minus the log survival probability of the
 corresponding killed process.
+
+Between exits both variants take the killed dynamics' own step
+(killed_sim.euler_step) with the same draws, so a particle's first
+reinsertion happens exactly when the killed run of the same seed kills
+it; only what follows an exit differs.
 """
 from __future__ import annotations
 
@@ -18,12 +23,11 @@ import numpy as np
 
 from . import rng
 from .errors import NumericalError, ReinsertionBlowup, TotalExtinction
-from .geometry import BOUNDARY_TOL
-from .killed_sim import KilledEnsemble, SimConfig, conditional_flow
-from .measures import EmpiricalMeasure, MeasureFlow, sample, w1_distance_1d, sliced_w1
+from .killed_sim import (KilledEnsemble, SimConfig, _flow_mean_per_step, _initial_sample,
+                         conditional_flow, euler_step)
+from .measures import (_TIME_TOL, EmpiricalMeasure, MeasureFlow, sample_many,
+                       sliced_w1, w1_distance_1d)
 from .model import FeedbackPolicy, ModelSpec, drift_given_mean
-
-_TIME_TOL = 1e-9
 
 SOURCE_UNIFORM_PEER = 0
 SOURCE_FLOW_SAMPLE = 1
@@ -63,6 +67,20 @@ class FVTrace:
         return [_SOURCE_NAMES[int(s)] for s in self.event_sources]
 
 
+def _reinsert_at_peers(x_new: np.ndarray, exits: np.ndarray, draws: np.ndarray) -> None:
+    """Move each exit onto a uniformly drawn particle that is inside.
+
+    Exits are handled in ascending index, and each sees the positions of
+    the ones handled before it, which count as inside once moved.
+    """
+    inside = np.ones(x_new.shape[0], dtype=bool)
+    inside[exits] = False
+    for i in exits:
+        hosts = np.flatnonzero(inside)
+        x_new[i] = x_new[hosts[min(int(draws[i] * hosts.size), hosts.size - 1)]]
+        inside[i] = True
+
+
 def _simulate_fv(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow | None,
                  config: SimConfig, variant: str, reinsertion_cap: int,
                  initial_law=None) -> FVTrace:
@@ -77,41 +95,29 @@ def _simulate_fv(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow | N
     n = config.n_particles
     d = model.dim
     dt = config.dt
-    sqrt_dt = np.sqrt(dt)
     sigma = model.sigma_matrix()
-    sigma_t = sigma.T.copy()
     domain = model.domain
     seed = config.seed
     node_steps = config.node_steps()
-    total_steps = int(node_steps[-1])
 
     mean_field = variant == "meanfield"
-    if mean_field:
-        if flow is None:
-            raise ValueError("the mean-field variant requires an input flow")
-        if model.drift.mf_gain != 0.0:
-            step_times = np.arange(total_steps) * dt
-            idx = np.searchsorted(flow.times, step_times - _TIME_TOL, side="left")
-            if np.any(idx >= flow.times.shape[0]):
-                raise ValueError("flow grid does not cover the simulation window")
-            means = flow.node_means[idx]
-        else:
-            means = None
-    else:
-        if n < 2:
-            raise ValueError("the finite variant needs at least two particles")
-        means = None
-
-    law = model.initial if initial_law is None else initial_law
-    x = np.array(law.sample(n, seed, rng.INITIAL_SAMPLE, 0), dtype=float)
-    if np.any(domain.boundary_distance(x) < -BOUNDARY_TOL):
-        raise ValueError("initial points must lie in the closed domain")
+    source = SOURCE_FLOW_SAMPLE if mean_field else SOURCE_UNIFORM_PEER
+    coupled = model.drift.mf_gain != 0.0
+    if mean_field and flow is None:
+        raise ValueError("the mean-field variant requires an input flow")
+    if not mean_field and n < 2:
+        raise ValueError("the finite variant needs at least two particles")
+    means = _flow_mean_per_step((flow,), (0.0,), (0,), dt, int(node_steps[-1]),
+                                needed=mean_field and coupled)
+    x = _initial_sample(model.initial if initial_law is None else initial_law,
+                        n, seed, model)
 
     counts = np.zeros(n, dtype=np.int64)
-    ev_times: list[float] = []
-    ev_particles: list[int] = []
+    alive = np.ones(n, dtype=bool)
+    # Per step with exits: their stamps, indices and new positions.
+    ev_times: list[np.ndarray] = []
+    ev_particles: list[np.ndarray] = []
     ev_positions: list[np.ndarray] = []
-    ev_sources: list[int] = []
 
     n_nodes = grid.shape[0]
     snapshots = np.empty((n_nodes, n, d))
@@ -131,49 +137,30 @@ def _simulate_fv(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow | N
             t = k * dt
             a = policy.values_at(t, x)
             if mean_field:
-                mean_k = means[k] if means is not None else None
+                mean_k = means[k, 0, 0] if means is not None else None
             else:
-                mean_k = x.mean(axis=0) if model.drift.mf_gain != 0.0 else None
+                mean_k = x.mean(axis=0) if coupled else None
             b = drift_given_mean(model, t, x, mean_k, a)
             z = rng.normals(seed, rng.GAUSS_STEP, k, (n, d))
-            x_new = x + b * dt + (z @ sigma_t) * sqrt_dt
-            inside_new = domain.contains_open(x_new)
-            exited = ~inside_new
-            hit_times = np.full(n, t + dt)
-            if config.bridge_correction and inside_new.any():
-                p = domain.bridge_exit_probability(x[inside_new], x_new[inside_new],
-                                                   dt, sigma)
-                u = rng.uniforms(seed, rng.BRIDGE_KILL, k, (n,))[inside_new]
-                struck = np.flatnonzero(inside_new)[u < p]
-                exited[struck] = True
-                hit_times[struck] = t + 0.5 * dt
-            exit_idx = np.flatnonzero(exited)
-            if exit_idx.size:
+            draws = lambda: rng.uniforms(seed, rng.BRIDGE_KILL, k, (n,))
+            x_new, node_exits, bridge_kills = euler_step(
+                domain, x, b, z, dt, sigma, alive,
+                draws if config.bridge_correction else None)
+            if node_exits.any() or bridge_kills.size:
+                exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
+                stamps = np.where(node_exits[exits], t + dt, t + 0.5 * dt)
                 if mean_field:
-                    target = flow.node_at(t + dt)
-                    draws = rng.uniforms(seed, rng.REINSERT_SAMPLE, k, (n,))
-                    for i in exit_idx:
-                        x_new[i] = sample(target, draws[i])
-                        counts[i] += 1
-                        ev_times.append(float(hit_times[i]))
-                        ev_particles.append(int(i))
-                        ev_positions.append(x_new[i].copy())
-                        ev_sources.append(SOURCE_FLOW_SAMPLE)
+                    u = rng.uniforms(seed, rng.REINSERT_SAMPLE, k, (n,))
+                    x_new[exits] = sample_many(flow.node_at(t + dt), u[exits])
                 else:
-                    inside_mask = ~exited
-                    draws = rng.uniforms(seed, rng.PEER_CHOICE, k, (n,))
-                    for i in exit_idx:
-                        hosts = np.flatnonzero(inside_mask)
-                        if hosts.size == 0:
-                            raise TotalExtinction(float(hit_times[i]))
-                        host = hosts[min(int(draws[i] * hosts.size), hosts.size - 1)]
-                        x_new[i] = x_new[host]
-                        inside_mask[i] = True
-                        counts[i] += 1
-                        ev_times.append(float(hit_times[i]))
-                        ev_particles.append(int(i))
-                        ev_positions.append(x_new[i].copy())
-                        ev_sources.append(SOURCE_UNIFORM_PEER)
+                    if exits.size == n:
+                        raise TotalExtinction(float(stamps[0]))
+                    u = rng.uniforms(seed, rng.PEER_CHOICE, k, (n,))
+                    _reinsert_at_peers(x_new, exits, u)
+                counts[exits] += 1
+                ev_times.append(stamps)
+                ev_particles.append(exits)
+                ev_positions.append(x_new[exits])
                 over = np.flatnonzero(counts > reinsertion_cap)
                 if over.size:
                     raise ReinsertionBlowup(t + dt, int(over[0]), reinsertion_cap)
@@ -182,6 +169,7 @@ def _simulate_fv(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow | N
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
 
+    event_times = np.concatenate([np.empty(0), *ev_times])
     return FVTrace(
         model=model,
         variant=variant,
@@ -191,11 +179,10 @@ def _simulate_fv(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow | N
         f_curve=f_curve,
         f_se=f_se,
         final_counts=counts.astype(float),
-        event_times=np.asarray(ev_times, dtype=float),
-        event_particles=np.asarray(ev_particles, dtype=np.int64),
-        event_positions=(np.asarray(ev_positions, dtype=float).reshape(-1, d)
-                         if ev_positions else np.empty((0, d))),
-        event_sources=np.asarray(ev_sources, dtype=np.int64),
+        event_times=event_times,
+        event_particles=np.concatenate([np.empty(0, dtype=np.int64), *ev_particles]),
+        event_positions=np.concatenate([np.empty((0, d)), *ev_positions]),
+        event_sources=np.full(event_times.shape[0], source, dtype=np.int64),
         dt=dt,
         seed=seed,
     )

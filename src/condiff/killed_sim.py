@@ -5,9 +5,12 @@ node (the new position left the open domain) or, when the bridge
 correction is on, by a Bernoulli draw with the within-step boundary
 crossing probability of the pinned bridge between consecutive
 positions; bridge kills are stamped at the midpoint of their step.
-Killed paths keep moving so later consumers can read their occupation
-time outside the domain and their recorded controls; they are simply
-excluded from conditional statistics.
+One step function, euler_step, moves the particles and finds both kinds
+of exit; the Fleming-Viot dynamics take the same step and differ only
+in what follows an exit.  Killed paths keep moving: each step advances
+the whole array instead of gathering the survivors, and paths.bin
+records their motion after the exit.  They are simply excluded from
+conditional statistics.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A run
@@ -26,11 +29,9 @@ import numpy as np
 from . import rng
 from .errors import NumericalError, SurvivorDepletion
 from .geometry import BOUNDARY_TOL
-from .measures import EmpiricalMeasure, MeasureFlow, conditional_empirical
+from .measures import _TIME_TOL, EmpiricalMeasure, MeasureFlow
 from .model import (FeedbackPolicy, ModelSpec, OpenLoopControl, PolicyStack,
                     drift_given_mean)
-
-_TIME_TOL = 1e-9
 
 
 def uniform_grid(t_end: float, step: float, t_start: float = 0.0) -> np.ndarray:
@@ -54,7 +55,6 @@ class SimConfig:
     bridge_correction: bool = True
     min_survivors: int = 1
     record_controls: bool = True
-    record_outside_time: bool = True
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -112,13 +112,12 @@ class KilledEnsemble:
     """Outcome of one killed simulation.
 
     exit_times holds the first detected exit per particle (inf when the
-    particle survives the horizon).  Snapshots, recorded controls, and
-    the occupation time outside the closed domain are stored at the
-    output grid nodes only.  A stacked run of B > 1 blocks keeps
-    snapshots and controls with a block axis, (n_nodes, B, N, .), and its
-    per-particle vectors block after block; block(b) reads block b as an
-    ordinary ensemble, and depleted[b] is the SurvivorDepletion that
-    ended it, or None.  Survival and alive masks are read per block:
+    particle survives the horizon).  Snapshots and recorded controls are
+    stored at the output grid nodes only.  A stacked run of B > 1 blocks
+    keeps snapshots and controls with a block axis, (n_nodes, B, N, .),
+    and its per-particle vectors block after block; block(b) reads block
+    b as an ordinary ensemble, and depleted[b] is the SurvivorDepletion
+    that ended it, or None.  Survival and alive masks are read per block:
     a stacked ensemble itself refuses them.  A run of Restarts keeps
     its Restarts; a block that starts after a node holds its initial
     sample in that node's snapshot.
@@ -130,7 +129,6 @@ class KilledEnsemble:
     exit_times: np.ndarray
     snapshots: np.ndarray
     controls: np.ndarray | None
-    outside_time: np.ndarray | None
     dt: float
     seed: int
     blocks: int = 1
@@ -166,8 +164,6 @@ class KilledEnsemble:
             exit_times=self.exit_times[part],
             snapshots=self.snapshots[first:, b],
             controls=None if self.controls is None else self.controls[first:, b],
-            outside_time=(None if self.outside_time is None
-                          else self.outside_time[first:, part]),
             dt=self.dt,
             seed=seed,
         )
@@ -219,7 +215,6 @@ def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
         exit_times=ens.exit_times,
         snapshots=ens.snapshots[:k],
         controls=None if ens.controls is None else ens.controls[:k],
-        outside_time=None if ens.outside_time is None else ens.outside_time[:k],
         dt=ens.dt,
         seed=ens.seed,
         blocks=ens.blocks,
@@ -283,6 +278,36 @@ def _start_steps(restarts: Restarts, grid: np.ndarray, dt: float) -> np.ndarray:
     return steps
 
 
+def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
+               sigma: np.ndarray, alive: np.ndarray, bridge_draws=None):
+    """One Euler step of every particle, and the exits it makes.
+
+    x and b are (..., d) positions and drifts, and z holds standard
+    normals that may broadcast over the leading axes of x; alive marks
+    the particles of x.reshape(-1, d) that can still exit.  Returns the
+    new positions, the mask of alive particles outside the open domain
+    at the new node, and the indices of alive particles still inside
+    whose pinned bridge crossed the boundary.  bridge_draws, None when
+    the bridge test is off, returns the step's BRIDGE_KILL uniforms; it
+    is called only when some particle is a candidate, and candidate i
+    reads u[i % len(u)], so draws shared by the blocks of a stack repeat.
+    """
+    d = x.shape[-1]
+    x_new = x + b * dt + (z @ sigma.T.copy()) * np.sqrt(dt)
+    flat, flat_new = x.reshape(-1, d), x_new.reshape(-1, d)
+    inside = domain.contains_open(flat_new)
+    node_exits = alive & ~inside
+    bridge_kills = np.empty(0, dtype=np.int64)
+    if bridge_draws is not None:
+        candidates = np.flatnonzero(alive & inside)
+        if candidates.size:
+            p = domain.bridge_exit_probability(flat[candidates], flat_new[candidates],
+                                               dt, sigma)
+            u = bridge_draws()
+            bridge_kills = candidates[u[candidates % u.shape[0]] < p]
+    return x_new, node_exits, bridge_kills
+
+
 def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
                     initial_law=None, t0: float | None = None,
                     restarts: Restarts | None = None) -> KilledEnsemble:
@@ -332,9 +357,7 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     d = model.dim
     d_a = model.control_dim
     dt = config.dt
-    sqrt_dt = np.sqrt(dt)
     sigma = model.sigma_matrix()
-    sigma_t = sigma.T.copy()
     domain = model.domain
     seed = config.seed
     node_steps = config.node_steps()
@@ -366,7 +389,6 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
 
     exit_times = np.full(n, np.inf)
     alive = np.ones(n, dtype=bool)
-    outside = np.zeros(n)
     depleted: list = [None] * blocks
 
     n_nodes = grid.shape[0]
@@ -377,7 +399,6 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         # Constant controls never move: one broadcast view records them.
         controls = (np.empty((n_nodes, *x.shape[:-1], d_a)) if fixed is None
                     else np.broadcast_to(fixed, (n_nodes, blocks, n_block, d_a)))
-    outside_nodes = np.zeros((n_nodes, n)) if config.record_outside_time else None
 
     def record(node: int, t: float):
         # A block that has not started yet holds its initial sample, which
@@ -386,8 +407,6 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         if controls is not None and fixed is None:
             controls[node] = (_block_controls(control, np.maximum(starts, t), x)
                               if restarted else _control_values(control, t, x, state))
-        if outside_nodes is not None:
-            outside_nodes[node] = outside
         if config.min_survivors > 0:
             survivors = alive.reshape(blocks, n_block).sum(axis=1)
             for b in np.flatnonzero(survivors < config.min_survivors):
@@ -420,6 +439,9 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
                                                a[j]) for j in range(active)])
                 z = np.stack([rng.normals(seeds[j], rng.GAUSS_STEP, local[j], (n_block, d))
                               for j in range(active)])
+                draws = lambda: np.concatenate([
+                    rng.uniforms(seeds[j], rng.BRIDGE_KILL, local[j], (n_block,))
+                    for j in range(active)])
             else:
                 active, xs = blocks, x
                 t = t_start + k * dt
@@ -427,34 +449,19 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
                 mean_k = means[k] if means is not None else None
                 b = drift_given_mean(model, t, x, mean_k, a)
                 z = rng.normals(seed, rng.GAUSS_STEP, k, (n_block, d))
+                # Shared by the blocks of a stack.
+                draws = lambda: rng.uniforms(seed, rng.BRIDGE_KILL, k, (n_block,))
             m = active * n_block
-            flat = xs.reshape(m, d)
             alive_now = alive[:m]
-            if outside_nodes is not None:
-                # Left-endpoint rule: time spent strictly outside the closure.
-                outside[:m] += dt * (domain.boundary_distance(flat) < -BOUNDARY_TOL)
-            x_new = xs + b * dt + (z @ sigma_t) * sqrt_dt
-            flat_new = x_new.reshape(m, d)
-            inside_new = domain.contains_open(flat_new)
-            newly_exited = alive_now & ~inside_new
-            if newly_exited.any():
-                exit_times[:m][newly_exited] = stamp(t + dt, newly_exited)
-            if config.bridge_correction:
-                candidates = np.flatnonzero(alive_now & inside_new)
-                if candidates.size:
-                    p = domain.bridge_exit_probability(flat[candidates], flat_new[candidates],
-                                                       dt, sigma)
-                    if restarted:
-                        u = np.concatenate([
-                            rng.uniforms(seeds[j], rng.BRIDGE_KILL, local[j], (n_block,))
-                            for j in range(active)])
-                    else:
-                        u = rng.uniforms(seed, rng.BRIDGE_KILL, k, (n_block,))
-                    # Shared draws repeat over the blocks of a stack.
-                    killed = candidates[u[candidates % u.shape[0]] < p]
-                    exit_times[killed] = stamp(t + 0.5 * dt, killed)
-                    newly_exited[killed] = True
-            alive_now &= ~newly_exited
+            x_new, node_exits, bridge_kills = euler_step(
+                domain, xs, b, z, dt, sigma, alive_now,
+                draws if config.bridge_correction else None)
+            if node_exits.any():
+                exit_times[:m][node_exits] = stamp(t + dt, node_exits)
+                alive_now[node_exits] = False
+            if bridge_kills.size:
+                exit_times[bridge_kills] = stamp(t + 0.5 * dt, bridge_kills)
+                alive_now[bridge_kills] = False
             if open_loop:
                 control.advance(state, t, z, dt)
             if active == blocks:
@@ -472,7 +479,6 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         exit_times=exit_times,
         snapshots=snapshots,
         controls=controls,
-        outside_time=outside_nodes,
         dt=dt,
         seed=seed,
         blocks=blocks,

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import SurvivorDepletion
 
+# Tolerance for matching times against grid nodes and exit stamps.
 _TIME_TOL = 1e-9
 
 
@@ -65,13 +66,8 @@ def conditional_empirical(positions, alive) -> EmpiricalMeasure:
     return EmpiricalMeasure(positions[alive])
 
 
-def sample(measure: EmpiricalMeasure, u: float) -> np.ndarray:
-    """Map one uniform [0, 1) variate to a support point."""
-    idx = min(int(u * measure.n), measure.n - 1)
-    return measure.points[idx].copy()
-
-
 def sample_many(measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
+    """Map uniform [0, 1) variates to support points, atoms in row order."""
     idx = np.minimum((np.asarray(u) * measure.n).astype(np.int64), measure.n - 1)
     return measure.points[idx]
 

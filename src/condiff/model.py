@@ -304,35 +304,6 @@ def drift_given_mean(model: ModelSpec, t: float, x: np.ndarray,
     return out
 
 
-def eval_drift(model: ModelSpec, t: float, x, m, a) -> np.ndarray:
-    """Public drift evaluation; m may be an EmpiricalMeasure or a mean vector."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(1, -1) if single else x
-    a = np.asarray(a, dtype=float)
-    av = a.reshape(1, -1) if a.ndim == 1 else a
-    if not model.control_set.contains(av):
-        raise ValueError("control value lies outside the admissible box")
-    mean_m = m.mean() if isinstance(m, EmpiricalMeasure) else (None if m is None else np.asarray(m))
-    out = drift_given_mean(model, t, pts, mean_m, av)
-    return out[0] if single else out
-
-
-def eval_running_reward(reward: RewardSpec, t: float, x, m, a):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(1, -1) if single else x
-    a = np.asarray(a, dtype=float)
-    av = a.reshape(1, -1) if a.ndim == 1 else a
-    mean_m = m.mean() if isinstance(m, EmpiricalMeasure) else np.asarray(m)
-    out = reward.running(t, pts, mean_m, av)
-    return float(out[0]) if single else out
-
-
-def eval_terminal_reward(reward: RewardSpec, measure: EmpiricalMeasure) -> float:
-    return reward.terminal(measure)
-
-
 class FeedbackPolicy:
     """Markovian control a(t, x) with values clamped to the admissible box."""
 
@@ -541,11 +512,3 @@ class NoisePeekControl(OpenLoopControl):
     def advance(self, state, t, z, dt):
         if t < self.peek_time - 1e-12:
             state["w1"] = state["w1"] + np.sqrt(dt) * z[:, 0]
-
-
-def eval_policy(policy: FeedbackPolicy, t: float, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(1, -1) if single else x
-    out = policy.values_at(t, pts)
-    return out[0] if single else out

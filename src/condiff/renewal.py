@@ -22,10 +22,9 @@ import numpy as np
 from . import rng
 from .errors import ContractionViolation, SurvivorDepletion
 from .killed_sim import Restarts, SimConfig, exit_cdf, simulate_killed
-from .measures import MeasureFlow
+from .measures import _TIME_TOL, MeasureFlow
 from .model import Cloud, FeedbackPolicy, ModelSpec
 
-_TIME_TOL = 1e-9
 _DENOM_FLOOR = 1e-12
 
 
@@ -111,8 +110,7 @@ def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
         seeds=[rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i) for i in range(n_r)],
         laws=[Cloud(flow.node_at(float(s)).points) for s in s_grid])
     pass_config = replace(config, n_particles=n_r * n_paths, grid=np.array([0.0, t_end]),
-                          min_survivors=0, record_controls=False,
-                          record_outside_time=False)
+                          min_survivors=0, record_controls=False)
     ens = simulate_killed(model, policy, flow, pass_config, restarts=restarts)
 
     cdf = np.full((n_r, n_r + 1), np.nan)

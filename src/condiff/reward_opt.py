@@ -14,7 +14,7 @@ candidates' fixed points as one stacked ensemble.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -82,8 +82,11 @@ def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
                             n_batches: int = DEFAULT_BATCHES) -> RewardReport:
     """Reward of a killed run, conditioning every term on survival.
 
-    The measure argument of the running reward is read from the frozen
-    input flow, matching what the drift saw during the simulation.
+    The measure argument of the running reward is the mean of flow at
+    each node.  Callers of solve_fixed_point pass FixedPointResult.flow,
+    which is conditional_flow of the returned ensemble (the output of the
+    last sweep), not the input flow its drift read; the two lie the last
+    entry of distance_trace apart.
     """
     if ens.controls is None:
         raise ValueError("reward evaluation needs recorded controls")
@@ -278,11 +281,10 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
 
     lo = np.asarray(family.lo, dtype=float)
     hi = np.asarray(family.hi, dtype=float)
-    candidate_config = replace(config, record_outside_time=False)
 
     def evaluate(samples) -> list[tuple[float, float]]:
         policies = [family.build(model, params) for params in samples]
-        solves = solve_fixed_points(model, policies, candidate_config, tol=picard_tol,
+        solves = solve_fixed_points(model, policies, config, tol=picard_tol,
                                     max_iter=picard_max_iter)
 
         def score(j: int) -> tuple[float, float]:

@@ -101,7 +101,7 @@ class Verifier:
                                    uniform_grid(3.0, 0.25, t_start=1.25)])
             config = SimConfig(n_particles=100_000, dt=1e-3, seed=_seed(0),
                                grid=grid, min_survivors=50,
-                               record_controls=False, record_outside_time=False)
+                               record_controls=False)
             policy = ConstantPolicy((0.0,), model.control_set)
             start = time.perf_counter()
             ens = simulate_killed(model, policy, None, config)
@@ -115,7 +115,7 @@ class Verifier:
             model = driftless_interval(horizon=1.0)
             config = SimConfig(n_particles=50_000, dt=1e-3, seed=_seed(1),
                                grid=uniform_grid(1.0, 0.01), min_survivors=50,
-                               record_controls=False, record_outside_time=False)
+                               record_controls=False)
             policy = ConstantPolicy((0.0,), model.control_set)
             self._run_b = simulate_killed(model, policy, None, config)
         return self._run_b
@@ -165,8 +165,7 @@ class Verifier:
 
         fv_mf = simulate_fv_meanfield(
             model, policy, flow_1,
-            SimConfig(10_000, 1e-3, _seed(3), grid,
-                      record_outside_time=False))
+            SimConfig(10_000, 1e-3, _seed(3), grid))
         report = fv_correspondence_report(fv_mf, killed_1)
         self._emit(CriterionResult(
             "C3", "mean-field reinsertion marginals match the conditional flow",
@@ -175,8 +174,7 @@ class Verifier:
 
         fv_fin = simulate_fv_finite(
             model, policy,
-            SimConfig(10_000, 1e-3, _seed(4), grid,
-                      record_outside_time=False))
+            SimConfig(10_000, 1e-3, _seed(4), grid))
         log_s = float(np.log(ens_a.survival_at(1.0)))
         resid_fin = abs(fv_fin.f_curve[-1] + log_s)
         resid_mf = abs(fv_mf.f_curve[-1] + log_s)
@@ -200,7 +198,7 @@ class Verifier:
         flow_b = conditional_flow(ens_b)
         kernel_config = SimConfig(n_particles=2000, dt=1e-3, seed=_seed(5),
                                   grid=np.array([0.0, 1.0]), min_survivors=0,
-                                  record_controls=False, record_outside_time=False)
+                                  record_controls=False)
         kernel = estimate_restart_kernel(model, policy, flow_b, kernel_config,
                                          dt_r=0.01, n_paths=2000)
         grid_r = ens_b.times
@@ -233,8 +231,7 @@ class Verifier:
         grid = uniform_grid(1.0, 0.05)
         solves = []
         for j in range(2):
-            config = SimConfig(20_000, 1e-3, _seed(60 + j), grid,
-                               record_outside_time=False)
+            config = SimConfig(20_000, 1e-3, _seed(60 + j), grid)
             solves.append(solve_fixed_point(model, policy, config,
                                             tol=1e-2, max_iter=10))
         monotone = all(
@@ -306,8 +303,7 @@ class Verifier:
         ]
         rows, all_ok = [], True
         for j, (name, policy) in enumerate(policies):
-            config = SimConfig(10_000, 1e-3, _seed(80 + j), grid,
-                               record_outside_time=False)
+            config = SimConfig(10_000, 1e-3, _seed(80 + j), grid)
             fp = solve_fixed_point(model, policy, config)
             j_cond = eval_reward_conditional(fp.ensemble, fp.flow)
             fv = simulate_fv_meanfield(model, policy, fp.flow, config)
@@ -346,7 +342,7 @@ class Verifier:
                                       2.0 * draw.random((6, 6, 1)) - 1.0)
             config = SimConfig(10_000, 1e-3, _seed(90 + j),
                                np.array([0.0, 1.0]),
-                               record_controls=False, record_outside_time=False)
+                               record_controls=False)
             ens = simulate_killed(model, policy, None, config)
             s = float(ens.survival_at(1.0))
             se = float(np.sqrt(s * (1.0 - s) / ens.n))
@@ -371,7 +367,7 @@ class Verifier:
         for bridge in (True, False):
             config = SimConfig(2000, 1e-5, _seed(100), grid,
                                bridge_correction=bridge, min_survivors=0,
-                               record_controls=False, record_outside_time=False)
+                               record_controls=False)
             ens = simulate_killed(model, policy, None, config)
             rows[bridge] = 1.0 - float(ens.survival_at(0.01))
         passed = rows[True] == 1.0 and rows[False] >= 0.9
@@ -398,12 +394,10 @@ class Verifier:
         model = driftless_interval(horizon=0.2)
         policy = ConstantPolicy((0.0,), model.control_set)
         base = SimConfig(2000, 5e-3, _seed(110), uniform_grid(0.2, 0.05),
-                         min_survivors=10, record_controls=False,
-                         record_outside_time=False)
+                         min_survivors=10, record_controls=False)
         flow = conditional_flow(simulate_killed(model, policy, None, base))
         kernel_config = SimConfig(500, 5e-3, _seed(111), np.array([0.0, 0.2]),
-                                  min_survivors=0, record_controls=False,
-                                  record_outside_time=False)
+                                  min_survivors=0, record_controls=False)
         kernel = estimate_restart_kernel(model, policy, flow, kernel_config,
                                          dt_r=0.05, n_paths=500)
         kernel_equal = True

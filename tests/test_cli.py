@@ -97,6 +97,14 @@ def test_fv_finite_variant_and_validation(tmp_path, capsys):
     assert rc == 2
     assert "fv.variant" in capsys.readouterr().err
 
+    # refused up front, naming the field, not as a traceback or a blowup
+    rc = run("fv", tmp_path / "one", "fv.variant=finite", "sim.n_particles=1")
+    assert rc == 2
+    assert "sim.n_particles" in capsys.readouterr().err
+    rc = run("fv", tmp_path / "cap", "fv.reinsertion_cap=-1")
+    assert rc == 2
+    assert "fv.reinsertion_cap" in capsys.readouterr().err
+
 
 def test_renewal_command(tmp_path, capsys):
     rc = run("renewal", tmp_path, "renewal.n_paths=300", "renewal.dt_r=0.1")

@@ -86,10 +86,11 @@ def test_build_model_and_sim_from_default():
     assert config.grid[0] == 0.0
     assert config.grid[-1] == 1.0
 
-    assert config.record_controls and config.record_outside_time
-    quiet = build_sim_config(apply_overrides(cfg, ["sim.record_controls=false"]), model,
-                             record_outside_time=False)
-    assert quiet.record_controls and not quiet.record_outside_time
+    # what is recorded is the caller's to say, not the sim section's
+    assert config.record_controls
+    quiet = build_sim_config(apply_overrides(cfg, ["sim.record_controls=false"]), model)
+    assert quiet.record_controls
+    assert not build_sim_config(cfg, model, record_controls=False).record_controls
 
     explicit = apply_overrides(cfg, ["sim.grid={\"times\": [0.0, 0.5, 1.0]}"])
     config2 = build_sim_config(explicit, model)

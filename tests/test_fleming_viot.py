@@ -5,9 +5,10 @@ from condiff.errors import ReinsertionBlowup, TotalExtinction
 from condiff.fleming_viot import (fv_correspondence_report, simulate_fv_finite,
                                   simulate_fv_meanfield)
 from condiff.killed_sim import SimConfig, conditional_flow, simulate_killed, uniform_grid
-from condiff.model import ConstantPolicy, DriftSpec, ModelSpec, PointMass
-from condiff.model import ControlBox
-from condiff.geometry import Interval
+from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy, ModelSpec,
+                           PointMass, UniformBox)
+from condiff.geometry import Box, Interval
+from condiff.rng import REINSERT_SAMPLE, uniforms
 from condiff.scenarios import boundary_start, driftless_interval
 from condiff.scenarios import ZERO_REWARD
 
@@ -39,6 +40,40 @@ def test_no_exit_run_matches_killed_bitwise():
     assert mf.event_times.shape == (0,)
     assert np.array_equal(mf.snapshots, killed.snapshots)
     assert np.all(mf.f_curve == 0.0) and np.all(fin.f_curve == 0.0)
+
+    # With exits: without mean-field coupling a particle moves as its killed
+    # path until its first exit, node or bridge, so both variants stamp
+    # that exit exactly as the killed run of the same seed does.
+    for model, policy in ((driftless_interval(horizon=0.5),
+                           ConstantPolicy((0.0,), ControlBox((0.0,), (0.0,)))),
+                          _uncoupled_box()):
+        config = SimConfig(2000, 1e-3, 23, uniform_grid(0.5, 0.1))
+        killed = simulate_killed(model, policy, None, config)
+        flow = conditional_flow(killed)
+        steps = killed.exit_times[np.isfinite(killed.exit_times)] / config.dt
+        assert steps.size > 100
+        assert np.any(np.abs(steps - np.round(steps)) > 0.25)  # bridge kills, at half steps
+        for fv in (simulate_fv_finite(model, policy, config),
+                   simulate_fv_meanfield(model, policy, flow, config)):
+            assert _first_event_times(fv).tobytes() == killed.exit_times.tobytes()
+
+
+def _uncoupled_box():
+    model = ModelSpec(
+        domain=Box((-1.0, -1.0), (1.0, 1.0)), sigma=((0.8, 0.0), (0.3, 0.6)),
+        drift=DriftSpec(base_kind="affine", base_matrix=((-0.4, 0.1), (0.0, -0.2)),
+                        control_matrix=((0.9, 0.35), (0.15, 1.1)), clip_bound=3.0),
+        control_set=ControlBox((-1.0, -1.0), (1.0, 1.0)), horizon=0.5,
+        reward=ZERO_REWARD, initial=UniformBox((-0.5, -0.5), (0.5, 0.5)))
+    return model, LinearPolicy((0.1, -0.2), ((0.5, 0.1), (0.0, 0.4)), model.control_set)
+
+
+def _first_event_times(fv):
+    """Each particle's first reinsertion time, inf if it has none."""
+    first = np.full(fv.n, np.inf)
+    particles, index = np.unique(fv.event_particles, return_index=True)
+    first[particles] = fv.event_times[index]
+    return first
 
 
 def test_f_curve_counts_events(driftless_run, driftless_flow):
@@ -75,6 +110,13 @@ def test_event_times_increase_within_each_particle(driftless_flow):
         assert np.all(np.diff(ts) > 0)
     names = set(fv.source_names())
     assert names == {"flow-sample"}
+    # one exit at a time: the flow node after the step, at the particle's draw
+    for time, i, position in zip(fv.event_times, fv.event_particles, fv.event_positions):
+        k = int(np.ceil(time / config.dt - 1e-6)) - 1
+        u = uniforms(config.seed, REINSERT_SAMPLE, k, (config.n_particles,))[i]
+        target = driftless_flow.node_at(k * config.dt + config.dt)
+        assert position.tobytes() == \
+            target.points[min(int(u * target.n), target.n - 1)].tobytes()
     fin = simulate_fv_finite(model, policy, config)
     assert set(fin.source_names()) == {"uniform-peer"}
 

@@ -142,17 +142,18 @@ def test_min_survivors_zero_allows_extinction():
         conditional_flow(ens)
 
 
-def test_outside_time_accumulates_after_exit(driftless_run):
+def test_exited_paths_keep_moving(driftless_run):
     _, _, _, ens = driftless_run
-    out = ens.outside_time
-    assert out is not None
-    final = out[-1]
-    dead = ~ens.alive_at(len(ens.times) - 1)
-    # paths keep moving after the kill; any that exited early have had
-    # time to wander outside, and survivors have zero outside time
-    assert np.all(final[~dead] == 0.0)
-    assert final[dead].max() > 0.0
-    assert np.all(np.diff(out, axis=0) >= -1e-15)
+    # each step advances the whole array, exited paths included; they only
+    # drop out of the conditional statistics
+    early = ens.exit_times < ens.times[-2]
+    assert early.any()
+    moved = np.any(ens.snapshots[-1] != ens.snapshots[-2], axis=1)
+    assert np.all(moved[early])
+    distance = ens.model.domain.boundary_distance(ens.snapshots[-1])
+    alive = ens.alive_at(len(ens.times) - 1)
+    assert np.all(distance[alive] > 0.0)
+    assert np.any(distance[~alive] < 0.0)
 
 
 def test_girsanov_floor_formula():
@@ -230,8 +231,7 @@ def test_restarted_blocks_read_as_their_own_runs():
                                 initial_law=law, t0=start)
         block = ens.block(b)
         assert block.seed == seed
-        for name in ("times", "initial_points", "exit_times", "snapshots", "controls",
-                     "outside_time"):
+        for name in ("times", "initial_points", "exit_times", "snapshots", "controls"):
             got, want = getattr(block, name), getattr(alone, name)
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), (b, name)

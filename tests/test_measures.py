@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import wasserstein_distance
 
 from condiff.measures import (EmpiricalMeasure, MeasureFlow, conditional_empirical,
-                              flow_distance, restrict_flow, sample, sample_many,
+                              flow_distance, restrict_flow, sample_many,
                               sliced_w1, w1_distance_1d)
 
 
@@ -41,9 +41,9 @@ def test_sample_uniform_frequencies(rng):
     for row in pts:
         freq = np.mean(draws[:, 0] == row[0])
         assert freq == pytest.approx(1.0 / 3.0, abs=0.01)
-    one = sample(m, 0.999)
-    assert one.shape == (1,)
-    assert one[0] == 2.0  # atoms are taken in row order
+    picked = sample_many(m, np.array([0.0, 0.34, 0.999]))
+    assert picked.shape == (3, 1)
+    assert picked[:, 0].tolist() == [-1.0, 0.0, 2.0]  # atoms are taken in row order
 
 
 def test_sliced_translation_oracle(rng):

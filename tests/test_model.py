@@ -4,8 +4,7 @@ import pytest
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, GridPolicy,
                            LinearPolicy, NoisePeekControl, PiecewiseControl,
                            PointMass, RandomizedSignControl, RewardSpec,
-                           UniformBox, eval_drift, eval_policy,
-                           eval_running_reward, eval_terminal_reward)
+                           UniformBox, drift_given_mean)
 from condiff.measures import EmpiricalMeasure
 from condiff.scenarios import attractive_interval, rich_reward
 
@@ -26,35 +25,32 @@ def test_control_box():
 def test_drift_mean_field_and_control():
     model = attractive_interval(kappa=0.5, clip_bound=3.0)
     # b = 0.5 (m - x) + a
-    b = eval_drift(model, 0.2, np.array([0.4]), np.array([0.2]), np.array([0.3]))
-    assert b[0] == pytest.approx(0.5 * (0.2 - 0.4) + 0.3)
+    b = drift_given_mean(model, 0.2, np.array([[0.4]]), np.array([0.2]),
+                         np.array([[0.3]]))
+    assert b.shape == (1, 1)
+    assert b[0, 0] == pytest.approx(0.5 * (0.2 - 0.4) + 0.3)
 
 
 def test_drift_clip_activates():
     model = attractive_interval(kappa=0.5, clip_bound=0.25)
-    b = eval_drift(model, 0.0, np.array([-0.9]), np.array([0.9]), np.array([1.0]))
-    assert b[0] == 0.25
+    b = drift_given_mean(model, 0.0, np.array([[-0.9]]), np.array([0.9]),
+                         np.array([[1.0]]))
+    assert b[0, 0] == 0.25
 
 
 def test_drift_zero_beyond_horizon():
     model = attractive_interval()
-    b = eval_drift(model, model.horizon + 0.5, np.array([0.0]),
-                   np.array([0.5]), np.array([1.0]))
-    assert b[0] == 0.0
-
-
-def test_drift_rejects_inadmissible_control():
-    model = attractive_interval()
-    with pytest.raises(ValueError):
-        eval_drift(model, 0.0, np.array([0.0]), np.array([0.0]), np.array([2.0]))
+    b = drift_given_mean(model, model.horizon + 0.5, np.array([[0.0]]),
+                         np.array([0.5]), np.array([[1.0]]))
+    assert b[0, 0] == 0.0
 
 
 def test_drift_lipschitz_in_mean():
     model = attractive_interval(kappa=0.5)
     x = np.array([[0.1], [-0.2]])
     a = np.array([[0.0], [0.0]])
-    b1 = eval_drift(model, 0.1, x, np.array([0.3]), a)
-    b2 = eval_drift(model, 0.1, x, np.array([0.1]), a)
+    b1 = drift_given_mean(model, 0.1, x, np.array([0.3]), a)
+    b2 = drift_given_mean(model, 0.1, x, np.array([0.1]), a)
     assert np.max(np.abs(b1 - b2)) <= 0.5 * 0.2 + 1e-12
 
 
@@ -67,7 +63,7 @@ def test_constant_policy_clamps_at_build():
 
 def test_linear_policy_clamps_at_eval():
     pol = LinearPolicy((0.0,), ((2.0,),), BOX)
-    vals = eval_policy(pol, 0.0, np.array([[0.1], [5.0]]))
+    vals = pol.values_at(0.0, np.array([[0.1], [5.0]]))
     assert vals[0, 0] == pytest.approx(0.2)
     assert vals[1, 0] == 1.0
 
@@ -77,11 +73,11 @@ def test_grid_policy_cell_lookup():
     values = np.arange(2 * 4).reshape(2, 4, 1) / 10.0
     pol = GridPolicy.build(model, 2, 4, values)
     # domain [-1, 1], horizon 1: t = 0.75 -> bin 1; x = -0.5 -> bin 1
-    got = eval_policy(pol, 0.75, np.array([-0.5]))
-    assert got[0] == pytest.approx(values[1, 1, 0])
+    got = pol.values_at(0.75, np.array([[-0.5]]))
+    assert got[0, 0] == pytest.approx(values[1, 1, 0])
     # queries beyond the lattice snap to the nearest cell
-    far = eval_policy(pol, 5.0, np.array([9.0]))
-    assert far[0] == pytest.approx(min(values[1, 3, 0], 1.0))
+    far = pol.values_at(5.0, np.array([[9.0]]))
+    assert far[0, 0] == pytest.approx(min(values[1, 3, 0], 1.0))
 
 
 def test_randomized_sign_control():
@@ -114,19 +110,18 @@ def test_noise_peek_freezes_at_peek_time():
 def test_running_reward_examples():
     reward = rich_reward()
     # 1*x + 0.5*m - 0.5*a^2
-    got = eval_running_reward(reward, 0.0, np.array([0.5]), np.array([0.2]),
-                              np.array([0.3]))
-    assert got == pytest.approx(0.5 + 0.5 * 0.2 - 0.5 * 0.09)
+    got = reward.running(0.0, np.array([[0.5]]), np.array([0.2]), np.array([[0.3]]))
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(0.5 + 0.5 * 0.2 - 0.5 * 0.09)
     quad = RewardSpec(r_x=2.0, phi_kind="quadratic")
-    got = eval_running_reward(quad, 0.0, np.array([0.5]), np.array([0.0]),
-                              np.array([0.0]))
-    assert got == pytest.approx(2.0 * 0.25)
+    got = quad.running(0.0, np.array([[0.5]]), np.array([0.0]), np.array([[0.0]]))
+    assert got[0] == pytest.approx(2.0 * 0.25)
 
 
 def test_running_reward_concave_in_control():
     reward = rich_reward()
-    x, m = np.array([0.1]), np.array([0.0])
-    f = lambda a: eval_running_reward(reward, 0.0, x, m, np.array([a]))
+    x, m = np.array([[0.1]]), np.array([0.0])
+    f = lambda a: reward.running(0.0, x, m, np.array([[a]]))[0]
     for a1, a2 in ((-0.8, 0.4), (0.0, 1.0)):
         mid = f((a1 + a2) / 2)
         assert mid >= (f(a1) + f(a2)) / 2 - 1e-12
@@ -135,9 +130,9 @@ def test_running_reward_concave_in_control():
 def test_terminal_reward():
     reward = rich_reward()
     m = EmpiricalMeasure(np.array([0.0, 1.0]))
-    assert eval_terminal_reward(reward, m) == pytest.approx(0.5)
+    assert reward.terminal(m) == pytest.approx(0.5)
     with_var = RewardSpec(g_var=2.0)
-    assert eval_terminal_reward(with_var, m) == pytest.approx(2.0 * 0.25)
+    assert with_var.terminal(m) == pytest.approx(2.0 * 0.25)
 
 
 def test_reward_validation():

@@ -79,6 +79,14 @@ def _assert_same_solve(stacked, single):
     for name in ("exit_times", "snapshots", "controls"):
         assert getattr(stacked.ensemble, name).tobytes() == \
             getattr(single.ensemble, name).tobytes()
+    # The flow a fixed point returns, and the reward reads, is its own
+    # ensemble's output flow, not the input flow the last sweep's drift saw.
+    for fp in (stacked, single):
+        output = conditional_flow(fp.ensemble)
+        assert output.times.tobytes() == fp.flow.times.tobytes()
+        assert output.survival.tobytes() == fp.flow.survival.tobytes()
+        for a, b in zip(output.nodes, fp.flow.nodes, strict=True):
+            assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_stacked_solves_match_single_solves_with_depletion():
