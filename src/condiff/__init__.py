@@ -22,7 +22,7 @@ from .model import (Cloud, ConstantPolicy, ControlBox, DriftSpec,
                     ModelSpec, NoisePeekControl, OpenLoopControl,
                     PiecewiseControl, PointMass, RandomizedSignControl,
                     RewardSpec, UniformBox, drift_given_mean)
-from .killed_sim import (KilledEnsemble, Restarts, SimConfig,
+from .killed_sim import (Blocks, KilledEnsemble, SimConfig,
                          analytic_interval_survival, conditional_flow, exit_cdf,
                          girsanov_survival_floor, restrict_ensemble, simulate_killed,
                          uniform_grid)

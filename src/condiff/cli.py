@@ -29,7 +29,7 @@ import scipy
 from . import __version__
 from .config import (apply_overrides, build_model, build_open_control,
                      build_policy, build_sim_config, config_hash, load_config,
-                     optional, require)
+                     optional, optional_as, require)
 from .errors import ConfigError, ModelRuntimeError
 from .fleming_viot import (DEFAULT_REINSERTION_CAP, simulate_fv_finite,
                            simulate_fv_meanfield)
@@ -93,18 +93,20 @@ def _write_paths_bin(out: Path, ens) -> None:
     (out / "paths.bin").write_bytes(arr.tobytes())
 
 
-def _sim_config(cfg, model, record_controls: bool = False):
-    """The sim config of a command; only optimize and mimic read controls."""
-    return build_sim_config(cfg, model, record_controls=record_controls)
-
-
 def _picard_block(cfg) -> tuple[float, int]:
-    return (float(optional(cfg, "picard.tol", 1e-2)),
-            int(optional(cfg, "picard.max_iter", 10)))
+    return (optional_as(cfg, "picard.tol", float, 1e-2),
+            optional_as(cfg, "picard.max_iter", int, 10))
+
+
+def _reinsertion_cap(cfg, dotted: str) -> int:
+    cap = optional_as(cfg, dotted, int, DEFAULT_REINSERTION_CAP)
+    if cap < 0:
+        raise ConfigError(f"invalid '{dotted}': must be nonnegative, got {cap}")
+    return cap
 
 
 def _cmd_simulate(cfg, model, out, threads):
-    sim = _sim_config(cfg, model)
+    sim = build_sim_config(cfg, model, record_controls=False)
     if model.drift.mf_gain != 0.0:
         raise ConfigError(
             "invalid 'model.drift.mf_gain': simulate runs with no "
@@ -120,7 +122,7 @@ def _cmd_simulate(cfg, model, out, threads):
 
 
 def _cmd_picard(cfg, model, out, threads):
-    sim = _sim_config(cfg, model)
+    sim = build_sim_config(cfg, model, record_controls=False)
     control = _control_from_config(cfg, model)
     tol, max_iter = _picard_block(cfg)
     fp = solve_fixed_point(model, control, sim, tol=tol, max_iter=max_iter)
@@ -132,12 +134,10 @@ def _cmd_picard(cfg, model, out, threads):
 
 
 def _cmd_fv(cfg, model, out, threads):
-    sim = _sim_config(cfg, model)
+    sim = build_sim_config(cfg, model, record_controls=False)
     policy = build_policy(cfg, model)
     variant = optional(cfg, "fv.variant", "meanfield")
-    cap = int(optional(cfg, "fv.reinsertion_cap", DEFAULT_REINSERTION_CAP))
-    if cap < 0:
-        raise ConfigError(f"invalid 'fv.reinsertion_cap': must be nonnegative, got {cap}")
+    cap = _reinsertion_cap(cfg, "fv.reinsertion_cap")
     if variant == "finite" and sim.n_particles < 2:
         raise ConfigError("invalid 'sim.n_particles': the finite variant needs "
                           f"at least two particles, got {sim.n_particles}")
@@ -166,17 +166,17 @@ def _cmd_fv(cfg, model, out, threads):
 
 
 def _cmd_renewal(cfg, model, out, threads):
-    sim = _sim_config(cfg, model)
+    sim = build_sim_config(cfg, model, record_controls=False)
     if sim.grid[0] != 0.0:
         raise ConfigError("invalid 'sim.grid': renewal needs a grid starting at 0")
     policy = build_policy(cfg, model)
     # Restart columns start on output-grid nodes, so dt_r defaults to the grid step.
-    dt_r = float(optional(cfg, "renewal.dt_r", sim.grid[1] - sim.grid[0]))
+    dt_r = optional_as(cfg, "renewal.dt_r", float, sim.grid[1] - sim.grid[0])
     try:
         restart_times(sim.grid, dt_r, sim.dt)
     except ValueError as e:
         raise ConfigError(f"invalid 'renewal.dt_r': {e}")
-    n_paths = int(optional(cfg, "renewal.n_paths", 2000))
+    n_paths = optional_as(cfg, "renewal.n_paths", int, 2000)
     tol, max_iter = _picard_block(cfg)
     fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)
     kernel = estimate_restart_kernel(model, policy, fp.flow, sim, dt_r, n_paths)
@@ -201,12 +201,12 @@ def _cmd_renewal(cfg, model, out, threads):
 
 
 def _cmd_mimic(cfg, model, out, threads):
-    sim = _sim_config(cfg, model, record_controls=True)
+    sim = build_sim_config(cfg, model, record_controls=True)
     open_control = build_open_control(cfg, model)
     tol, max_iter = _picard_block(cfg)
     rep = mimic_compare(model, open_control, sim,
-                        time_bins=int(optional(cfg, "mimic.time_bins", 8)),
-                        space_bins=int(optional(cfg, "mimic.space_bins", 16)),
+                        time_bins=optional_as(cfg, "mimic.time_bins", int, 8),
+                        space_bins=optional_as(cfg, "mimic.space_bins", int, 16),
                         tol=tol, max_iter=max_iter)
     grid = rep.regression
     d = len(grid.space_edges)
@@ -223,22 +223,20 @@ def _cmd_mimic(cfg, model, out, threads):
 
 
 def _cmd_optimize(cfg, model, out, threads):
-    sim = _sim_config(cfg, model, record_controls=True)
+    sim = build_sim_config(cfg, model, record_controls=True)
     kind = str(require(cfg, "optimize.family"))
     family = policy_family(model, kind,
-                           time_bins=int(optional(cfg, "optimize.time_bins", 2)),
-                           space_bins=int(optional(cfg, "optimize.space_bins", 2)))
+                           time_bins=optional_as(cfg, "optimize.time_bins", int, 2),
+                           space_bins=optional_as(cfg, "optimize.space_bins", int, 2))
     tol, max_iter = _picard_block(cfg)
-    cost = optional(cfg, "optimize.reinsertion_cost")
     res = optimize_policy(
         model, family, sim,
         objective=str(optional(cfg, "optimize.objective", "conditional")),
         method=str(optional(cfg, "optimize.method", "nelder-mead")),
-        budget=int(optional(cfg, "optimize.budget", 100)),
+        budget=optional_as(cfg, "optimize.budget", int, 100),
         picard_tol=tol, picard_max_iter=max_iter,
-        reinsertion_cost=None if cost is None else float(cost),
-        reinsertion_cap=int(optional(cfg, "optimize.reinsertion_cap",
-                                     DEFAULT_REINSERTION_CAP)),
+        reinsertion_cost=optional_as(cfg, "optimize.reinsertion_cost", float, None),
+        reinsertion_cap=_reinsertion_cap(cfg, "optimize.reinsertion_cap"),
         threads=threads)
     k = res.trace_params.shape[1]
     write_csv(out / "trace.csv",

@@ -84,6 +84,16 @@ def optional(cfg: dict, dotted: str, default=None):
     return default if node is None else node
 
 
+def optional_as(cfg: dict, dotted: str, cast, default):
+    """optional(cfg, dotted, default) cast by cast (int, float); a value
+    the cast refuses is a ConfigError naming the field."""
+    value = optional(cfg, dotted, default)
+    if value is None:
+        return None
+    with _building(dotted):
+        return cast(value)
+
+
 @contextmanager
 def _building(dotted: str):
     try:

@@ -13,12 +13,13 @@ records their motion after the exit.  They are simply excluded from
 conditional statistics.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
-bit-identical regardless of how callers parallelize around them.  A run
-may also carry B blocks of N particles in one pass, each bit for bit a
-run of its own: under a PolicyStack every block sees the same initial
-sample and the same draws, so block b is the run of policies[b] alone;
-under Restarts every block starts at its own time from its own sample
-and draws from its own seed, so block b is the run restarted there.
+bit-identical regardless of how callers parallelize around them.  A pass
+may also carry B blocks of N particles, described by one Blocks: each
+block has its own policy, input flow, seed, start and initial law, and
+is bit for bit the run of those alone.  A plain run is the one-block
+case.  Picard candidates share a seed and a start, restart-kernel
+columns differ in both, and policy sweeps share a start only; the pass
+shares whatever work the blocks' data allow.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from . import rng
 from .errors import NumericalError, SurvivorDepletion
 from .geometry import BOUNDARY_TOL
 from .measures import _TIME_TOL, EmpiricalMeasure, MeasureFlow
-from .model import (FeedbackPolicy, ModelSpec, OpenLoopControl, PolicyStack,
+from .model import (ConstantPolicy, FeedbackPolicy, ModelSpec, OpenLoopControl,
                     drift_given_mean)
 
 
@@ -78,30 +79,41 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Restarts:
-    """Independent runs that one pass carries as its blocks.
+class Blocks:
+    """Independent killed runs that one pass carries as its blocks.
 
-    Block b starts at starts[b] from a sample of laws[b] and draws from
-    seeds[b], keyed by its own step count, so it is bit for bit the run
-    with that seed and initial law, t0 = starts[b] and the grid that
-    starts there and continues with the later nodes of the pass's grid.
-    Starts never decrease, so the blocks started by any step are a prefix
-    of the stack; a block is neither advanced nor drawn for before its start.
+    Block b runs policies[b] with the drift reading flows[b] (None for an
+    uncoupled model), starts at starts[b] from a sample of laws[b], and
+    draws from seeds[b], keyed by its own step count.  It is bit for bit
+    the run with that policy, flow, seed and initial law, t0 = starts[b]
+    and the grid that starts there and continues with the later nodes of
+    the pass's grid.  Starts never decrease, so the blocks started by any
+    step are a prefix of the stack; a block is neither advanced nor drawn
+    for before its start.  An open-loop control runs only as one block.
     """
 
-    starts: tuple
+    policies: tuple
+    flows: tuple
     seeds: tuple
+    starts: tuple
     laws: tuple
 
     def __post_init__(self):
+        policies, flows, laws = tuple(self.policies), tuple(self.flows), tuple(self.laws)
         starts = tuple(float(s) for s in self.starts)
-        if not len(starts) == len(self.seeds) == len(self.laws) >= 1:
-            raise ValueError("restarts need one start, seed and law per block")
+        seeds = tuple(int(s) for s in self.seeds)
+        if not len(policies) == len(flows) == len(seeds) == len(starts) == len(laws) >= 1:
+            raise ValueError("blocks need one policy, flow, seed, start and law each")
+        if not all(isinstance(p, (FeedbackPolicy, OpenLoopControl)) for p in policies):
+            raise ValueError("a block runs a FeedbackPolicy or an OpenLoopControl")
+        if len(policies) > 1 and not all(isinstance(p, FeedbackPolicy) for p in policies):
+            raise ValueError("stacked blocks need one feedback policy each; an "
+                             "open-loop control runs only as a single block")
         if any(later < earlier for earlier, later in zip(starts, starts[1:])):
-            raise ValueError("restart times must not decrease")
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "laws", tuple(self.laws))
+            raise ValueError("block starts must not decrease")
+        for name, value in (("policies", policies), ("flows", flows), ("seeds", seeds),
+                            ("starts", starts), ("laws", laws)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -113,14 +125,13 @@ class KilledEnsemble:
 
     exit_times holds the first detected exit per particle (inf when the
     particle survives the horizon).  Snapshots and recorded controls are
-    stored at the output grid nodes only.  A stacked run of B > 1 blocks
-    keeps snapshots and controls with a block axis, (n_nodes, B, N, .),
-    and its per-particle vectors block after block; block(b) reads block
-    b as an ordinary ensemble, and depleted[b] is the SurvivorDepletion
-    that ended it, or None.  Survival and alive masks are read per block:
-    a stacked ensemble itself refuses them.  A run of Restarts keeps
-    its Restarts; a block that starts after a node holds its initial
-    sample in that node's snapshot.
+    stored at the output grid nodes only.  A pass over Blocks keeps them
+    with a block axis, (n_nodes, B, N, .), its per-particle vectors block
+    after block, and its Blocks; block(b) reads block b as its own run,
+    and depleted[b] is the SurvivorDepletion that ended it, or None.  A
+    block that starts after a node holds its initial sample in that
+    node's snapshot.  Survival and alive masks are read per block: an
+    ensemble with blocks itself refuses them.
     """
 
     model: ModelSpec
@@ -131,9 +142,8 @@ class KilledEnsemble:
     controls: np.ndarray | None
     dt: float
     seed: int
-    blocks: int = 1
+    blocks: Blocks | None = None
     depleted: tuple = (None,)
-    restarts: Restarts | None = None
 
     @property
     def n(self) -> int:
@@ -142,35 +152,29 @@ class KilledEnsemble:
     def block(self, b: int) -> "KilledEnsemble":
         """Block b as a view of this ensemble; raises the depletion that ended it.
 
-        A restarted block reads as its own run: its times begin at its
-        start, with its initial sample as the first snapshot.
+        The block reads as its own run: its times begin at its start, with
+        its initial sample as the first snapshot, and its seed is its own.
         """
         if self.depleted[b] is not None:
             raise self.depleted[b]
-        if self.blocks == 1 and self.restarts is None:
-            return self
-        size = self.n // self.blocks
+        size = self.n // len(self.blocks)
         part = slice(b * size, (b + 1) * size)
-        first, times, seed = 0, self.times, self.seed
-        if self.restarts is not None:
-            start = self.restarts.starts[b]
-            first = int(np.searchsorted(self.times, start + _TIME_TOL, side="right")) - 1
-            times = np.concatenate([[start], self.times[first + 1:]])
-            seed = self.restarts.seeds[b]
+        start = self.blocks.starts[b]
+        first = int(np.searchsorted(self.times, start + _TIME_TOL, side="right")) - 1
         return KilledEnsemble(
             model=self.model,
-            times=times,
+            times=np.concatenate([[start], self.times[first + 1:]]),
             initial_points=self.initial_points[part],
             exit_times=self.exit_times[part],
             snapshots=self.snapshots[first:, b],
             controls=None if self.controls is None else self.controls[first:, b],
             dt=self.dt,
-            seed=seed,
+            seed=self.blocks.seeds[b],
         )
 
     def _require_one_block(self):
-        if self.blocks > 1:
-            raise ValueError("a stacked ensemble is read one block at a time, "
+        if self.blocks is not None:
+            raise ValueError("an ensemble of blocks is read one block at a time, "
                              "through block(b)")
 
     def alive_at(self, node: int) -> np.ndarray:
@@ -219,7 +223,6 @@ def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
         seed=ens.seed,
         blocks=ens.blocks,
         depleted=ens.depleted,
-        restarts=ens.restarts,
     )
 
 
@@ -233,7 +236,7 @@ def _flow_mean_per_step(flows, starts, first_steps, dt: float, total_steps: int,
     """
     if not needed:
         return None
-    if flows is None:
+    if any(flow is None for flow in flows):
         raise ValueError("the drift couples to the measure but no flow was supplied")
     means = np.zeros((total_steps, len(flows), 1, flows[0].node_means.shape[1]))
     for b, (flow, start, first) in enumerate(zip(flows, starts, first_steps)):
@@ -251,11 +254,6 @@ def _control_values(control, t: float, x: np.ndarray, state: dict) -> np.ndarray
     return control.values_at(t, x)
 
 
-def _block_controls(policy: FeedbackPolicy, times, x: np.ndarray) -> np.ndarray:
-    """Controls of blocks x[b] that each run on their own clock times[b]."""
-    return np.stack([policy.values_at(t, xb) for t, xb in zip(times, x)])
-
-
 def _initial_sample(law, n: int, seed: int, model: ModelSpec) -> np.ndarray:
     x0 = np.array(law.sample(n, seed, rng.INITIAL_SAMPLE, 0), dtype=float)
     if x0.shape != (n, model.dim):
@@ -265,17 +263,23 @@ def _initial_sample(law, n: int, seed: int, model: ModelSpec) -> np.ndarray:
     return x0
 
 
-def _start_steps(restarts: Restarts, grid: np.ndarray, dt: float) -> np.ndarray:
-    """The pass step in which each restarted block starts."""
-    offsets = (np.asarray(restarts.starts) - grid[0]) / dt
+def _start_steps(starts: np.ndarray, grid: np.ndarray, dt: float) -> np.ndarray:
+    """The pass step in which each block starts."""
+    offsets = (starts - grid[0]) / dt
     steps = np.round(offsets).astype(np.int64)
-    if abs(restarts.starts[0] - grid[0]) > _TIME_TOL:
-        raise ValueError("the grid must start at the first restart")
-    if restarts.starts[-1] >= grid[-1] - _TIME_TOL:
-        raise ValueError("every restart must come before the last grid node")
+    if abs(starts[0] - grid[0]) > _TIME_TOL:
+        raise ValueError("the grid must start at the first block's start")
+    if starts[-1] >= grid[-1] - _TIME_TOL:
+        raise ValueError("every block must start before the last grid node")
     if np.any(np.abs(offsets - steps) > 1e-6):
-        raise ValueError("restart times must be multiples of dt after the grid start")
+        raise ValueError("block starts must be multiples of dt after the grid start")
     return steps
+
+
+def _first_alike(*keys) -> list[int]:
+    """Per block, the first block whose keys all equal its own."""
+    first: dict = {}
+    return [first.setdefault(key, b) for b, key in enumerate(zip(*keys))]
 
 
 def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
@@ -309,162 +313,151 @@ def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
 
 
 def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
-                    initial_law=None, t0: float | None = None,
-                    restarts: Restarts | None = None) -> KilledEnsemble:
+                    initial_law=None, t0: float | None = None) -> KilledEnsemble:
     """Simulate a killed ensemble and record it on the output grid.
 
-    control is a FeedbackPolicy, an OpenLoopControl or a PolicyStack;
-    flow_input feeds the mean-field drift term (it may be None for
-    models with zero mean-field gain), one flow per block for a stack.
-    A stack of B policies splits config.n_particles into B blocks that
-    share the initial sample and every draw; a block whose survivors
-    fall below config.min_survivors is marked depleted, and the run
-    raises once every block is, with each block's depletion in the
-    error's blocks.  The optional t0 starts the clock late; the grid
-    must then start at t0.  Restarts split config.n_particles into one
-    block per restart, all under the feedback policy control and the
-    one flow flow_input, each on its own clock, seed and initial law
-    (see Restarts); the grid then starts at the first restart.
+    control is a FeedbackPolicy or an OpenLoopControl, run under
+    config.seed from initial_law (default model.initial) at t0 (default
+    the grid start); flow_input feeds the mean-field drift term (it may
+    be None for models with zero mean-field gain).  That run is the
+    one-block case of a pass over Blocks: control may instead be Blocks,
+    which bring their own flows, seeds, starts and laws and split
+    config.n_particles evenly.  The grid starts at the first start.
+    Work is shared where the blocks allow it: blocks with the same seed
+    and law share one initial sample, blocks with the same seed and start
+    one draw per step, and blocks with the same start one drift call per
+    step.  A block whose survivors fall below config.min_survivors is
+    marked depleted, and the run raises once every block is; with several
+    blocks, the error's blocks holds each block's own depletion.
     """
-    if not isinstance(control, (FeedbackPolicy, OpenLoopControl, PolicyStack)):
-        raise ValueError("control must be a FeedbackPolicy, an OpenLoopControl "
-                         "or a PolicyStack")
-    restarted = restarts is not None
-    if restarted and not isinstance(control, FeedbackPolicy):
-        raise ValueError("restarted blocks run under one feedback policy")
-    if restarted and (initial_law is not None or t0 is not None):
-        raise ValueError("restarted blocks bring their own start times and laws")
     grid = config.grid
-    t_start = grid[0] if t0 is None else float(t0)
-    if abs(grid[0] - t_start) > _TIME_TOL:
-        raise ValueError("grid must start at the simulation start time")
+    one_run = not isinstance(control, Blocks)
+    if one_run:
+        blocks = Blocks((control,), (flow_input,), (config.seed,),
+                        (grid[0] if t0 is None else t0,),
+                        (model.initial if initial_law is None else initial_law,))
+    elif flow_input is not None or initial_law is not None or t0 is not None:
+        raise ValueError("blocks bring their own flows, start times and laws")
+    else:
+        blocks = control
     if grid[-1] > model.horizon + _TIME_TOL:
         raise ValueError("grid extends beyond the model horizon")
-
-    stacked = isinstance(control, PolicyStack)
-    if stacked and flow_input is not None and len(flow_input) != len(control):
-        raise ValueError("a policy stack needs one input flow per block")
-    if stacked and len(control) == 1:
-        # One block is the run of its policy.
-        control = control.policies[0]
-        flow_input = None if flow_input is None else flow_input[0]
-        stacked = False
-    blocks = len(restarts) if restarted else len(control) if stacked else 1
+    n_blocks = len(blocks)
     n = config.n_particles
-    if n % blocks:
-        raise ValueError("n_particles must split evenly over the stacked blocks")
-    n_block = n // blocks
+    if n % n_blocks:
+        raise ValueError("n_particles must split evenly over the blocks")
+    n_block = n // n_blocks
     d = model.dim
     d_a = model.control_dim
     dt = config.dt
     sigma = model.sigma_matrix()
     domain = model.domain
-    seed = config.seed
+    policies, seeds = blocks.policies, blocks.seeds
+    starts = np.asarray(blocks.starts)
+    first_steps = _start_steps(starts, grid, dt)
     node_steps = config.node_steps()
-    total_steps = int(node_steps[-1])
-
-    # Positions are (N, d), or (B, N, d) for blocks; flat is the (B * N, d)
-    # view of the same memory.
-    if restarted:
-        seeds = restarts.seeds
-        starts = np.asarray(restarts.starts)
-        first_steps = _start_steps(restarts, grid, dt)
-        x = np.stack([_initial_sample(law, n_block, s, model)
-                      for law, s in zip(restarts.laws, seeds)])
-        flows = None if flow_input is None else (flow_input,) * blocks
-    else:
-        starts = np.full(blocks, t_start)
-        first_steps = np.zeros(blocks, dtype=np.int64)
-        x0 = _initial_sample(model.initial if initial_law is None else initial_law,
-                             n_block, seed, model)
-        x = np.tile(x0, (blocks, 1, 1)) if stacked else x0
-        flows = flow_input if stacked or flow_input is None else (flow_input,)
-    means = _flow_mean_per_step(flows, starts, first_steps, dt, total_steps,
+    means = _flow_mean_per_step(blocks.flows, starts, first_steps, dt, int(node_steps[-1]),
                                 needed=model.drift.mf_gain != 0.0)
-    if means is not None and x.ndim == 2:
-        means = means[:, 0, 0]
 
-    open_loop = isinstance(control, OpenLoopControl)
-    state = control.init_state(x0) if open_loop else {}
+    # Positions are (B, N, d).  Blocks that share a seed and a law share one
+    # initial sample, blocks that share a seed and a start the draws of
+    # every step (those of the first such block, a stream), and blocks
+    # that share a start, so a clock, one drift call per step.
+    sample_of = _first_alike(seeds, map(id, blocks.laws))
+    samples = {j: _initial_sample(blocks.laws[j], n_block, seeds[j], model)
+               for j in set(sample_of)}
+    x = np.stack([samples[j] for j in sample_of])
+    draws_of = _first_alike(seeds, blocks.starts)
+    streams = [j for j, owner in enumerate(draws_of) if owner == j]
+    clock_edges = np.flatnonzero(np.diff(starts)) + 1
+    clock_groups = list(zip([0, *clock_edges], [*clock_edges, n_blocks]))
+
+    open_loop = isinstance(policies[0], OpenLoopControl)
+    state = policies[0].init_state(x[0]) if open_loop else {}
+    constants = None
+    if all(type(p) is ConstantPolicy for p in policies):
+        constants = np.array([p.value for p in policies])[:, None, :]
+
+    def controls_at(t: float, lo: int, hi: int) -> np.ndarray:
+        if constants is not None:
+            # Repeated into contiguous memory: a matrix product over a
+            # broadcast view can round differently.
+            return np.repeat(constants[lo:hi], n_block, axis=1)
+        values = [_control_values(p, t, xb, state)
+                  for p, xb in zip(policies[lo:hi], x[lo:hi])]
+        return values[0][None] if len(values) == 1 else np.stack(values)
+
+    def step_draws(sample, purpose: int, shape, join) -> np.ndarray:
+        """This step's draws of each started stream, in block order; a
+        single stream is shared as it is."""
+        drawn = {j: sample(seeds[j], purpose, int(local[j]), shape) for j in drawing}
+        return (drawn[drawing[0]] if len(drawing) == 1
+                else join([drawn[j] for j in draws_of[:active]]))
 
     exit_times = np.full(n, np.inf)
     alive = np.ones(n, dtype=bool)
-    depleted: list = [None] * blocks
+    depleted: list = [None] * n_blocks
 
     n_nodes = grid.shape[0]
     snapshots = np.empty((n_nodes, *x.shape))
-    fixed = control.constant_values if stacked else None
     controls = None
     if config.record_controls:
         # Constant controls never move: one broadcast view records them.
-        controls = (np.empty((n_nodes, *x.shape[:-1], d_a)) if fixed is None
-                    else np.broadcast_to(fixed, (n_nodes, blocks, n_block, d_a)))
+        controls = (np.empty((n_nodes, n_blocks, n_block, d_a)) if constants is None
+                    else np.broadcast_to(constants, (n_nodes, n_blocks, n_block, d_a)))
 
     def record(node: int, t: float):
         # A block that has not started yet holds its initial sample, which
         # its own run records at its start time.
         snapshots[node] = x
-        if controls is not None and fixed is None:
-            controls[node] = (_block_controls(control, np.maximum(starts, t), x)
-                              if restarted else _control_values(control, t, x, state))
+        if controls is not None and constants is None:
+            for j, (policy, start) in enumerate(zip(policies, blocks.starts)):
+                controls[node, j] = _control_values(policy, max(start, t), x[j], state)
         if config.min_survivors > 0:
-            survivors = alive.reshape(blocks, n_block).sum(axis=1)
-            for b in np.flatnonzero(survivors < config.min_survivors):
-                if depleted[b] is None:
-                    depleted[b] = SurvivorDepletion(t, int(survivors[b]),
+            survivors = alive.reshape(n_blocks, n_block).sum(axis=1)
+            for j in np.flatnonzero(survivors < config.min_survivors):
+                if depleted[j] is None:
+                    depleted[j] = SurvivorDepletion(t, int(survivors[j]),
                                                     config.min_survivors)
             if all(err is not None for err in depleted):
-                if blocks == 1:
+                if n_blocks == 1:
                     raise depleted[0]
                 raise SurvivorDepletion(t, int(survivors.max()), config.min_survivors,
                                         blocks=tuple(depleted))
 
-    def stamp(value, particles):
-        """Exit stamps: the step's time, or each restarted block's own."""
-        return np.repeat(value, n_block)[particles] if restarted else value
-
-    record(0, t_start)
+    record(0, blocks.starts[0])
+    active = 0
     for segment in range(n_nodes - 1):
         for k in range(int(node_steps[segment]), int(node_steps[segment + 1])):
-            if restarted:
-                # The started blocks are a prefix; each runs on its own clock
-                # and draws from its own seed, keyed by its own step.
-                active = int(np.searchsorted(first_steps, k, side="right"))
-                xs = x if active == blocks else x[:active]
-                local = k - first_steps[:active]
-                t = starts[:active] + local * dt
-                a = _block_controls(control, t, xs)
-                b = np.stack([drift_given_mean(model, t[j], xs[j],
-                                               None if means is None else means[k, j],
-                                               a[j]) for j in range(active)])
-                z = np.stack([rng.normals(seeds[j], rng.GAUSS_STEP, local[j], (n_block, d))
-                              for j in range(active)])
-                draws = lambda: np.concatenate([
-                    rng.uniforms(seeds[j], rng.BRIDGE_KILL, local[j], (n_block,))
-                    for j in range(active)])
-            else:
-                active, xs = blocks, x
-                t = t_start + k * dt
-                a = _control_values(control, t, x, state)
-                mean_k = means[k] if means is not None else None
-                b = drift_given_mean(model, t, x, mean_k, a)
-                z = rng.normals(seed, rng.GAUSS_STEP, k, (n_block, d))
-                # Shared by the blocks of a stack.
-                draws = lambda: rng.uniforms(seed, rng.BRIDGE_KILL, k, (n_block,))
+            # The started blocks are a prefix; each runs on its own clock
+            # and draws from its own seed, keyed by its own step.
+            while active < n_blocks and first_steps[active] <= k:
+                active += 1
             m = active * n_block
-            alive_now = alive[:m]
+            local = k - first_steps[:active]
+            clocks = starts[:active] + local * dt
+            drifts = []
+            for lo, hi in clock_groups:
+                if lo < active:
+                    t = float(clocks[lo])
+                    drifts.append(drift_given_mean(
+                        model, t, x[lo:hi], None if means is None else means[k, lo:hi],
+                        controls_at(t, lo, hi)))
+            b = drifts[0] if len(drifts) == 1 else np.concatenate(drifts)
+            drawing = [j for j in streams if j < active]
+            z = step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack)
+            draws = lambda: step_draws(rng.uniforms, rng.BRIDGE_KILL, (n_block,),
+                                       np.concatenate)
             x_new, node_exits, bridge_kills = euler_step(
-                domain, xs, b, z, dt, sigma, alive_now,
+                domain, x[:active], b, z, dt, sigma, alive[:m],
                 draws if config.bridge_correction else None)
-            if node_exits.any():
-                exit_times[:m][node_exits] = stamp(t + dt, node_exits)
-                alive_now[node_exits] = False
-            if bridge_kills.size:
-                exit_times[bridge_kills] = stamp(t + 0.5 * dt, bridge_kills)
-                alive_now[bridge_kills] = False
+            for hit, offset in ((np.flatnonzero(node_exits), dt), (bridge_kills, 0.5 * dt)):
+                if hit.size:
+                    exit_times[hit] = clocks[hit // n_block] + offset
+                    alive[hit] = False
             if open_loop:
-                control.advance(state, t, z, dt)
-            if active == blocks:
+                policies[0].advance(state, float(clocks[0]), z, dt)
+            if active == n_blocks:
                 x = x_new
             else:
                 x[:active] = x_new
@@ -472,6 +465,10 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
 
+    if one_run:
+        # A plain call reads as one run, without the block axis.
+        snapshots = snapshots[:, 0]
+        controls = None if controls is None else controls[:, 0]
     return KilledEnsemble(
         model=model,
         times=grid.copy(),
@@ -480,10 +477,9 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         snapshots=snapshots,
         controls=controls,
         dt=dt,
-        seed=seed,
-        blocks=blocks,
+        seed=config.seed,
+        blocks=None if one_run else blocks,
         depleted=tuple(depleted),
-        restarts=restarts,
     )
 
 

@@ -399,36 +399,6 @@ class GridPolicy(FeedbackPolicy):
         return self.values[(tb, *spatial)]
 
 
-class PolicyStack:
-    """One feedback policy per block of a stacked ensemble.
-
-    values_at maps positions of shape (B, N, d) to controls of shape
-    (B, N, d_A), block b under policies[b], with the bits each policy's
-    own values_at gives.  A stack of constant policies also has its
-    values in constant_values, shape (B, 1, d_A).  The controls come
-    back contiguous, as each policy returns them: matrix products over a
-    broadcast view can round differently.
-    """
-
-    def __init__(self, policies):
-        self.policies = tuple(policies)
-        if not self.policies or not all(isinstance(p, FeedbackPolicy)
-                                        for p in self.policies):
-            raise ValueError("a policy stack needs one or more feedback policies")
-        self.constant_values = None
-        if all(type(p) is ConstantPolicy for p in self.policies):
-            self.constant_values = np.array([p.value for p in self.policies])[:, None, :]
-
-    def __len__(self) -> int:
-        return len(self.policies)
-
-    def values_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        values = self.constant_values
-        if values is not None:
-            return np.repeat(values, x.shape[1], axis=1)
-        return np.stack([p.values_at(t, xb) for p, xb in zip(self.policies, x)])
-
-
 class OpenLoopControl:
     """Control adapted to the initial condition and driving noise.
 

@@ -5,9 +5,10 @@ the drift frozen to an input flow and returns the resulting conditional
 flow.  Iterating this map under common random numbers (the same base
 seed every sweep) converges geometrically for moderate mean-field
 gains; the solver stops once successive flows are within tol in the
-max-over-nodes W1 metric.  Several controls can be solved together:
-each is one block of a stacked ensemble, and a block leaves the stack
-once its own iteration stops.
+max-over-nodes W1 metric.  Every sweep is one simulation pass over
+Blocks, one block per control still iterating, all under the same seed,
+start and initial law; a block leaves the stack once its own iteration
+stops, and a single control is the one-block case.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SurvivorDepletion
-from .killed_sim import (KilledEnsemble, SimConfig, conditional_flow,
+from .killed_sim import (Blocks, KilledEnsemble, SimConfig, conditional_flow,
                          simulate_killed, without_mean_field)
 from .measures import MeasureFlow, flow_distance
-from .model import ModelSpec, PolicyStack
+from .model import ModelSpec
 
 
 @dataclass
@@ -37,7 +38,7 @@ class FixedPointResult:
 def _block_flows(ens: KilledEnsemble) -> list:
     """Per block, its conditional flow or the SurvivorDepletion that ended it."""
     flows = []
-    for b in range(ens.blocks):
+    for b in range(len(ens.blocks)):
         try:
             flows.append(conditional_flow(ens.block(b)))
         except SurvivorDepletion as err:
@@ -50,14 +51,15 @@ def flow_update(model: ModelSpec, control, flow_in, config: SimConfig,
                 initial_law=None) -> tuple[MeasureFlow | list, KilledEnsemble]:
     """One sweep of the conditional-law map with the input flow frozen.
 
-    A PolicyStack sweeps all its blocks in one pass: flow_in then holds
-    one flow per block, and the flow returned is a list holding each
-    block's conditional flow or the SurvivorDepletion that ended it.
+    Blocks sweep in one pass: they carry their own input flows and seeds
+    (flow_in is then None, and iteration_seed does not reach them), and
+    the flow returned is a list holding each block's conditional flow or
+    the SurvivorDepletion that ended it.
     """
     if iteration_seed is not None:
         config = replace(config, seed=int(iteration_seed))
     ens = simulate_killed(model, control, flow_in, config, initial_law=initial_law)
-    if isinstance(control, PolicyStack):
+    if isinstance(control, Blocks):
         return _block_flows(ens), ens
     return conditional_flow(ens), ens
 
@@ -87,9 +89,8 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
     Each control is a block of config.n_particles particles under
     config.seed, so entry b equals solve_fixed_point(model, controls[b],
     config) bit for bit; where that call would raise SurvivorDepletion,
-    entry b is the error instead.  A sweep with more than one block left
-    is a single simulate_killed pass over a PolicyStack, so stacking
-    needs feedback policies.
+    entry b is the error instead.  Each sweep is a single simulate_killed
+    pass over Blocks, so more than one control needs feedback policies.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -97,25 +98,23 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
     results: list = [None] * len(controls)
     flows: list = [None] * len(controls)
     traces: list[list[float]] = [[] for _ in controls]
+    law = model.initial if initial_law is None else initial_law
+    start = float(config.grid[0])
 
     def sweep(active: list[int], coupled: bool) -> tuple[list, KilledEnsemble | None]:
         """Run the active blocks in one pass: per block its new flow or
         SurvivorDepletion, and the ensemble.  Uncoupled, the pass is the
         initial guess with the mean-field gain switched off."""
-        if len(active) == 1:
-            control = controls[active[0]]
-            flow_in = flows[active[0]] if coupled else None
-        else:
-            control = PolicyStack(controls[b] for b in active)
-            flow_in = [flows[b] for b in active] if coupled else None
-        stacked = replace(config, n_particles=config.n_particles * len(active))
+        n_active = len(active)
+        blocks = Blocks(policies=[controls[b] for b in active],
+                        flows=[flows[b] if coupled else None for b in active],
+                        seeds=[config.seed] * n_active, starts=[start] * n_active,
+                        laws=[law] * n_active)
+        stacked = replace(config, n_particles=config.n_particles * n_active)
         try:
             if coupled:
-                new, ens = flow_update(model, control, flow_in, stacked,
-                                       initial_law=initial_law)
-                return (new if len(active) > 1 else [new]), ens
-            ens = simulate_killed(without_mean_field(model), control, None, stacked,
-                                  initial_law=initial_law)
+                return flow_update(model, blocks, None, stacked)
+            ens = simulate_killed(without_mean_field(model), blocks, None, stacked)
             return _block_flows(ens), ens
         except SurvivorDepletion as err:
             return list(err.blocks or [err]), None

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import ContractionViolation, SurvivorDepletion
-from .killed_sim import Restarts, SimConfig, exit_cdf, simulate_killed
+from .killed_sim import Blocks, SimConfig, exit_cdf, simulate_killed
 from .measures import _TIME_TOL, MeasureFlow
 from .model import Cloud, FeedbackPolicy, ModelSpec
 
@@ -95,7 +95,7 @@ def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
     node there and records the exit-time CDF on the remaining window.
     Every s must be a node of the flow grid (see restart_times).  Each
     column draws from its own derived seed, and all of them run as the
-    staggered blocks of one simulation pass (see Restarts), so column i
+    staggered blocks of one simulation pass (see Blocks), so column i
     is bit for bit the run that restarts at s alone.
     """
     if not isinstance(policy, FeedbackPolicy):
@@ -105,13 +105,13 @@ def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
     n_r = s_grid.shape[0]
     u_grid = np.arange(n_r + 1) * dt_r
 
-    restarts = Restarts(
-        starts=s_grid,
+    blocks = Blocks(
+        policies=[policy] * n_r, flows=[flow] * n_r,
         seeds=[rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i) for i in range(n_r)],
-        laws=[Cloud(flow.node_at(float(s)).points) for s in s_grid])
+        starts=s_grid, laws=[Cloud(flow.node_at(float(s)).points) for s in s_grid])
     pass_config = replace(config, n_particles=n_r * n_paths, grid=np.array([0.0, t_end]),
                           min_survivors=0, record_controls=False)
-    ens = simulate_killed(model, policy, flow, pass_config, restarts=restarts)
+    ens = simulate_killed(model, blocks, None, pass_config)
 
     cdf = np.full((n_r, n_r + 1), np.nan)
     se = np.full((n_r, n_r + 1), np.nan)

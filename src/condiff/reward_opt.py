@@ -278,6 +278,8 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
         raise ValueError("method must be 'nelder-mead' or 'cross-entropy'")
     if budget < 1:
         raise ValueError("budget must be positive")
+    if reinsertion_cap < 0:
+        raise ValueError("reinsertion_cap must be nonnegative")
 
     lo = np.asarray(family.lo, dtype=float)
     hi = np.asarray(family.hi, dtype=float)

@@ -25,9 +25,9 @@ from . import rng
 from .fleming_viot import (fv_correspondence_report, simulate_fv_finite,
                            simulate_fv_meanfield)
 from .io import write_csv, write_json
-from .killed_sim import (SimConfig, analytic_interval_survival, conditional_flow,
-                         exit_cdf, girsanov_survival_floor, restrict_ensemble,
-                         simulate_killed, uniform_grid)
+from .killed_sim import (Blocks, SimConfig, analytic_interval_survival,
+                         conditional_flow, exit_cdf, girsanov_survival_floor,
+                         restrict_ensemble, simulate_killed, uniform_grid)
 from .measures import EmpiricalMeasure, MeasureFlow, flow_distance, restrict_flow
 from .mimic import mimic_compare
 from .model import (Cloud, ConstantPolicy, GridPolicy, LinearPolicy, PiecewiseControl,
@@ -334,18 +334,25 @@ class Verifier:
         model = bounded_control_interval(clip_bound=1.0, horizon=1.0)
         p0 = analytic_interval_survival(0.0, 1.0, 1.0, 1.0)
         floor = girsanov_survival_floor(1.0, model.sigma_matrix(), 1.0, p0)
-        rows, all_ok = [], True
+        # The 20 policies run as the blocks of one pass, each under its own
+        # seed, from the same start and initial law.
+        policies = []
         for j in range(20):
             draw = rng.generator(rng.derive_seed(VERIFY_SEED, rng.POLICY_DRAW, j),
                                  rng.POLICY_DRAW, 0)
-            policy = GridPolicy.build(model, 6, 6,
-                                      2.0 * draw.random((6, 6, 1)) - 1.0)
-            config = SimConfig(10_000, 1e-3, _seed(90 + j),
-                               np.array([0.0, 1.0]),
-                               record_controls=False)
-            ens = simulate_killed(model, policy, None, config)
-            s = float(ens.survival_at(1.0))
-            se = float(np.sqrt(s * (1.0 - s) / ens.n))
+            policies.append(GridPolicy.build(model, 6, 6,
+                                             2.0 * draw.random((6, 6, 1)) - 1.0))
+        blocks = Blocks(policies=policies, flows=[None] * 20,
+                        seeds=[_seed(90 + j) for j in range(20)], starts=[0.0] * 20,
+                        laws=[model.initial] * 20)
+        config = SimConfig(20 * 10_000, 1e-3, _seed(90), np.array([0.0, 1.0]),
+                           record_controls=False)
+        ens = simulate_killed(model, blocks, None, config)
+        rows, all_ok = [], True
+        for j in range(20):
+            block = ens.block(j)
+            s = float(block.survival_at(1.0))
+            se = float(np.sqrt(s * (1.0 - s) / block.n))
             ok = s >= floor - 3.0 * se
             all_ok = all_ok and ok
             rows.append((j, s, se, floor))

@@ -104,6 +104,11 @@ def test_fv_finite_variant_and_validation(tmp_path, capsys):
     rc = run("fv", tmp_path / "cap", "fv.reinsertion_cap=-1")
     assert rc == 2
     assert "fv.reinsertion_cap" in capsys.readouterr().err
+    # a value of the wrong type is named too
+    for field, value in (("fv.reinsertion_cap", '"abc"'), ("picard.tol", '"x"')):
+        rc = run("fv", tmp_path / "typed", f"{field}={value}")
+        assert rc == 2
+        assert field in capsys.readouterr().err
 
 
 def test_renewal_command(tmp_path, capsys):
@@ -146,7 +151,7 @@ def test_mimic_command(tmp_path):
     assert len(grid_lines) == 1 + 4 * 8
 
 
-def test_optimize_command(tmp_path):
+def test_optimize_command(tmp_path, capsys):
     rc = run("optimize", tmp_path, "optimize.method=nelder-mead",
              "optimize.budget=5")
     assert rc == 0
@@ -155,6 +160,13 @@ def test_optimize_command(tmp_path):
     assert np.isfinite(best["best_value"])
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + best["n_evals"]
+
+    # a negative cap is refused up front, not scored -inf for every candidate
+    rc = run("optimize", tmp_path / "cap", "optimize.reinsertion_cap=-1",
+             "optimize.objective=fv", "sim.n_particles=200", "sim.dt=0.01",
+             "optimize.budget=4")
+    assert rc == 2
+    assert "optimize.reinsertion_cap" in capsys.readouterr().err
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import erf, sqrt
 
 from condiff.errors import NumericalError, SurvivorDepletion
 from condiff.geometry import Box
-from condiff.killed_sim import (Restarts, SimConfig, analytic_interval_survival,
+from condiff.killed_sim import (Blocks, SimConfig, analytic_interval_survival,
                                 conditional_flow, exit_cdf,
                                 girsanov_survival_floor, restrict_ensemble,
                                 simulate_killed, uniform_grid,
@@ -204,6 +204,30 @@ def _coupled_box():
         reward=rich_reward(0.0), initial=UniformBox((-0.5, -0.5), (0.5, 0.5)))
 
 
+def _assert_block_is_its_own_run(block, alone, label):
+    for name in fields(alone):
+        got, want = getattr(block, name.name), getattr(alone, name.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape, (label, name.name)
+            assert got.tobytes() == want.tobytes(), (label, name.name)
+        else:
+            assert got == want, (label, name.name)
+
+
+def _assert_blocks_are_their_own_runs(model, blocks, config):
+    ens = simulate_killed(model, blocks, None, config)
+    assert len(ens.blocks) == len(blocks)
+    n_block = config.n_particles // len(blocks)
+    for b, (policy, flow, seed, start, law) in enumerate(zip(
+            blocks.policies, blocks.flows, blocks.seeds, blocks.starts, blocks.laws)):
+        grid = np.concatenate([[start], config.grid[config.grid > start + 1e-9]])
+        alone = simulate_killed(model, policy, flow,
+                                replace(config, n_particles=n_block, seed=seed, grid=grid),
+                                initial_law=law, t0=start)
+        _assert_block_is_its_own_run(ens.block(b), alone, b)
+    return ens
+
+
 def test_restarted_blocks_read_as_their_own_runs():
     # A coupled box under a time-dependent policy whose bins end on steps,
     # with starts on and between nodes: each block must use its own clock
@@ -214,30 +238,45 @@ def test_restarted_blocks_read_as_their_own_runs():
     flow = conditional_flow(simulate_killed(
         without_mean_field(model), policy, None,
         SimConfig(400, 0.01, 3, uniform_grid(0.5, 0.05))))
-    restarts = Restarts(starts=(0.0, 0.13, 0.2, 0.2, 0.41), seeds=(21, 22, 23, 24, 25),
-                        laws=(model.initial, Cloud(flow.node_at(0.15).points),
-                              PointMass((0.99, -0.2)), model.initial,
-                              Cloud(flow.node_at(0.4).points)))
-    n_block = 150
-    config = SimConfig(5 * n_block, 0.01, 7, np.array([0.0, 0.2, 0.35, 0.5]),
+    blocks = Blocks(policies=(policy,) * 5, flows=(flow,) * 5,
+                    seeds=(21, 22, 23, 24, 25), starts=(0.0, 0.13, 0.2, 0.2, 0.41),
+                    laws=(model.initial, Cloud(flow.node_at(0.15).points),
+                          PointMass((0.99, -0.2)), model.initial,
+                          Cloud(flow.node_at(0.4).points)))
+    config = SimConfig(5 * 150, 0.01, 7, np.array([0.0, 0.2, 0.35, 0.5]),
                        min_survivors=0)
-    ens = simulate_killed(model, policy, flow, config, restarts=restarts)
-    assert ens.blocks == 5
-    for b, (start, seed, law) in enumerate(zip(restarts.starts, restarts.seeds,
-                                                restarts.laws)):
-        grid = np.concatenate([[start], config.grid[config.grid > start + 1e-9]])
-        alone = simulate_killed(model, policy, flow,
-                                replace(config, n_particles=n_block, seed=seed, grid=grid),
-                                initial_law=law, t0=start)
-        block = ens.block(b)
-        assert block.seed == seed
-        for name in ("times", "initial_points", "exit_times", "snapshots", "controls"):
-            got, want = getattr(block, name), getattr(alone, name)
-            assert got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), (b, name)
+    ens = _assert_blocks_are_their_own_runs(model, blocks, config)
     # the point start on the boundary's doorstep gives bridge kills in its
     # first step, stamped at half a step after its own start
     assert np.any(ens.block(2).exit_times == 0.2 + 0.5 * 0.01)
+
+    # Policy, flow, seed, start and law all differ from block to block.
+    other_flow = conditional_flow(simulate_killed(
+        without_mean_field(model), LinearPolicy((0.4, -0.3), ((0.5, 0.0), (0.2, -0.6)),
+                                                model.control_set), None,
+        SimConfig(300, 0.01, 4, uniform_grid(0.5, 0.1))))
+    policies = (policy, ConstantPolicy((0.7, -0.4), model.control_set),
+                LinearPolicy((0.1, 0.2), ((-0.8, 0.3), (0.0, 0.9)), model.control_set),
+                GridPolicy.build(model, 5, 4, -values),
+                ConstantPolicy((-0.2, 0.5), model.control_set))
+    blocks = Blocks(policies=policies,
+                    flows=(flow, other_flow, flow, other_flow, other_flow),
+                    seeds=(31, 32, 33, 34, 35), starts=(0.0, 0.07, 0.2, 0.33, 0.41),
+                    laws=(model.initial, PointMass((0.3, -0.1)),
+                          Cloud(flow.node_at(0.2).points),
+                          UniformBox((-0.2, 0.0), (0.4, 0.3)),
+                          Cloud(other_flow.node_at(0.4).points)))
+    _assert_blocks_are_their_own_runs(model, blocks, config)
+
+    # Blocks that share some of their data: two share a seed, a start and
+    # a law, and so their initial sample and draws, beside a third on the
+    # same clock with its own seed and a fourth that starts later from the
+    # shared seed but its own law.
+    blocks = Blocks(policies=policies[:4], flows=(flow, other_flow, flow, flow),
+                    seeds=(41, 41, 42, 41), starts=(0.0, 0.0, 0.0, 0.2),
+                    laws=(model.initial, model.initial, model.initial,
+                          PointMass((0.3, -0.1))))
+    _assert_blocks_are_their_own_runs(model, blocks, replace(config, n_particles=4 * 150))
 
 
 def test_restarts_are_validated():
@@ -246,13 +285,14 @@ def test_restarts_are_validated():
     config = SimConfig(20, 0.01, 1, uniform_grid(0.5, 0.25), min_survivors=0)
 
     def run(starts, control=policy, **kwargs):
-        restarts = Restarts(starts, range(len(starts)), (model.initial,) * len(starts))
-        return simulate_killed(model, control, None, config, restarts=restarts, **kwargs)
+        blocks = Blocks((control,) * len(starts), (None,) * len(starts),
+                        range(len(starts)), starts, (model.initial,) * len(starts))
+        return simulate_killed(model, blocks, None, config, **kwargs)
 
-    assert run((0.0, 0.25)).blocks == 2
+    assert len(run((0.0, 0.25)).blocks) == 2
     with pytest.raises(ValueError, match="must not decrease"):
         run((0.0, 0.3, 0.2, 0.4))
-    with pytest.raises(ValueError, match="first restart"):
+    with pytest.raises(ValueError, match="first block's start"):
         run((0.1, 0.2))
     with pytest.raises(ValueError, match="before the last grid node"):
         run((0.0, 0.5))
@@ -260,9 +300,9 @@ def test_restarts_are_validated():
         run((0.0, 0.125))
     with pytest.raises(ValueError, match="split evenly"):
         run((0.0, 0.1, 0.2))
-    with pytest.raises(ValueError, match="their own start times"):
+    with pytest.raises(ValueError, match="their own flows, start times"):
         run((0.0, 0.25), initial_law=model.initial)
     with pytest.raises(ValueError, match="one feedback policy"):
         run((0.0, 0.25), control=RandomizedSignControl((0.0,), (1.0,), model.control_set))
-    with pytest.raises(ValueError, match="one start, seed and law"):
-        Restarts((0.0, 0.25), (1,), (model.initial,) * 2)
+    with pytest.raises(ValueError, match="one policy, flow, seed, start and law"):
+        Blocks((policy,) * 2, (None,) * 2, (1,), (0.0, 0.25), (model.initial,) * 2)

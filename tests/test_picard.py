@@ -3,11 +3,11 @@ import pytest
 
 from condiff.errors import SurvivorDepletion
 from condiff.geometry import Box, Interval
-from condiff.killed_sim import (SimConfig, conditional_flow, exit_cdf, simulate_killed,
-                                uniform_grid)
+from condiff.killed_sim import (Blocks, SimConfig, conditional_flow, exit_cdf,
+                                simulate_killed, uniform_grid)
 from condiff.measures import flow_distance
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
-                           ModelSpec, PolicyStack, UniformBox)
+                           ModelSpec, UniformBox)
 from condiff.picard import flow_update, solve_fixed_point, solve_fixed_points
 from condiff.reward_opt import eval_reward_conditional
 from condiff.scenarios import attractive_interval, driftless_interval, rich_reward
@@ -156,17 +156,23 @@ def test_depleted_stack_reports_each_block_its_own_error():
 def test_stacked_ensemble_is_read_per_block():
     model = attractive_interval(kappa=0.0, reward=rich_reward(0.0))
     config = SimConfig(2 * 200, 0.01, 5, uniform_grid(0.5, 0.1))
-    stack = PolicyStack(ConstantPolicy((v,), model.control_set) for v in (-0.5, 0.5))
-    ens = simulate_killed(model, stack, None, config)
+    policies = [ConstantPolicy((v,), model.control_set) for v in (-0.5, 0.5)]
+
+    def stack(chosen):
+        k = len(chosen)
+        return Blocks(chosen, [None] * k, [5] * k, [0.0] * k, [model.initial] * k)
+
+    ens = simulate_killed(model, stack(policies), None, config)
     for read in (conditional_flow, lambda e: exit_cdf(e, [0.5]),
                  lambda e: eval_reward_conditional(e, conditional_flow(e))):
         with pytest.raises(ValueError, match="one block at a time"):
             read(ens)
     single = SimConfig(200, 0.01, 5, uniform_grid(0.5, 0.1))
-    alone = simulate_killed(model, stack.policies[1], None, single)
+    alone = simulate_killed(model, policies[1], None, single)
     assert ens.block(1).exit_times.tobytes() == alone.exit_times.tobytes()
     assert np.array_equal(exit_cdf(ens.block(1), [0.5]), exit_cdf(alone, [0.5]))
     # a stack of one policy is that policy's own run
-    one = simulate_killed(model, PolicyStack([stack.policies[1]]), None, single)
-    assert one.blocks == 1
+    one = simulate_killed(model, stack(policies[1:]), None, single)
+    assert len(one.blocks) == 1
     assert one.snapshots.tobytes() == alone.snapshots.tobytes()
+    assert one.block(0).snapshots.tobytes() == alone.snapshots.tobytes()

@@ -183,3 +183,5 @@ def test_policy_families_and_validation():
         optimize_policy(model, lin, config, method="bfgs")
     with pytest.raises(ValueError):
         optimize_policy(model, lin, config, budget=0)
+    with pytest.raises(ValueError, match="reinsertion_cap"):
+        optimize_policy(model, lin, config, objective="fv", reinsertion_cap=-1)
