@@ -73,10 +73,13 @@ class _FlowRows:
         return sum(idx.shape[0] for idx in self.alive)
 
     def __iter__(self):
+        # Python scalars (io's fast path), a thousand at a time to bound memory.
         for m, idx in enumerate(self.alive):
-            t = self.ens.times[m]
-            for i in idx:
-                yield (t, int(i), *self.ens.snapshots[m, i])
+            t = float(self.ens.times[m])
+            for lo in range(0, idx.shape[0], 1000):
+                part = idx[lo:lo + 1000]
+                for i, x in zip(part.tolist(), self.ens.snapshots[m, part].tolist()):
+                    yield (t, i, *x)
 
 
 def _write_flow_csv(out: Path, ens) -> None:
@@ -105,7 +108,7 @@ def _reinsertion_cap(cfg, dotted: str) -> int:
     return cap
 
 
-def _cmd_simulate(cfg, model, out, threads):
+def _cmd_simulate(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=False)
     if model.drift.mf_gain != 0.0:
         raise ConfigError(
@@ -121,7 +124,7 @@ def _cmd_simulate(cfg, model, out, threads):
     return {"survival_end": float(ens.survival[-1])}
 
 
-def _cmd_picard(cfg, model, out, threads):
+def _cmd_picard(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=False)
     control = _control_from_config(cfg, model)
     tol, max_iter = _picard_block(cfg)
@@ -133,7 +136,7 @@ def _cmd_picard(cfg, model, out, threads):
             "final_distance": float(fp.distance_trace[-1])}
 
 
-def _cmd_fv(cfg, model, out, threads):
+def _cmd_fv(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=False)
     policy = build_policy(cfg, model)
     variant = optional(cfg, "fv.variant", "meanfield")
@@ -165,7 +168,7 @@ def _cmd_fv(cfg, model, out, threads):
             "events": int(fv.event_times.shape[0])}
 
 
-def _cmd_renewal(cfg, model, out, threads):
+def _cmd_renewal(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=False)
     if sim.grid[0] != 0.0:
         raise ConfigError("invalid 'sim.grid': renewal needs a grid starting at 0")
@@ -200,7 +203,7 @@ def _cmd_renewal(cfg, model, out, threads):
             "isotonic_correction": kernel.isotonic_correction}
 
 
-def _cmd_mimic(cfg, model, out, threads):
+def _cmd_mimic(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=True)
     open_control = build_open_control(cfg, model)
     tol, max_iter = _picard_block(cfg)
@@ -222,7 +225,7 @@ def _cmd_mimic(cfg, model, out, threads):
     return rep.to_dict()
 
 
-def _cmd_optimize(cfg, model, out, threads):
+def _cmd_optimize(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=True)
     kind = str(require(cfg, "optimize.family"))
     family = policy_family(model, kind,
@@ -236,8 +239,7 @@ def _cmd_optimize(cfg, model, out, threads):
         budget=optional_as(cfg, "optimize.budget", int, 100),
         picard_tol=tol, picard_max_iter=max_iter,
         reinsertion_cost=optional_as(cfg, "optimize.reinsertion_cost", float, None),
-        reinsertion_cap=_reinsertion_cap(cfg, "optimize.reinsertion_cap"),
-        threads=threads)
+        reinsertion_cap=_reinsertion_cap(cfg, "optimize.reinsertion_cap"))
     k = res.trace_params.shape[1]
     write_csv(out / "trace.csv",
               ["eval_id"] + [f"p{j + 1}" for j in range(k)] + ["J", "J_se"],
@@ -294,14 +296,13 @@ def main(argv=None) -> int:
                        help="JSON config (or a manifest.json from a previous run)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="threads for the fv rescoring of optimize; "
-                            "other commands ignore it")
+                       help="recorded in the manifest; no command runs threads")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE", help="dot-path config override")
     pv = sub.add_parser("verify")
     pv.add_argument("--out", required=True, help="output directory")
     pv.add_argument("--threads", type=int, default=1,
-                    help="recorded in the manifest; C11 runs its own widths")
+                    help="recorded in the manifest; verify runs no threads")
 
     args = parser.parse_args(argv)
     out = Path(args.out)
@@ -320,8 +321,9 @@ def main(argv=None) -> int:
             return 0
         cfg = apply_overrides(load_config(args.config), args.override)
         model = build_model(cfg)
-        seed = int(require(cfg, "sim.seed"))
-        extra = _COMMANDS[args.command](cfg, model, out, args.threads)
+        require(cfg, "sim.seed")
+        seed = optional_as(cfg, "sim.seed", int, None)
+        extra = _COMMANDS[args.command](cfg, model, out)
         _write_manifest(out, args.command, cfg, seed, args.threads,
                         time.perf_counter() - start, extra)
         return 0

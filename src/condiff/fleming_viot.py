@@ -17,14 +17,15 @@ it; only what follows an exit differs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .errors import NumericalError, ReinsertionBlowup, TotalExtinction
-from .killed_sim import (KilledEnsemble, SimConfig, _flow_mean_per_step, _initial_sample,
-                         conditional_flow, euler_step)
+from .killed_sim import (Blocks, KilledEnsemble, SimConfig, _as_blocks, _constant_values,
+                         _controls_at, _first_alike, _flow_mean_per_step,
+                         _initial_positions, _step_draws, conditional_flow, euler_step)
 from .measures import (_TIME_TOL, EmpiricalMeasure, MeasureFlow, sample_many,
                        sliced_w1, w1_distance_1d)
 from .model import FeedbackPolicy, ModelSpec, drift_given_mean
@@ -38,10 +39,14 @@ DEFAULT_REINSERTION_CAP = 10_000
 
 @dataclass
 class FVTrace:
-    """Snapshots, reinsertion events, and the mean reinsertion curve."""
+    """Snapshots, reinsertion events, and the mean reinsertion curve.
+
+    A pass over Blocks adds a block axis after the node axis and numbers
+    its particles block after block; block(b) reads block b as its own
+    run, and blown[b] is the ReinsertionBlowup that ended it, or None.
+    """
 
     model: ModelSpec
-    variant: str
     times: np.ndarray
     snapshots: np.ndarray
     controls: np.ndarray
@@ -52,16 +57,27 @@ class FVTrace:
     event_particles: np.ndarray
     event_positions: np.ndarray
     event_sources: np.ndarray
-    dt: float
-    seed: int
+    blocks: Blocks | None = None
+    blown: tuple = (None,)
 
     @property
     def n(self) -> int:
-        return self.snapshots.shape[1]
+        return self.final_counts.shape[0]
 
-    def f_at(self, t: float) -> float:
-        """Mean reinsertion count per particle accumulated by time t."""
-        return float(np.sum(self.event_times <= t + _TIME_TOL)) / self.n
+    def block(self, b: int) -> "FVTrace":
+        """Block b as its own run; raises the ReinsertionBlowup that ended it."""
+        if self.blown[b] is not None:
+            raise self.blown[b]
+        size = self.n // len(self.blocks)
+        mine = self.event_particles // size == b
+        return replace(
+            self, snapshots=self.snapshots[:, b], controls=self.controls[:, b],
+            f_curve=self.f_curve[:, b], f_se=self.f_se[:, b],
+            final_counts=self.final_counts[b * size:(b + 1) * size],
+            event_times=self.event_times[mine],
+            event_particles=self.event_particles[mine] - b * size,
+            event_positions=self.event_positions[mine], event_sources=self.event_sources[mine],
+            blocks=None, blown=(None,))
 
     def source_names(self) -> list[str]:
         return [_SOURCE_NAMES[int(s)] for s in self.event_sources]
@@ -81,98 +97,118 @@ def _reinsert_at_peers(x_new: np.ndarray, exits: np.ndarray, draws: np.ndarray) 
         inside[i] = True
 
 
-def _simulate_fv(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow | None,
-                 config: SimConfig, variant: str, reinsertion_cap: int,
-                 initial_law=None) -> FVTrace:
+def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimConfig,
+                 variant: str, reinsertion_cap: int) -> FVTrace:
+    """Every block in one pass from t = 0, sharing samples and draws as
+    simulate_killed does.  A block that passes the cap is marked blown and
+    runs on; a plain run raises, and otherwise reads as its one block."""
     grid = config.grid
-    if abs(grid[0]) > _TIME_TOL:
+    if abs(grid[0]) > _TIME_TOL or any(abs(s) > _TIME_TOL for s in blocks.starts):
         raise ValueError("reinsertion dynamics must start at t=0")
     if grid[-1] > model.horizon + _TIME_TOL:
         raise ValueError("grid extends beyond the model horizon")
-    if not isinstance(policy, FeedbackPolicy):
+    policies, seeds, flows = blocks.policies, blocks.seeds, blocks.flows
+    if not all(isinstance(p, FeedbackPolicy) for p in policies):
         raise ValueError("reinsertion dynamics take a feedback policy")
 
+    n_blocks = len(blocks)
     n = config.n_particles
+    if n % n_blocks:
+        raise ValueError("n_particles must split evenly over the blocks")
+    n_block = n // n_blocks
     d = model.dim
     dt = config.dt
     sigma = model.sigma_matrix()
     domain = model.domain
-    seed = config.seed
     node_steps = config.node_steps()
 
     mean_field = variant == "meanfield"
     source = SOURCE_FLOW_SAMPLE if mean_field else SOURCE_UNIFORM_PEER
     coupled = model.drift.mf_gain != 0.0
-    if mean_field and flow is None:
+    if mean_field and any(flow is None for flow in flows):
         raise ValueError("the mean-field variant requires an input flow")
-    if not mean_field and n < 2:
-        raise ValueError("the finite variant needs at least two particles")
-    means = _flow_mean_per_step((flow,), (0.0,), (0,), dt, int(node_steps[-1]),
-                                needed=mean_field and coupled)
-    x = _initial_sample(model.initial if initial_law is None else initial_law,
-                        n, seed, model)
+    if not mean_field and (n_blocks > 1 or n < 2):
+        raise ValueError("the finite variant runs one block of at least two particles")
+    means = _flow_mean_per_step(flows, np.zeros(n_blocks), np.zeros(n_blocks, dtype=int), dt,
+                                int(node_steps[-1]), needed=mean_field and coupled)
+    x = _initial_positions(model, blocks, n_block)
+    draws_of = _first_alike(seeds)
+    constants = _constant_values(policies)
 
     counts = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
+    blown: list = [None] * n_blocks
     # Per step with exits: their stamps, indices and new positions.
     ev_times: list[np.ndarray] = []
     ev_particles: list[np.ndarray] = []
     ev_positions: list[np.ndarray] = []
 
     n_nodes = grid.shape[0]
-    snapshots = np.empty((n_nodes, n, d))
-    controls = np.empty((n_nodes, n, model.control_dim))
-    f_curve = np.empty(n_nodes)
-    f_se = np.empty(n_nodes)
+    snapshots = np.empty((n_nodes, *x.shape))
+    controls = np.empty((n_nodes, n_blocks, n_block, model.control_dim))
+    f_curve = np.empty((n_nodes, n_blocks))
+    f_se = np.empty((n_nodes, n_blocks))
 
     def record(node: int, t: float):
         snapshots[node] = x
-        controls[node] = policy.values_at(t, x)
-        f_curve[node] = counts.mean()
-        f_se[node] = counts.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+        controls[node] = _controls_at(policies, constants, t, x, {})
+        for j, block_counts in enumerate(counts.reshape(n_blocks, n_block)):
+            f_curve[node, j] = block_counts.mean()
+            f_se[node, j] = block_counts.std(ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
 
     record(0, 0.0)
     for segment in range(n_nodes - 1):
         for k in range(int(node_steps[segment]), int(node_steps[segment + 1])):
             t = k * dt
-            a = policy.values_at(t, x)
+            a = _controls_at(policies, constants, t, x, {})
             if mean_field:
-                mean_k = means[k, 0, 0] if means is not None else None
+                mean_k = means[k] if means is not None else None
             else:
-                mean_k = x.mean(axis=0) if coupled else None
+                mean_k = x[0].mean(axis=0) if coupled else None
             b = drift_given_mean(model, t, x, mean_k, a)
-            z = rng.normals(seed, rng.GAUSS_STEP, k, (n, d))
-            draws = lambda: rng.uniforms(seed, rng.BRIDGE_KILL, k, (n,))
+            local = [k] * n_blocks
+            draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,),
+                                                np.concatenate, seeds, draws_of, local)
+            z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
+                            seeds, draws_of, local)
             x_new, node_exits, bridge_kills = euler_step(
                 domain, x, b, z, dt, sigma, alive,
-                draws if config.bridge_correction else None)
+                (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
             if node_exits.any() or bridge_kills.size:
                 exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
                 stamps = np.where(node_exits[exits], t + dt, t + 0.5 * dt)
+                flat = x_new.reshape(n, d)
                 if mean_field:
-                    u = rng.uniforms(seed, rng.REINSERT_SAMPLE, k, (n,))
-                    x_new[exits] = sample_many(flow.node_at(t + dt), u[exits])
+                    u = draws(rng.REINSERT_SAMPLE)
                 else:
                     if exits.size == n:
                         raise TotalExtinction(float(stamps[0]))
-                    u = rng.uniforms(seed, rng.PEER_CHOICE, k, (n,))
-                    _reinsert_at_peers(x_new, exits, u)
+                    _reinsert_at_peers(flat, exits, draws(rng.PEER_CHOICE))
                 counts[exits] += 1
+                # Block j's exits, ascending, are exits[edges[j]:edges[j + 1]].
+                edges = np.searchsorted(exits, np.arange(n_blocks + 1) * n_block).tolist()
+                for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                    mine = exits[lo:hi]
+                    if mean_field:
+                        flat[mine] = sample_many(flows[j].node_at(t + dt),
+                                                 u[mine % u.shape[0]])
+                    over = mine[counts[mine] > reinsertion_cap]
+                    if over.size and blown[j] is None:
+                        blown[j] = ReinsertionBlowup(t + dt, int(over[0]) - j * n_block,
+                                                     reinsertion_cap)
                 ev_times.append(stamps)
                 ev_particles.append(exits)
-                ev_positions.append(x_new[exits])
-                over = np.flatnonzero(counts > reinsertion_cap)
-                if over.size:
-                    raise ReinsertionBlowup(t + dt, int(over[0]), reinsertion_cap)
+                ev_positions.append(flat[exits])
+                if one_run and blown[0] is not None:
+                    raise blown[0]
             x = x_new
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
 
     event_times = np.concatenate([np.empty(0), *ev_times])
-    return FVTrace(
+    trace = FVTrace(
         model=model,
-        variant=variant,
         times=grid.copy(),
         snapshots=snapshots,
         controls=controls,
@@ -183,30 +219,34 @@ def _simulate_fv(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow | N
         event_particles=np.concatenate([np.empty(0, dtype=np.int64), *ev_particles]),
         event_positions=np.concatenate([np.empty((0, d)), *ev_positions]),
         event_sources=np.full(event_times.shape[0], source, dtype=np.int64),
-        dt=dt,
-        seed=seed,
+        blocks=blocks,
+        blown=tuple(blown),
     )
+    return trace.block(0) if one_run else trace
 
 
 def simulate_fv_finite(model: ModelSpec, policy: FeedbackPolicy, config: SimConfig,
-                       reinsertion_cap: int = DEFAULT_REINSERTION_CAP,
-                       initial_law=None) -> FVTrace:
-    """Interacting reinsertion system with uniform-peer jumps.
+                       reinsertion_cap: int = DEFAULT_REINSERTION_CAP) -> FVTrace:
+    """Interacting reinsertion system with uniform-peer jumps, as one block.
 
     Same-step exits are processed in ascending particle index, each
     seeing the post-update positions of the ones handled before it.
     """
-    return _simulate_fv(model, policy, None, config, "finite", reinsertion_cap,
-                        initial_law=initial_law)
+    blocks, one_run = _as_blocks(model, policy, None, config, None, None)
+    return _simulate_fv(model, blocks, one_run, config, "finite", reinsertion_cap)
 
 
-def simulate_fv_meanfield(model: ModelSpec, policy: FeedbackPolicy, flow: MeasureFlow,
+def simulate_fv_meanfield(model: ModelSpec, policy, flow: MeasureFlow | None,
                           config: SimConfig,
                           reinsertion_cap: int = DEFAULT_REINSERTION_CAP,
                           initial_law=None) -> FVTrace:
-    """Independent reinsertion dynamics driven by a frozen flow."""
-    return _simulate_fv(model, policy, flow, config, "meanfield", reinsertion_cap,
-                        initial_law=initial_law)
+    """Independent reinsertion dynamics driven by a frozen flow.
+
+    As in simulate_killed, policy may instead be Blocks (flow None), all
+    starting at t = 0; each block is bit for bit its run alone.
+    """
+    blocks, one_run = _as_blocks(model, policy, flow, config, initial_law, None)
+    return _simulate_fv(model, blocks, one_run, config, "meanfield", reinsertion_cap)
 
 
 @dataclass
@@ -215,18 +255,8 @@ class FVCorrespondence:
 
     times: np.ndarray
     w1: np.ndarray
-    f_log_residual: np.ndarray
     max_w1: float
     max_f_log_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "w1": self.w1.tolist(),
-            "f_log_residual": self.f_log_residual.tolist(),
-            "max_w1": self.max_w1,
-            "max_f_log_residual": self.max_f_log_residual,
-        }
 
 
 def fv_correspondence_report(fv: FVTrace, killed: KilledEnsemble) -> FVCorrespondence:
@@ -251,7 +281,6 @@ def fv_correspondence_report(fv: FVTrace, killed: KilledEnsemble) -> FVCorrespon
     return FVCorrespondence(
         times=fv.times.copy(),
         w1=w1,
-        f_log_residual=resid,
         max_w1=float(w1.max()),
         max_f_log_residual=float(resid.max()),
     )

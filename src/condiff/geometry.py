@@ -97,9 +97,6 @@ class Domain:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def diameter(self) -> float:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -150,9 +147,6 @@ class Interval(Domain):
     def bounding_box(self):
         return np.array([self.lo]), np.array([self.hi])
 
-    def diameter(self):
-        return self.hi - self.lo
-
     def to_dict(self):
         return {"type": "interval", "lo": self.lo, "hi": self.hi}
 
@@ -201,9 +195,6 @@ class Box(Domain):
     def bounding_box(self):
         return self._lo.copy(), self._hi.copy()
 
-    def diameter(self):
-        return float(np.linalg.norm(self._hi - self._lo))
-
     def to_dict(self):
         return {"type": "box", "lo": list(self.lo), "hi": list(self.hi)}
 
@@ -251,9 +242,6 @@ class Ball(Domain):
     def bounding_box(self):
         c = self._center
         return c - self.radius, c + self.radius
-
-    def diameter(self):
-        return 2.0 * self.radius
 
     def to_dict(self):
         return {"type": "ball", "center": list(self.center), "radius": self.radius}

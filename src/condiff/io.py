@@ -12,6 +12,11 @@ import numpy as np
 
 
 def _format_cell(value) -> str:
+    # Exact Python floats and ints first: flow.csv passes them by the million.
+    if type(value) is float:
+        return f"{value:.17g}"
+    if type(value) is int:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -50,7 +55,3 @@ def write_json(path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2,
                                default=_json_default) + "\n")
-
-
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -80,16 +80,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Blocks:
-    """Independent killed runs that one pass carries as its blocks.
+    """Independent runs that one killed or reinsertion pass carries as blocks.
 
-    Block b runs policies[b] with the drift reading flows[b] (None for an
-    uncoupled model), starts at starts[b] from a sample of laws[b], and
-    draws from seeds[b], keyed by its own step count.  It is bit for bit
-    the run with that policy, flow, seed and initial law, t0 = starts[b]
-    and the grid that starts there and continues with the later nodes of
-    the pass's grid.  Starts never decrease, so the blocks started by any
-    step are a prefix of the stack; a block is neither advanced nor drawn
-    for before its start.  An open-loop control runs only as one block.
+    Block b runs policies[b] with the drift and any reinsertion reading
+    flows[b] (None if neither does), starts at starts[b] from a sample of
+    laws[b], and draws from seeds[b], keyed by its own step count.  It is
+    bit for bit the run with that policy, flow, seed and initial law,
+    t0 = starts[b] and the grid that starts there and continues with the
+    later nodes of the pass's grid.  Starts never decrease, so the blocks
+    started by any step are a prefix of the stack; a block is neither
+    advanced nor drawn for before its start.  An open-loop control runs
+    only as one block.
     """
 
     policies: tuple
@@ -140,8 +141,6 @@ class KilledEnsemble:
     exit_times: np.ndarray
     snapshots: np.ndarray
     controls: np.ndarray | None
-    dt: float
-    seed: int
     blocks: Blocks | None = None
     depleted: tuple = (None,)
 
@@ -153,7 +152,7 @@ class KilledEnsemble:
         """Block b as a view of this ensemble; raises the depletion that ended it.
 
         The block reads as its own run: its times begin at its start, with
-        its initial sample as the first snapshot, and its seed is its own.
+        its initial sample as the first snapshot.
         """
         if self.depleted[b] is not None:
             raise self.depleted[b]
@@ -168,8 +167,6 @@ class KilledEnsemble:
             exit_times=self.exit_times[part],
             snapshots=self.snapshots[first:, b],
             controls=None if self.controls is None else self.controls[first:, b],
-            dt=self.dt,
-            seed=self.blocks.seeds[b],
         )
 
     def _require_one_block(self):
@@ -219,8 +216,6 @@ def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
         exit_times=ens.exit_times,
         snapshots=ens.snapshots[:k],
         controls=None if ens.controls is None else ens.controls[:k],
-        dt=ens.dt,
-        seed=ens.seed,
         blocks=ens.blocks,
         depleted=ens.depleted,
     )
@@ -282,6 +277,52 @@ def _first_alike(*keys) -> list[int]:
     return [first.setdefault(key, b) for b, key in enumerate(zip(*keys))]
 
 
+def _as_blocks(model: ModelSpec, control, flow_input, config: SimConfig, initial_law,
+               t0) -> tuple[Blocks, bool]:
+    """The Blocks a pass runs, and whether they stand for one plain run."""
+    if not isinstance(control, Blocks):
+        return Blocks((control,), (flow_input,), (config.seed,),
+                      (config.grid[0] if t0 is None else t0,),
+                      (model.initial if initial_law is None else initial_law,)), True
+    if flow_input is not None or initial_law is not None or t0 is not None:
+        raise ValueError("blocks bring their own flows, start times and laws")
+    return control, False
+
+
+def _initial_positions(model: ModelSpec, blocks: Blocks, n_block: int) -> np.ndarray:
+    """(B, N, d) initial samples; blocks with the same seed and law share one."""
+    sample_of = _first_alike(blocks.seeds, map(id, blocks.laws))
+    samples = {j: _initial_sample(blocks.laws[j], n_block, blocks.seeds[j], model)
+               for j in set(sample_of)}
+    return np.stack([samples[j] for j in sample_of])
+
+
+def _constant_values(policies) -> np.ndarray | None:
+    """(B, 1, d_A) values when every block runs a ConstantPolicy, else None."""
+    if all(type(p) is ConstantPolicy for p in policies):
+        return np.array([p.value for p in policies])[:, None, :]
+    return None
+
+
+def _controls_at(policies, constants, t: float, x: np.ndarray, state: dict) -> np.ndarray:
+    """(B, N, d_A) controls at positions x (B, N, d); constants (_constant_values)
+    are repeated into contiguous memory, as a matrix product over a broadcast
+    view can round differently."""
+    if constants is not None:
+        return np.repeat(constants, x.shape[1], axis=1)
+    values = [_control_values(p, t, xb, state) for p, xb in zip(policies, x)]
+    return values[0][None] if len(values) == 1 else np.stack(values)
+
+
+def _step_draws(sample, purpose: int, shape, join, seeds, draws_of, local) -> np.ndarray:
+    """One step's draws for the first len(local) blocks: block b reads the
+    stream of block j = draws_of[b], keyed by local[j], its own step.  A
+    single stream is shared as it is; several are joined in block order."""
+    owners = draws_of[:len(local)]
+    drawn = {j: sample(seeds[j], purpose, int(local[j]), shape) for j in set(owners)}
+    return join([drawn[j] for j in owners]) if any(owners) else drawn[0]
+
+
 def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
                sigma: np.ndarray, alive: np.ndarray, bridge_draws=None):
     """One Euler step of every particle, and the exits it makes.
@@ -331,15 +372,7 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     blocks, the error's blocks holds each block's own depletion.
     """
     grid = config.grid
-    one_run = not isinstance(control, Blocks)
-    if one_run:
-        blocks = Blocks((control,), (flow_input,), (config.seed,),
-                        (grid[0] if t0 is None else t0,),
-                        (model.initial if initial_law is None else initial_law,))
-    elif flow_input is not None or initial_law is not None or t0 is not None:
-        raise ValueError("blocks bring their own flows, start times and laws")
-    else:
-        blocks = control
+    blocks, one_run = _as_blocks(model, control, flow_input, config, initial_law, t0)
     if grid[-1] > model.horizon + _TIME_TOL:
         raise ValueError("grid extends beyond the model horizon")
     n_blocks = len(blocks)
@@ -363,36 +396,14 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     # initial sample, blocks that share a seed and a start the draws of
     # every step (those of the first such block, a stream), and blocks
     # that share a start, so a clock, one drift call per step.
-    sample_of = _first_alike(seeds, map(id, blocks.laws))
-    samples = {j: _initial_sample(blocks.laws[j], n_block, seeds[j], model)
-               for j in set(sample_of)}
-    x = np.stack([samples[j] for j in sample_of])
+    x = _initial_positions(model, blocks, n_block)
     draws_of = _first_alike(seeds, blocks.starts)
-    streams = [j for j, owner in enumerate(draws_of) if owner == j]
     clock_edges = np.flatnonzero(np.diff(starts)) + 1
     clock_groups = list(zip([0, *clock_edges], [*clock_edges, n_blocks]))
 
     open_loop = isinstance(policies[0], OpenLoopControl)
     state = policies[0].init_state(x[0]) if open_loop else {}
-    constants = None
-    if all(type(p) is ConstantPolicy for p in policies):
-        constants = np.array([p.value for p in policies])[:, None, :]
-
-    def controls_at(t: float, lo: int, hi: int) -> np.ndarray:
-        if constants is not None:
-            # Repeated into contiguous memory: a matrix product over a
-            # broadcast view can round differently.
-            return np.repeat(constants[lo:hi], n_block, axis=1)
-        values = [_control_values(p, t, xb, state)
-                  for p, xb in zip(policies[lo:hi], x[lo:hi])]
-        return values[0][None] if len(values) == 1 else np.stack(values)
-
-    def step_draws(sample, purpose: int, shape, join) -> np.ndarray:
-        """This step's draws of each started stream, in block order; a
-        single stream is shared as it is."""
-        drawn = {j: sample(seeds[j], purpose, int(local[j]), shape) for j in drawing}
-        return (drawn[drawing[0]] if len(drawing) == 1
-                else join([drawn[j] for j in draws_of[:active]]))
+    constants = _constant_values(policies)
 
     exit_times = np.full(n, np.inf)
     alive = np.ones(n, dtype=bool)
@@ -442,12 +453,14 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
                     t = float(clocks[lo])
                     drifts.append(drift_given_mean(
                         model, t, x[lo:hi], None if means is None else means[k, lo:hi],
-                        controls_at(t, lo, hi)))
+                        _controls_at(policies[lo:hi],
+                                     None if constants is None else constants[lo:hi],
+                                     t, x[lo:hi], state)))
             b = drifts[0] if len(drifts) == 1 else np.concatenate(drifts)
-            drawing = [j for j in streams if j < active]
-            z = step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack)
-            draws = lambda: step_draws(rng.uniforms, rng.BRIDGE_KILL, (n_block,),
-                                       np.concatenate)
+            z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
+                            seeds, draws_of, local)
+            draws = lambda: _step_draws(rng.uniforms, rng.BRIDGE_KILL, (n_block,),
+                                        np.concatenate, seeds, draws_of, local)
             x_new, node_exits, bridge_kills = euler_step(
                 domain, x[:active], b, z, dt, sigma, alive[:m],
                 draws if config.bridge_correction else None)
@@ -476,8 +489,6 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         exit_times=exit_times,
         snapshots=snapshots,
         controls=controls,
-        dt=dt,
-        seed=config.seed,
         blocks=None if one_run else blocks,
         depleted=tuple(depleted),
     )

@@ -55,10 +55,6 @@ class ControlBox:
     def clamp(self, a: np.ndarray) -> np.ndarray:
         return np.clip(a, np.asarray(self.lo), np.asarray(self.hi))
 
-    def contains(self, a: np.ndarray, tol: float = 1e-9) -> bool:
-        a = np.asarray(a, dtype=float)
-        return bool(np.all(a >= np.asarray(self.lo) - tol) and np.all(a <= np.asarray(self.hi) + tol))
-
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -170,9 +166,6 @@ class InitialLaw:
     def sample(self, n: int, seed: int, purpose: int, step: int) -> np.ndarray:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PointMass(InitialLaw):
@@ -183,9 +176,6 @@ class PointMass(InitialLaw):
 
     def sample(self, n, seed, purpose, step):
         return np.tile(np.asarray(self.x), (n, 1))
-
-    def to_dict(self):
-        return {"type": "point", "x": list(self.x)}
 
 
 @dataclass(frozen=True)
@@ -208,9 +198,6 @@ class UniformBox(InitialLaw):
         u = rng.uniforms(seed, purpose, step, (n, lo.shape[0]))
         return lo + u * (hi - lo)
 
-    def to_dict(self):
-        return {"type": "uniform", "lo": list(self.lo), "hi": list(self.hi)}
-
 
 @dataclass(frozen=True)
 class Cloud(InitialLaw):
@@ -230,9 +217,6 @@ class Cloud(InitialLaw):
         measure = EmpiricalMeasure(self.points)
         u = rng.uniforms(seed, purpose, step, (n,))
         return sample_many(measure, u)
-
-    def to_dict(self):
-        return {"type": "points", "values": self.points.tolist()}
 
 
 def initial_law_from_dict(spec: dict) -> InitialLaw:

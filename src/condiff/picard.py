@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import SurvivorDepletion
 from .killed_sim import (Blocks, KilledEnsemble, SimConfig, conditional_flow,
                          simulate_killed, without_mean_field)
@@ -30,7 +28,6 @@ class FixedPointResult:
     flow: MeasureFlow
     iterations: int
     distance_trace: list[float]
-    survival: np.ndarray
     converged: bool
     ensemble: KilledEnsemble
 
@@ -46,27 +43,22 @@ def _block_flows(ens: KilledEnsemble) -> list:
     return flows
 
 
-def flow_update(model: ModelSpec, control, flow_in, config: SimConfig,
-                iteration_seed: int | None = None,
-                initial_law=None) -> tuple[MeasureFlow | list, KilledEnsemble]:
+def flow_update(model: ModelSpec, control, flow_in,
+                config: SimConfig) -> tuple[MeasureFlow | list, KilledEnsemble]:
     """One sweep of the conditional-law map with the input flow frozen.
 
     Blocks sweep in one pass: they carry their own input flows and seeds
-    (flow_in is then None, and iteration_seed does not reach them), and
-    the flow returned is a list holding each block's conditional flow or
-    the SurvivorDepletion that ended it.
+    (flow_in is then None), and the flow returned is a list holding each
+    block's conditional flow or the SurvivorDepletion that ended it.
     """
-    if iteration_seed is not None:
-        config = replace(config, seed=int(iteration_seed))
-    ens = simulate_killed(model, control, flow_in, config, initial_law=initial_law)
+    ens = simulate_killed(model, control, flow_in, config)
     if isinstance(control, Blocks):
         return _block_flows(ens), ens
     return conditional_flow(ens), ens
 
 
 def solve_fixed_point(model: ModelSpec, control, config: SimConfig,
-                      tol: float = 1e-2, max_iter: int = 10,
-                      initial_law=None) -> FixedPointResult:
+                      tol: float = 1e-2, max_iter: int = 10) -> FixedPointResult:
     """Iterate the conditional-law map until the flow stops moving.
 
     The initial guess is the conditional flow of the same model with the
@@ -74,16 +66,14 @@ def solve_fixed_point(model: ModelSpec, control, config: SimConfig,
     convergence within max_iter is reported through the converged flag
     rather than an exception.
     """
-    result = solve_fixed_points(model, [control], config, tol=tol, max_iter=max_iter,
-                                initial_law=initial_law)[0]
+    result = solve_fixed_points(model, [control], config, tol=tol, max_iter=max_iter)[0]
     if isinstance(result, SurvivorDepletion):
         raise result
     return result
 
 
 def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
-                       tol: float = 1e-2, max_iter: int = 10,
-                       initial_law=None) -> list:
+                       tol: float = 1e-2, max_iter: int = 10) -> list:
     """Solve one fixed point per control, all controls in stacked sweeps.
 
     Each control is a block of config.n_particles particles under
@@ -98,7 +88,6 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
     results: list = [None] * len(controls)
     flows: list = [None] * len(controls)
     traces: list[list[float]] = [[] for _ in controls]
-    law = model.initial if initial_law is None else initial_law
     start = float(config.grid[0])
 
     def sweep(active: list[int], coupled: bool) -> tuple[list, KilledEnsemble | None]:
@@ -109,7 +98,7 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
         blocks = Blocks(policies=[controls[b] for b in active],
                         flows=[flows[b] if coupled else None for b in active],
                         seeds=[config.seed] * n_active, starts=[start] * n_active,
-                        laws=[law] * n_active)
+                        laws=[model.initial] * n_active)
         stacked = replace(config, n_particles=config.n_particles * n_active)
         try:
             if coupled:
@@ -142,7 +131,6 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
                     flow=new_flow,
                     iterations=len(traces[b]),
                     distance_trace=traces[b],
-                    survival=new_flow.survival.copy(),
                     converged=dist <= tol,
                     ensemble=ens.block(j),
                 )

@@ -173,7 +173,6 @@ class LogSurvivalReport:
     """Residuals between a renewal curve and -log of a survival curve."""
 
     times: np.ndarray
-    f_values: np.ndarray
     neg_log_survival: np.ndarray
     residuals: np.ndarray
     max_residual: float
@@ -192,7 +191,6 @@ def log_survival_check(times, f_values, survival) -> LogSurvivalReport:
         raise SurvivorDepletion(t_bad, 0, 1)
     neg_log = -np.log(survival)
     resid = np.abs(f_values - neg_log)
-    return LogSurvivalReport(times=times.copy(), f_values=f_values.copy(),
-                             neg_log_survival=neg_log, residuals=resid,
+    return LogSurvivalReport(times=times.copy(), neg_log_survival=neg_log, residuals=resid,
                              max_residual=float(resid.max()))
 

@@ -10,26 +10,26 @@ Optimization evaluates candidate policies under common random numbers:
 every candidate re-solves the fixed point and re-simulates with the
 same seed, so objective differences between candidates are not buried
 in Monte Carlo noise.  A cross-entropy generation solves all its
-candidates' fixed points as one stacked ensemble.
+candidates' fixed points as one stacked ensemble, and the "fv"
+objective rescores them as one stacked reinsertion pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from . import rng
-from .errors import ReinsertionBlowup, SurvivorDepletion, TotalExtinction
+from .errors import ReinsertionBlowup, SurvivorDepletion
 from .fleming_viot import DEFAULT_REINSERTION_CAP, FVTrace, simulate_fv_meanfield
-from .killed_sim import KilledEnsemble, SimConfig
+from .killed_sim import Blocks, KilledEnsemble, SimConfig
 from .measures import EmpiricalMeasure, MeasureFlow, conditional_empirical
 from .model import (ConstantPolicy, FeedbackPolicy, GridPolicy, LinearPolicy,
                     ModelSpec, RewardSpec)
-from .parallel import indexed_map
 from .picard import solve_fixed_points
 
-DEFAULT_BATCHES = 20
+BATCHES = 20
 
 
 @dataclass
@@ -62,8 +62,8 @@ class RewardReport:
         }
 
 
-def _batch_slices(n: int, n_batches: int) -> list[slice]:
-    bounds = np.linspace(0, n, min(n_batches, n) + 1).astype(int)
+def _batch_slices(n: int) -> list[slice]:
+    bounds = np.linspace(0, n, min(BATCHES, n) + 1).astype(int)
     return [slice(int(bounds[b]), int(bounds[b + 1])) for b in range(len(bounds) - 1)]
 
 
@@ -78,8 +78,7 @@ def _running_values(reward: RewardSpec, flow: MeasureFlow, times: np.ndarray,
 
 
 def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
-                            reward: RewardSpec | None = None,
-                            n_batches: int = DEFAULT_BATCHES) -> RewardReport:
+                            reward: RewardSpec | None = None) -> RewardReport:
     """Reward of a killed run, conditioning every term on survival.
 
     The measure argument of the running reward is the mean of flow at
@@ -107,13 +106,12 @@ def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
         return run, reward.terminal(cloud)
 
     running, terminal = totals(slice(None))
-    batches = [totals(s) for s in _batch_slices(ens.n, n_batches)]
+    batches = [totals(s) for s in _batch_slices(ens.n)]
     return _assemble_report(running, terminal, 0.0, batches, reinsertions=None)
 
 
 def eval_reward_fv(fv: FVTrace, flow: MeasureFlow, reward: RewardSpec | None = None,
-                   reinsertion_cost: float | None = None,
-                   n_batches: int = DEFAULT_BATCHES) -> RewardReport:
+                   reinsertion_cost: float | None = None) -> RewardReport:
     """Reward of a reinsertion run, charging a cost per reinsertion.
 
     All particles are alive by construction, so the averages are plain;
@@ -135,7 +133,7 @@ def eval_reward_fv(fv: FVTrace, flow: MeasureFlow, reward: RewardSpec | None = N
         return run, term, -cost * float(fv.final_counts[sel].mean())
 
     running, terminal, reinsertion = totals(slice(None))
-    batches = [totals(s) for s in _batch_slices(fv.n, n_batches)]
+    batches = [totals(s) for s in _batch_slices(fv.n)]
     return _assemble_report(running, terminal, reinsertion,
                             [(r, t) for r, t, _ in batches],
                             reinsertions=[c for _, _, c in batches])
@@ -233,18 +231,13 @@ def policy_family(model: ModelSpec, kind: str, time_bins: int = 2,
 
 @dataclass
 class OptResult:
-    """Search outcome with the full evaluation trace.
-
-    best_so_far is the running maximum of trace_values, so plots of the
-    search progress never dip.
-    """
+    """Search outcome with the full evaluation trace."""
 
     best_params: np.ndarray
     best_value: float
     trace_params: np.ndarray
     trace_values: np.ndarray
     trace_ses: np.ndarray
-    best_so_far: np.ndarray
     n_evals: int
     method: str
     seed: int
@@ -256,8 +249,7 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
                     budget: int = 100, picard_tol: float = 1e-2,
                     picard_max_iter: int = 10,
                     reinsertion_cost: float | None = None,
-                    reinsertion_cap: int = DEFAULT_REINSERTION_CAP,
-                    threads: int = 1) -> OptResult:
+                    reinsertion_cap: int = DEFAULT_REINSERTION_CAP) -> OptResult:
     """Maximize the reward over a policy family under common random numbers.
 
     objective "conditional" scores candidates on the killed ensemble of
@@ -268,9 +260,10 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
 
     method "nelder-mead" is sequential; "cross-entropy" draws generations
     of 16 and evaluates the first budget samples.  A generation solves
-    its candidates' fixed points in one stacked pass; threads > 1 spreads
-    only the "fv" rescoring over a thread pool, and results do not
-    depend on the thread count.
+    its candidates' fixed points in one stacked pass, and "fv" rescores
+    the candidates that did not deplete in one more, one block each.
+    Every score equals the candidate's own solve and rescoring, bit for
+    bit.
     """
     if objective not in ("conditional", "fv"):
         raise ValueError("objective must be 'conditional' or 'fv'")
@@ -288,25 +281,28 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
         policies = [family.build(model, params) for params in samples]
         solves = solve_fixed_points(model, policies, config, tol=picard_tol,
                                     max_iter=picard_max_iter)
-
-        def score(j: int) -> tuple[float, float]:
+        solved = [j for j, fp in enumerate(solves) if not isinstance(fp, SurvivorDepletion)]
+        scores = [(-np.inf, np.nan)] * len(policies)
+        if objective == "fv" and solved:
+            # Every solved candidate is a block of one reinsertion pass.
+            k = len(solved)
+            blocks = Blocks([policies[j] for j in solved], [solves[j].flow for j in solved],
+                            [config.seed] * k, [0.0] * k, [model.initial] * k)
+            fv = simulate_fv_meanfield(
+                model, blocks, None, replace(config, n_particles=config.n_particles * k),
+                reinsertion_cap=reinsertion_cap)
+        for b, j in enumerate(solved):
             fp, solves[j] = solves[j], None  # the ensemble goes once scored
-            if isinstance(fp, SurvivorDepletion):
-                return -np.inf, np.nan
             try:
                 if objective == "conditional":
                     report = eval_reward_conditional(fp.ensemble, fp.flow)
                 else:
-                    fv = simulate_fv_meanfield(model, policies[j], fp.flow, config,
-                                               reinsertion_cap=reinsertion_cap)
-                    report = eval_reward_fv(fv, fp.flow,
+                    report = eval_reward_fv(fv.block(b), fp.flow,
                                             reinsertion_cost=reinsertion_cost)
-            except (SurvivorDepletion, TotalExtinction, ReinsertionBlowup):
-                return -np.inf, np.nan
-            return report.total, report.total_se
-
-        return indexed_map(score, range(len(policies)),
-                           threads=threads if objective == "fv" else 1)
+            except (SurvivorDepletion, ReinsertionBlowup):
+                continue
+            scores[j] = (report.total, report.total_se)
+        return scores
 
     trace_params: list[np.ndarray] = []
     trace_values: list[float] = []
@@ -359,7 +355,6 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
         trace_params=params_arr,
         trace_values=values_arr,
         trace_ses=np.asarray(trace_ses),
-        best_so_far=np.maximum.accumulate(values_arr),
         n_evals=values_arr.shape[0],
         method=method,
         seed=config.seed,

@@ -106,11 +106,4 @@ def boundary_start(horizon: float = 0.01) -> ModelSpec:
     )
 
 
-def qsd_profile(x: np.ndarray, halfwidth: float = 1.0) -> np.ndarray:
-    """Density of the long-time surviving law on (-L, L)."""
-    x = np.asarray(x, dtype=float)
-    return (np.pi / (4.0 * halfwidth)) * np.cos(np.pi * x / (2.0 * halfwidth))
-
-
 QSD_SECOND_MOMENT = 1.0 - 8.0 / np.pi ** 2
-QSD_DECAY_RATE = np.pi ** 2 / 8.0

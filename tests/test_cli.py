@@ -67,6 +67,14 @@ def test_missing_seed_is_named(tmp_path, capsys):
     assert "sim.seed" in capsys.readouterr().err
 
 
+def test_wrong_typed_seed_is_named(tmp_path, capsys):
+    rc = cli.main(["simulate", "--config", str(DEFAULT_CONFIG), "--out",
+                   str(tmp_path / "out"), "--override", 'sim.seed="abc"',
+                   "--override", "model.drift.mf_gain=0"])
+    assert rc == 2
+    assert "sim.seed" in capsys.readouterr().err
+
+
 def test_picard_reruns_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("picard", out1) == 0

@@ -8,7 +8,7 @@ from condiff.config import (apply_overrides, build_model, build_open_control,
                             build_policy, build_sim_config, config_hash,
                             load_config, optional, require)
 from condiff.errors import ConfigError
-from condiff.io import read_json, write_csv, write_json
+from condiff.io import write_csv, write_json
 from condiff.model import (ConstantPolicy, GridPolicy, LinearPolicy,
                            NoisePeekControl, PiecewiseControl,
                            RandomizedSignControl)
@@ -165,7 +165,7 @@ def test_write_json_numpy_and_roundtrip(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"i": np.int64(3), "f": np.float64(0.25),
                       "arr": np.array([1.0, 2.0]), "flag": np.True_})
-    back = read_json(path)
+    back = json.loads(path.read_text())
     assert back == {"i": 3, "f": 0.25, "arr": [1.0, 2.0], "flag": True}
 
     with pytest.raises(TypeError):

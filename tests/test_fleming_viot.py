@@ -4,13 +4,18 @@ import pytest
 from condiff.errors import ReinsertionBlowup, TotalExtinction
 from condiff.fleming_viot import (fv_correspondence_report, simulate_fv_finite,
                                   simulate_fv_meanfield)
-from condiff.killed_sim import SimConfig, conditional_flow, simulate_killed, uniform_grid
-from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy, ModelSpec,
-                           PointMass, UniformBox)
+from condiff.killed_sim import (Blocks, SimConfig, conditional_flow, simulate_killed,
+                                uniform_grid)
+from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, GridPolicy, LinearPolicy,
+                           ModelSpec, PointMass, RandomizedSignControl, UniformBox)
 from condiff.geometry import Box, Interval
+from condiff.picard import solve_fixed_point
 from condiff.rng import REINSERT_SAMPLE, uniforms
-from condiff.scenarios import boundary_start, driftless_interval
+from condiff.scenarios import attractive_interval, boundary_start, driftless_interval
 from condiff.scenarios import ZERO_REWARD
+
+_FIELDS = ("snapshots", "controls", "f_curve", "f_se", "final_counts", "event_times",
+           "event_particles", "event_positions", "event_sources")
 
 
 def quiet_interval(horizon=0.2):
@@ -165,3 +170,81 @@ def test_finite_needs_two_particles():
     config = SimConfig(1, 1e-3, 7, np.array([0.0, 0.1]))
     with pytest.raises(ValueError):
         simulate_fv_finite(model, policy, config)
+
+
+def _assert_same_run(block, alone):
+    for name in _FIELDS:
+        assert getattr(block, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert block.n == alone.n
+
+
+def test_meanfield_blocks_read_as_their_own_runs():
+    # Constant, linear and grid policies under two seeds, two flows and two
+    # laws: every block of the pass is bit for bit its run alone.
+    model = attractive_interval(horizon=0.5)
+    box = model.control_set
+    grid = uniform_grid(0.5, 0.1)
+    config = SimConfig(300, 1e-2, 41, grid)
+    flows = [solve_fixed_point(model, ConstantPolicy((v,), box), config).flow
+             for v in (0.4, -0.3)]
+    policies = [ConstantPolicy((0.3,), box), LinearPolicy((0.1,), ((-0.8,),), box),
+                GridPolicy.build(model, 2, 3, np.linspace(-1.0, 1.0, 6).reshape(2, 3, 1)),
+                ConstantPolicy((-0.5,), box)]
+    point = PointMass((0.2,))
+    blocks = Blocks(policies=policies, flows=[flows[0], flows[1], flows[0], flows[1]],
+                    seeds=[41, 41, 43, 43], starts=[0.0] * 4,
+                    laws=[model.initial, point, model.initial, point])
+    stacked = simulate_fv_meanfield(model, blocks, None, SimConfig(1200, 1e-2, 41, grid))
+    assert stacked.snapshots.shape == (grid.shape[0], 4, 300, 1)
+    assert stacked.f_curve.shape == (grid.shape[0], 4)
+    for b in range(4):
+        alone = simulate_fv_meanfield(model, policies[b], blocks.flows[b],
+                                      SimConfig(300, 1e-2, blocks.seeds[b], grid),
+                                      initial_law=blocks.laws[b])
+        assert alone.event_times.shape[0] > 20
+        _assert_same_run(stacked.block(b), alone)
+
+
+def _pushed_interval():
+    return ModelSpec(
+        domain=Interval(-1.0, 1.0), sigma=((0.3,),),
+        drift=DriftSpec(base_kind="zero", control_matrix=((1.0,),), clip_bound=5.0),
+        control_set=ControlBox((-5.0,), (5.0,)), horizon=0.5,
+        reward=ZERO_REWARD, initial=PointMass((0.0,)))
+
+
+def test_blown_block_is_marked_while_the_others_run_on():
+    model = _pushed_interval()
+    grid = uniform_grid(0.5, 0.1)
+    still, pushed = (ConstantPolicy((v,), model.control_set) for v in (0.0, 5.0))
+    flow = conditional_flow(simulate_killed(model, still, None, SimConfig(200, 1e-2, 3, grid)))
+    policies, seeds = [still, pushed, still, pushed], [5, 5, 6, 7]
+    trace = simulate_fv_meanfield(
+        model, Blocks(policies, [flow] * 4, seeds, [0.0] * 4, [model.initial] * 4),
+        None, SimConfig(400, 1e-2, 5, grid), reinsertion_cap=1)
+    assert [err is None for err in trace.blown] == [True, False, True, False]
+    for b, (policy, seed) in enumerate(zip(policies, seeds)):
+        config = SimConfig(100, 1e-2, seed, grid)
+        if policy is still:
+            _assert_same_run(trace.block(b), simulate_fv_meanfield(
+                model, policy, flow, config, reinsertion_cap=1))
+            continue
+        with pytest.raises(ReinsertionBlowup) as own:
+            simulate_fv_meanfield(model, policy, flow, config, reinsertion_cap=1)
+        with pytest.raises(ReinsertionBlowup) as marked:
+            trace.block(b)
+        assert (marked.value.time, marked.value.particle) == (own.value.time,
+                                                              own.value.particle)
+
+
+def test_finite_variant_and_open_loop_controls_run_alone():
+    model = driftless_interval(horizon=0.1)
+    policy = ConstantPolicy((0.0,), model.control_set)
+    config = SimConfig(20, 1e-2, 7, np.array([0.0, 0.1]))
+    two = Blocks([policy] * 2, [None] * 2, [7, 8], [0.0] * 2, [model.initial] * 2)
+    with pytest.raises(ValueError, match="one block"):
+        simulate_fv_finite(model, two, config)
+    flow = conditional_flow(simulate_killed(model, policy, None, config))
+    open_loop = RandomizedSignControl((0.0,), (0.0,), model.control_set)
+    with pytest.raises(ValueError, match="feedback policy"):
+        simulate_fv_meanfield(model, open_loop, flow, config)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_coupled_model_contracts():
     fp = solve_fixed_point(model, policy, config, tol=1e-3, max_iter=10)
     assert fp.converged
     assert fp.distance_trace[1] <= 0.8 * fp.distance_trace[0]
-    assert np.all(np.asarray(fp.survival) > 0)
+    assert np.all(fp.flow.survival > 0)
 
 
 def test_fixed_point_self_consistency():
@@ -53,9 +55,9 @@ def test_flow_update_reseeding():
     config = SimConfig(1000, 1e-3, 11, uniform_grid(0.5, 0.1))
     guess = solve_fixed_point(model, policy, config, max_iter=1).flow
     f1, e1 = flow_update(model, policy, guess, config)
-    f2, e2 = flow_update(model, policy, guess, config, iteration_seed=11)
+    f2, e2 = flow_update(model, policy, guess, replace(config, seed=11))
     assert np.array_equal(e1.exit_times, e2.exit_times)
-    f3, e3 = flow_update(model, policy, guess, config, iteration_seed=12)
+    f3, e3 = flow_update(model, policy, guess, replace(config, seed=12))
     assert not np.array_equal(e1.exit_times, e3.exit_times)
     assert flow_distance(f1, f3) > 0
 
