@@ -23,8 +23,8 @@ import numpy as np
 
 from . import rng
 from .errors import NumericalError, ReinsertionBlowup, TotalExtinction
-from .killed_sim import (Blocks, KilledEnsemble, SimConfig, _as_blocks, _constant_values,
-                         _controls_at, _first_alike, _flow_mean_per_step,
+from .killed_sim import (Blocks, KilledEnsemble, Noise, SimConfig, _as_blocks,
+                         _constant_values, _controls_at, _first_alike, _flow_mean_per_step,
                          _initial_positions, _step_draws, conditional_flow, euler_step)
 from .measures import (_TIME_TOL, EmpiricalMeasure, MeasureFlow, sample_many,
                        sliced_w1, w1_distance_1d)
@@ -118,7 +118,7 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
     n_block = n // n_blocks
     d = model.dim
     dt = config.dt
-    sigma = model.sigma_matrix()
+    noise = Noise.of(model.sigma_matrix())
     domain = model.domain
     node_steps = config.node_steps()
 
@@ -172,7 +172,7 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
             z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
                             seeds, draws_of, local)
             x_new, node_exits, bridge_kills = euler_step(
-                domain, x, b, z, dt, sigma, alive,
+                domain, x, b, z, dt, noise, alive,
                 (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
             if node_exits.any() or bridge_kills.size:
                 exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)

@@ -21,6 +21,12 @@ BOUNDARY_TOL = 1e-12
 
 _SIGMA_COND_LIMIT = 1e12
 
+# exp(-x) is exactly 0.0 in float64 for x > 745.14, so a face term
+# exp(-2 d0 d1 / (v dt)) vanishes once d0 d1 > 372.57 v dt; the bridge
+# band keeps pairs with d0 d1 <= _BRIDGE_BAND var_max dt, which leaves
+# about 2% for rounding (see Domain.banded_bridge).
+_BRIDGE_BAND = 380.0
+
 
 def check_sigma(sigma, dim: int) -> np.ndarray:
     """Validate an invertible diffusion matrix of the expected dimension."""
@@ -32,6 +38,12 @@ def check_sigma(sigma, dim: int) -> np.ndarray:
     if np.linalg.cond(sigma) > _SIGMA_COND_LIMIT:
         raise ValueError("sigma is singular or near-singular")
     return sigma
+
+
+def top_variance(cov: np.ndarray) -> float:
+    """The largest eigenvalue of a covariance sigma sigma^T: the most
+    variance the diffusion puts along any unit direction."""
+    return float(np.linalg.eigvalsh(cov)[-1])
 
 
 class Domain:
@@ -79,7 +91,8 @@ class Domain:
         Uses the reflection formula for each face (box, interval) or for
         the tangent half-space at the nearest boundary point (ball), with
         the per-direction variance taken from sigma sigma^T.  An endpoint
-        on the boundary gives probability one.
+        on the boundary gives probability one.  The inputs are checked
+        here; the formula runs in banded_bridge, the Euler step's kernel.
         """
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError("dt must be positive and finite")
@@ -88,11 +101,51 @@ class Domain:
         b, single_b = self._batch(x_to)
         if a.shape != b.shape:
             raise ValueError("x_from and x_to must have matching shapes")
-        if np.any(self._distance(a) < -BOUNDARY_TOL) or np.any(self._distance(b) < -BOUNDARY_TOL):
+        dist_a, dist_b = self._distance(a), self._distance(b)
+        if np.any(dist_a < -BOUNDARY_TOL) or np.any(dist_b < -BOUNDARY_TOL):
             raise ValueError("bridge endpoints must lie in the closed domain")
         cov = sigma @ sigma.T
-        p = np.clip(self._bridge(a, b, float(dt), cov), 0.0, 1.0)
-        return self._unbatch(p, single_a and single_b)
+        p = self.banded_bridge(a, b, dist_a, dist_b, float(dt), cov, top_variance(cov))
+        return self._unbatch(np.clip(p, 0.0, 1.0), single_a and single_b)
+
+    def banded_bridge(self, a: np.ndarray, b: np.ndarray, dist_a: np.ndarray,
+                      dist_b: np.ndarray, dt: float, cov: np.ndarray,
+                      var_max: float) -> np.ndarray:
+        """The bridge crossing probability of (n, d) endpoint pairs, evaluated
+        only where it can be nonzero; every other pair gets exactly 0.0.
+
+        dist_a and dist_b are the endpoints' _distance, cov is sigma sigma^T
+        and var_max its largest eigenvalue.  Nothing is validated: this is
+        the step's kernel, and bridge_exit_probability its checked form.
+
+        The band.  Every term of _bridge is exp(-2 f0 f1 / (v dt)), where
+        f0, f1 are the endpoints' distances to one face (interval, box) or
+        to the tangent half-space at one boundary point (ball), and
+        v = n^T cov n for that face's unit normal n.  A face distance is at
+        least the distance to the boundary: the box's depth is the least
+        face distance, and the ball's half-space distance R - <r, n> is at
+        least R - |r|.  And v <= var_max, by the Rayleigh quotient.  So a
+        pair with dist_a > 0 and dist_a dist_b > _BRIDGE_BAND var_max dt
+        has both distances positive and every exponent below
+        -2 * 380 = -760, far past -745.14, below which exp is exactly 0.0
+        in float64; the ~2% margin absorbs the rounding of the face
+        distances, of v and of var_max.  Such a term is 0.0, adds
+        log1p(-0.0) = -0.0 to _combine_faces' log sum, and leaves the pair
+        at 0.0, which no uniform falls below.  The band is every other
+        pair, NaN distances included, and there _bridge runs unchanged:
+        the result equals _bridge's bit for bit.  A step long enough for
+        the band to hold every pair the domain allows (inradius^2 within
+        the bound) skips the test and runs _bridge on all pairs.
+        """
+        bound = _BRIDGE_BAND * var_max * dt
+        if bound >= self._inradius ** 2:
+            return self._bridge(a, b, dt, cov)
+        far = (dist_a > 0.0) & (dist_a * dist_b > bound)
+        p = np.zeros(a.shape[0])
+        near = np.flatnonzero(~far)
+        if near.size:
+            p[near] = self._bridge(a[near], b[near], dt, cov)
+        return p
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -101,6 +154,11 @@ class Domain:
         raise NotImplementedError
 
     # Subclass hooks, operating on (n, d) arrays.
+    @property
+    def _inradius(self) -> float:
+        """The largest distance to the boundary of any point inside."""
+        raise NotImplementedError
+
     def _distance(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -120,7 +178,8 @@ def _combine_faces(probs) -> np.ndarray:
     far below machine epsilon survive instead of flushing to zero."""
     with np.errstate(divide="ignore"):
         log_stay = sum(np.log1p(-p) for p in probs)
-    return -np.expm1(log_stay)
+    # 0.0 - keeps a vanishing probability at +0.0, where a negation gives -0.0.
+    return 0.0 - np.expm1(log_stay)
 
 
 @dataclass(frozen=True)
@@ -132,6 +191,10 @@ class Interval(Domain):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError("interval requires finite lo < hi")
         object.__setattr__(self, "dim", 1)
+
+    @property
+    def _inradius(self):
+        return 0.5 * (self.hi - self.lo)
 
     def _distance(self, pts):
         x = pts[:, 0]
@@ -175,13 +238,21 @@ class Box(Domain):
     def _hi(self):
         return np.asarray(self.hi)
 
+    @property
+    def _inradius(self):
+        return 0.5 * float(np.min(self._hi - self._lo))
+
     def _distance(self, pts):
         lo, hi = self._lo, self._hi
-        # Positive components of `out` measure how far the point exceeds a face.
-        out = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-        out_norm = np.linalg.norm(out, axis=1)
         depth = np.min(np.minimum(pts - lo, hi - pts), axis=1)
-        return np.where(out_norm > 0.0, -out_norm, depth)
+        # A point outside is at minus the Euclidean norm of its gap beyond the
+        # faces it exceeds; the gap is nonzero exactly where depth < 0.
+        outside = np.flatnonzero(depth < 0.0)
+        if outside.size:
+            out = pts[outside]
+            gap = np.maximum(np.maximum(lo - out, out - hi), 0.0)
+            depth[outside] = -np.linalg.norm(gap, axis=1)
+        return depth
 
     def _bridge(self, a, b, dt, cov):
         lo, hi = self._lo, self._hi
@@ -216,6 +287,10 @@ class Ball(Domain):
     @property
     def _center(self):
         return np.asarray(self.center)
+
+    @property
+    def _inradius(self):
+        return self.radius
 
     def _distance(self, pts):
         return self.radius - np.linalg.norm(pts - self._center, axis=1)

@@ -35,7 +35,7 @@ def write_csv(path, header: list[str], rows) -> None:
         for row in rows:
             if len(row) != len(header):
                 raise ValueError("row width does not match the header")
-            f.write(",".join(_format_cell(v) for v in row) + "\n")
+            f.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def _json_default(value):

@@ -7,10 +7,13 @@ crossing probability of the pinned bridge between consecutive
 positions; bridge kills are stamped at the midpoint of their step.
 One step function, euler_step, moves the particles and finds both kinds
 of exit; the Fleming-Viot dynamics take the same step and differ only
-in what follows an exit.  Killed paths keep moving: each step advances
-the whole array instead of gathering the survivors, and paths.bin
-records their motion after the exit.  They are simply excluded from
-conditional statistics.
+in what follows an exit.  The step evaluates the bridge probability only
+on the band of geometry's banded_bridge, the particles near enough to the
+boundary for it to be nonzero in float64; every other particle's is
+exactly 0.0, so the band changes no kill.  Killed paths keep moving:
+each step advances the whole array instead of gathering the survivors,
+and paths.bin records their motion after the exit.  They are simply
+excluded from conditional statistics.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A pass
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .errors import NumericalError, SurvivorDepletion
-from .geometry import BOUNDARY_TOL
+from .geometry import BOUNDARY_TOL, top_variance
 from .measures import _TIME_TOL, EmpiricalMeasure, MeasureFlow
 from .model import (ConstantPolicy, FeedbackPolicy, ModelSpec, OpenLoopControl,
                     drift_given_mean)
@@ -323,8 +326,24 @@ def _step_draws(sample, purpose: int, shape, join, seeds, draws_of, local) -> np
     return join([drawn[j] for j in owners]) if any(owners) else drawn[0]
 
 
+@dataclass(frozen=True)
+class Noise:
+    """The diffusion matrix in the forms a step reads, made once per pass:
+    sigma^T for the increments, cov = sigma sigma^T for the bridge test,
+    and cov's largest eigenvalue for the bridge band."""
+
+    sigma_t: np.ndarray
+    cov: np.ndarray
+    var_max: float
+
+    @classmethod
+    def of(cls, sigma: np.ndarray) -> "Noise":
+        cov = sigma @ sigma.T
+        return cls(sigma.T.copy(), cov, top_variance(cov))
+
+
 def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
-               sigma: np.ndarray, alive: np.ndarray, bridge_draws=None):
+               noise: Noise, alive: np.ndarray, bridge_draws=None):
     """One Euler step of every particle, and the exits it makes.
 
     x and b are (..., d) positions and drifts, and z holds standard
@@ -333,23 +352,36 @@ def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
     new positions, the mask of alive particles outside the open domain
     at the new node, and the indices of alive particles still inside
     whose pinned bridge crossed the boundary.  bridge_draws, None when
-    the bridge test is off, returns the step's BRIDGE_KILL uniforms; it
-    is called only when some particle is a candidate, and candidate i
-    reads u[i % len(u)], so draws shared by the blocks of a stack repeat.
+    the bridge test is off, returns the step's BRIDGE_KILL uniforms;
+    candidate i reads u[i % len(u)], so draws shared by the blocks of a
+    stack repeat.
+
+    The step computes each boundary distance once: the new node's for
+    every particle, the old node's for the candidates only (alive and
+    still inside, so both endpoints are known to lie in the domain and
+    are not checked again).  The bridge test runs on the band of
+    domain.banded_bridge, where the crossing probability can be
+    nonzero; a particle outside it has probability exactly 0.0 and
+    cannot be killed.  The uniforms are drawn only when some candidate
+    has a nonzero probability: draws are keyed by (seed, purpose, step),
+    so a step that skips them moves no stream.
     """
     d = x.shape[-1]
-    x_new = x + b * dt + (z @ sigma.T.copy()) * np.sqrt(dt)
+    x_new = x + b * dt + (z @ noise.sigma_t) * np.sqrt(dt)
     flat, flat_new = x.reshape(-1, d), x_new.reshape(-1, d)
-    inside = domain.contains_open(flat_new)
+    dist_new = domain.boundary_distance(flat_new)
+    inside = dist_new > BOUNDARY_TOL  # contains_open
     node_exits = alive & ~inside
     bridge_kills = np.empty(0, dtype=np.int64)
     if bridge_draws is not None:
         candidates = np.flatnonzero(alive & inside)
         if candidates.size:
-            p = domain.bridge_exit_probability(flat[candidates], flat_new[candidates],
-                                               dt, sigma)
-            u = bridge_draws()
-            bridge_kills = candidates[u[candidates % u.shape[0]] < p]
+            old = flat[candidates]
+            p = domain.banded_bridge(old, flat_new[candidates], domain.boundary_distance(old),
+                                     dist_new[candidates], dt, noise.cov, noise.var_max)
+            if p.any():
+                u = bridge_draws()
+                bridge_kills = candidates[u[candidates % u.shape[0]] < p]
     return x_new, node_exits, bridge_kills
 
 
@@ -383,7 +415,7 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     d = model.dim
     d_a = model.control_dim
     dt = config.dt
-    sigma = model.sigma_matrix()
+    noise = Noise.of(model.sigma_matrix())
     domain = model.domain
     policies, seeds = blocks.policies, blocks.seeds
     starts = np.asarray(blocks.starts)
@@ -462,7 +494,7 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
             draws = lambda: _step_draws(rng.uniforms, rng.BRIDGE_KILL, (n_block,),
                                         np.concatenate, seeds, draws_of, local)
             x_new, node_exits, bridge_kills = euler_step(
-                domain, x[:active], b, z, dt, sigma, alive[:m],
+                domain, x[:active], b, z, dt, noise, alive[:m],
                 draws if config.bridge_correction else None)
             for hit, offset in ((np.flatnonzero(node_exits), dt), (bridge_kills, 0.5 * dt)):
                 if hit.size:

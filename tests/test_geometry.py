@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from condiff import geometry
 from condiff.geometry import (BOUNDARY_TOL, Ball, Box, Interval, check_sigma,
-                              domain_from_dict)
+                              domain_from_dict, top_variance)
 
 SIGMA1 = ((1.0,),)
 
@@ -130,3 +131,82 @@ def test_degenerate_domains_rejected():
         Box((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         Ball((0.0,), 0.0)
+
+
+def _at_depth(dom, depth, rng):
+    """Points at about the given distances inside the boundary of the domains
+    of test_banded_bridge_equals_unbanded."""
+    if isinstance(dom, Interval):
+        return (dom.lo + depth)[:, None]
+    if isinstance(dom, Box):
+        x = np.column_stack([dom.lo[0] + depth, rng.uniform(-1.0, 1.0, depth.size)])
+        x[:, 1] *= 1.0 - depth  # keep the other face at least as far away
+        return x
+    u = rng.standard_normal((depth.size, dom.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.asarray(dom.center) + (dom.radius - depth)[:, None] * u
+
+
+@pytest.mark.parametrize("dom, sigma", [
+    (Interval(-1.0, 1.0), ((0.9,),)),
+    (Box((-1.0, -1.0), (1.0, 1.0)), ((0.8, 0.0), (0.3, 0.6))),
+    (Ball((0.1, 0.0, -0.2), 1.0), ((0.7, 0.1, 0.0), (0.0, 0.6, 0.2), (0.1, 0.0, 0.9))),
+])
+@pytest.mark.parametrize("dt", [1e-3, 1e-5])
+def test_banded_bridge_equals_unbanded(dom, sigma, dt):
+    """The band skips only pairs whose crossing probability is exactly 0.0."""
+    rng = np.random.default_rng(17)
+    sigma = np.asarray(sigma)
+    cov = sigma @ sigma.T
+    var_max = top_variance(cov)
+    bound = geometry._BRIDGE_BAND * var_max * dt
+    # Random pairs over the whole domain, pairs near the boundary, and pairs
+    # whose distance product sits within a millionth of the band's edge.
+    n = 4_000
+    d0 = np.concatenate([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 4.0 * np.sqrt(bound), n),
+                         np.exp(rng.uniform(np.log(bound), 0.0, n))])
+    d1 = np.concatenate([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 4.0 * np.sqrt(bound), n),
+                         bound / d0[2 * n:] * (1.0 + rng.uniform(-1e-6, 1e-6, n))])
+    keep = (d0 < 1.0) & (d1 < 1.0)
+    a, b = _at_depth(dom, d0[keep], rng), _at_depth(dom, d1[keep], rng)
+    dist_a, dist_b = dom.boundary_distance(a), dom.boundary_distance(b)
+    banded = dom.banded_bridge(a, b, dist_a, dist_b, dt, cov, var_max)
+    unbanded = dom._bridge(a, b, dt, cov)
+    assert banded.tobytes() == unbanded.tobytes()
+    public = dom.bridge_exit_probability(a, b, dt, sigma)
+    assert public.tobytes() == np.clip(unbanded, 0.0, 1.0).tobytes()
+    # Not vacuous: the band drops pairs on both sides of its edge, and
+    # keeps pairs with a nonzero probability.
+    product = dist_a * dist_b
+    edge = np.abs(product / bound - 1.0) < 1e-5
+    assert np.any(edge & (product > bound)) and np.any(edge & (product <= bound))
+    assert np.any(product > bound) and np.any(unbanded > 0.0)
+    # A step long enough for the band to hold the whole domain.
+    assert geometry._BRIDGE_BAND * var_max * 1.0 > dom._inradius ** 2
+    assert (dom.banded_bridge(a, b, dist_a, dist_b, 1.0, cov, var_max).tobytes()
+            == dom._bridge(a, b, 1.0, cov).tobytes())
+
+
+def _old_box_distance(box, pts):
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    out = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+    out_norm = np.linalg.norm(out, axis=1)
+    depth = np.min(np.minimum(pts - lo, hi - pts), axis=1)
+    return np.where(out_norm > 0.0, -out_norm, depth)
+
+
+def test_box_distance_measures_the_gap_only_outside():
+    box = Box((-1.0, 0.0, 2.0), (1.0, 0.5, 3.0))
+    rng = np.random.default_rng(23)
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    inside = rng.uniform(lo, hi, (300, 3))
+    boundary = inside.copy()
+    face = rng.integers(0, 3, 300)
+    boundary[np.arange(300), face] = np.where(rng.random(300) < 0.5, lo[face], hi[face])
+    outside = rng.uniform(lo - 2.0, hi + 2.0, (600, 3))
+    odd = np.array([[np.nan, 0.2, 2.5], [np.nan, 5.0, 2.5], [np.inf, 0.2, 2.5],
+                    [-np.inf, -np.inf, 9.0], [1.0, 0.5, 3.0], [-1.0, 0.0, 2.0]])
+    pts = np.concatenate([inside, boundary, outside, odd])
+    got = box.boundary_distance(pts)
+    assert got.tobytes() == _old_box_distance(box, pts).tobytes()
+    assert np.any(got < 0.0) and np.any(got == 0.0) and np.any(got > 0.0)

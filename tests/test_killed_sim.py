@@ -3,8 +3,10 @@ import pytest
 from dataclasses import fields, replace
 from math import erf, sqrt
 
+from condiff import geometry
 from condiff.errors import NumericalError, SurvivorDepletion
-from condiff.geometry import Box
+from condiff.fleming_viot import simulate_fv_finite, simulate_fv_meanfield
+from condiff.geometry import Ball, Box
 from condiff.killed_sim import (Blocks, SimConfig, analytic_interval_survival,
                                 conditional_flow, exit_cdf,
                                 girsanov_survival_floor, restrict_ensemble,
@@ -306,3 +308,48 @@ def test_restarts_are_validated():
         run((0.0, 0.25), control=RandomizedSignControl((0.0,), (1.0,), model.control_set))
     with pytest.raises(ValueError, match="one policy, flow, seed, start and law"):
         Blocks((policy,) * 2, (None,) * 2, (1,), (0.0, 0.25), (model.initial,) * 2)
+
+
+def _coupled_ball():
+    return ModelSpec(
+        domain=Ball((0.0, 0.0, 0.0), 1.0),
+        sigma=((0.7, 0.1, 0.0), (0.0, 0.6, 0.2), (0.1, 0.0, 0.9)),
+        drift=DriftSpec(base_kind="zero", mf_gain=0.5, control_matrix=((1.0,), (0.0,), (0.5,)),
+                        clip_bound=3.0),
+        control_set=ControlBox((-1.0,), (1.0,)), horizon=0.5,
+        reward=rich_reward(0.0), initial=UniformBox((-0.4,) * 3, (0.4,) * 3))
+
+
+@pytest.mark.parametrize("make_model", [_coupled_box, _coupled_ball])
+def test_bridge_band_changes_no_run(make_model, monkeypatch):
+    """Killed, mean-field and finite reinsertion runs are bit for bit the
+    same with the bridge band as with the bridge evaluated everywhere."""
+    model = make_model()
+    policy = LinearPolicy((0.2,) * model.control_dim,
+                          np.full((model.control_dim, model.dim), 0.3), model.control_set)
+    config = SimConfig(200, 1e-3, 5, uniform_grid(0.3, 0.05), min_survivors=0)
+    flow = conditional_flow(simulate_killed(without_mean_field(model), policy, None, config))
+    evaluated = []
+    bridge = type(model.domain)._bridge
+
+    def counting_bridge(self, a, *args):
+        evaluated[-1] += a.shape[0]
+        return bridge(self, a, *args)
+
+    monkeypatch.setattr(type(model.domain), "_bridge", counting_bridge)
+
+    def runs():
+        evaluated.append(0)
+        return (simulate_killed(model, policy, flow, config),
+                simulate_fv_meanfield(model, policy, flow, config),
+                simulate_fv_finite(model, policy, config))
+
+    banded = runs()
+    monkeypatch.setattr(geometry, "_BRIDGE_BAND", np.inf)
+    everywhere = runs()
+    for label, got, want in zip(("killed", "meanfield", "finite"), banded, everywhere):
+        _assert_block_is_its_own_run(got, want, label)
+    steps = banded[0].exit_times[np.isfinite(banded[0].exit_times)] / config.dt
+    assert np.any(np.abs(steps - np.floor(steps) - 0.5) < 1e-6)  # bridge kills
+    assert banded[1].event_times.size and banded[2].event_times.size
+    assert 0 < evaluated[0] < evaluated[1]
