@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import (apply_overrides, build_model, build_open_control,
+from .config import (_json_bool, apply_overrides, build_model, build_open_control,
                      build_policy, build_sim_config, config_hash, load_config,
                      optional, optional_as, require)
 from .errors import ConfigError, ModelRuntimeError
@@ -96,16 +96,30 @@ def _write_paths_bin(out: Path, ens) -> None:
     (out / "paths.bin").write_bytes(arr.tobytes())
 
 
+def _at_least(cfg, dotted: str, cast, default, low):
+    """optional_as(cfg, dotted, cast, default), refusing values below low."""
+    value = optional_as(cfg, dotted, cast, default)
+    if value is not None and value < low:
+        raise ConfigError(f"invalid '{dotted}': must be at least {low}, got {value}")
+    return value
+
+
+def _one_of(cfg, dotted: str, default, choices: tuple):
+    """optional(cfg, dotted, default), which must be one of choices."""
+    value = optional(cfg, dotted, default)
+    if value not in choices:
+        raise ConfigError(f"invalid '{dotted}': must be one of "
+                          f"{', '.join(map(repr, choices))}, got {value!r}")
+    return value
+
+
 def _picard_block(cfg) -> tuple[float, int]:
     return (optional_as(cfg, "picard.tol", float, 1e-2),
-            optional_as(cfg, "picard.max_iter", int, 10))
+            _at_least(cfg, "picard.max_iter", int, 10, 1))
 
 
 def _reinsertion_cap(cfg, dotted: str) -> int:
-    cap = optional_as(cfg, dotted, int, DEFAULT_REINSERTION_CAP)
-    if cap < 0:
-        raise ConfigError(f"invalid '{dotted}': must be nonnegative, got {cap}")
-    return cap
+    return _at_least(cfg, dotted, int, DEFAULT_REINSERTION_CAP, 0)
 
 
 def _cmd_simulate(cfg, model, out):
@@ -116,10 +130,11 @@ def _cmd_simulate(cfg, model, out):
             "conditional-mean input; use the picard command for coupled "
             "models or override model.drift.mf_gain=0")
     control = _control_from_config(cfg, model)
+    store_paths = optional_as(cfg, "sim.store_paths", _json_bool, False)
     ens = simulate_killed(model, control, None, sim)
     _write_survival_csv(out, ens)
     _write_flow_csv(out, ens)
-    if bool(optional(cfg, "sim.store_paths", False)):
+    if store_paths:
         _write_paths_bin(out, ens)
     return {"survival_end": float(ens.survival[-1])}
 
@@ -139,7 +154,7 @@ def _cmd_picard(cfg, model, out):
 def _cmd_fv(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=False)
     policy = build_policy(cfg, model)
-    variant = optional(cfg, "fv.variant", "meanfield")
+    variant = _one_of(cfg, "fv.variant", "meanfield", ("meanfield", "finite"))
     cap = _reinsertion_cap(cfg, "fv.reinsertion_cap")
     if variant == "finite" and sim.n_particles < 2:
         raise ConfigError("invalid 'sim.n_particles': the finite variant needs "
@@ -149,11 +164,8 @@ def _cmd_fv(cfg, model, out):
         fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)
         fv = simulate_fv_meanfield(model, policy, fp.flow, sim,
                                    reinsertion_cap=cap)
-    elif variant == "finite":
-        fv = simulate_fv_finite(model, policy, sim, reinsertion_cap=cap)
     else:
-        raise ConfigError(
-            f"invalid 'fv.variant': must be 'meanfield' or 'finite', got {variant!r}")
+        fv = simulate_fv_finite(model, policy, sim, reinsertion_cap=cap)
     d = fv.snapshots.shape[2]
     names = fv.source_names()
     write_csv(out / "events.csv",
@@ -179,7 +191,7 @@ def _cmd_renewal(cfg, model, out):
         restart_times(sim.grid, dt_r, sim.dt)
     except ValueError as e:
         raise ConfigError(f"invalid 'renewal.dt_r': {e}")
-    n_paths = optional_as(cfg, "renewal.n_paths", int, 2000)
+    n_paths = _at_least(cfg, "renewal.n_paths", int, 2000, 1)
     tol, max_iter = _picard_block(cfg)
     fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)
     kernel = estimate_restart_kernel(model, policy, fp.flow, sim, dt_r, n_paths)
@@ -208,8 +220,8 @@ def _cmd_mimic(cfg, model, out):
     open_control = build_open_control(cfg, model)
     tol, max_iter = _picard_block(cfg)
     rep = mimic_compare(model, open_control, sim,
-                        time_bins=optional_as(cfg, "mimic.time_bins", int, 8),
-                        space_bins=optional_as(cfg, "mimic.space_bins", int, 16),
+                        time_bins=_at_least(cfg, "mimic.time_bins", int, 8, 1),
+                        space_bins=_at_least(cfg, "mimic.space_bins", int, 16, 1),
                         tol=tol, max_iter=max_iter)
     grid = rep.regression
     d = len(grid.space_edges)
@@ -227,18 +239,20 @@ def _cmd_mimic(cfg, model, out):
 
 def _cmd_optimize(cfg, model, out):
     sim = build_sim_config(cfg, model, record_controls=True)
-    kind = str(require(cfg, "optimize.family"))
+    require(cfg, "optimize.family")
+    kind = _one_of(cfg, "optimize.family", None, ("constant", "linear", "grid"))
     family = policy_family(model, kind,
-                           time_bins=optional_as(cfg, "optimize.time_bins", int, 2),
-                           space_bins=optional_as(cfg, "optimize.space_bins", int, 2))
+                           time_bins=_at_least(cfg, "optimize.time_bins", int, 2, 1),
+                           space_bins=_at_least(cfg, "optimize.space_bins", int, 2, 1))
     tol, max_iter = _picard_block(cfg)
     res = optimize_policy(
         model, family, sim,
-        objective=str(optional(cfg, "optimize.objective", "conditional")),
-        method=str(optional(cfg, "optimize.method", "nelder-mead")),
-        budget=optional_as(cfg, "optimize.budget", int, 100),
+        objective=_one_of(cfg, "optimize.objective", "conditional", ("conditional", "fv")),
+        method=_one_of(cfg, "optimize.method", "nelder-mead",
+                       ("nelder-mead", "cross-entropy")),
+        budget=_at_least(cfg, "optimize.budget", int, 100, 1),
         picard_tol=tol, picard_max_iter=max_iter,
-        reinsertion_cost=optional_as(cfg, "optimize.reinsertion_cost", float, None),
+        reinsertion_cost=_at_least(cfg, "optimize.reinsertion_cost", float, None, 0.0),
         reinsertion_cap=_reinsertion_cap(cfg, "optimize.reinsertion_cap"))
     k = res.trace_params.shape[1]
     write_csv(out / "trace.csv",

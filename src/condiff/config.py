@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import domain_from_dict
 from .killed_sim import SimConfig, uniform_grid
+from .measures import _TIME_TOL
 from .model import (ControlBox, DriftSpec, GridPolicy, LinearPolicy, ModelSpec,
                     ConstantPolicy, NoisePeekControl, PiecewiseControl,
                     RandomizedSignControl, RewardSpec, initial_law_from_dict)
@@ -94,6 +95,13 @@ def optional_as(cfg: dict, dotted: str, cast, default):
         return cast(value)
 
 
+def _json_bool(value) -> bool:
+    """A cast for optional_as that takes only JSON booleans, not any truthy value."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 @contextmanager
 def _building(dotted: str):
     try:
@@ -161,13 +169,16 @@ def build_sim_config(cfg: dict, model: ModelSpec, *,
             step = float(require(cfg, "sim.grid.step"))
             t_end = float(grid_spec.get("t_end", model.horizon))
             grid = uniform_grid(t_end, step)
+        if grid[-1] > model.horizon + _TIME_TOL:
+            raise ValueError(f"ends at {grid[-1]:g}, beyond the model horizon "
+                             f"{model.horizon:g}")
     with _building("sim"):
         return SimConfig(
             n_particles=int(require(cfg, "sim.n_particles")),
             dt=float(require(cfg, "sim.dt")),
             seed=int(require(cfg, "sim.seed")),
             grid=grid,
-            bridge_correction=bool(optional(cfg, "sim.bridge_correction", True)),
+            bridge_correction=optional_as(cfg, "sim.bridge_correction", _json_bool, True),
             min_survivors=int(optional(cfg, "sim.min_survivors", 1)),
             record_controls=record_controls,
         )

@@ -10,10 +10,11 @@ argument from that flow).  The cumulative mean number of reinsertions
 per particle estimates minus the log survival probability of the
 corresponding killed process.
 
-Between exits both variants take the killed dynamics' own step
-(killed_sim.euler_step) with the same draws, so a particle's first
-reinsertion happens exactly when the killed run of the same seed kills
-it; only what follows an exit differs.
+Both variants run the killed dynamics' own pass (killed_sim._pass) and
+give it a reinsertion rule where the killed run gives its kill rule.  So
+between exits they take the same step with the same draws, and a
+particle's first reinsertion happens exactly when the killed run of the
+same seed kills it; only what follows an exit differs.
 """
 from __future__ import annotations
 
@@ -22,13 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .errors import NumericalError, ReinsertionBlowup, TotalExtinction
-from .killed_sim import (Blocks, KilledEnsemble, Noise, SimConfig, _as_blocks,
-                         _constant_values, _controls_at, _first_alike, _flow_mean_per_step,
-                         _initial_positions, _step_draws, conditional_flow, euler_step)
+from .errors import ReinsertionBlowup, TotalExtinction
+from .killed_sim import (Blocks, KilledEnsemble, SimConfig, _as_blocks, _pass,
+                         conditional_flow)
 from .measures import (_TIME_TOL, EmpiricalMeasure, MeasureFlow, sample_many,
                        sliced_w1, w1_distance_1d)
-from .model import FeedbackPolicy, ModelSpec, drift_given_mean
+from .model import FeedbackPolicy, ModelSpec
 
 SOURCE_UNIFORM_PEER = 0
 SOURCE_FLOW_SAMPLE = 1
@@ -99,113 +99,73 @@ def _reinsert_at_peers(x_new: np.ndarray, exits: np.ndarray, draws: np.ndarray) 
 
 def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimConfig,
                  variant: str, reinsertion_cap: int) -> FVTrace:
-    """Every block in one pass from t = 0, sharing samples and draws as
-    simulate_killed does.  A block that passes the cap is marked blown and
-    runs on; a plain run raises, and otherwise reads as its one block."""
+    """Every block in one killed_sim pass from t = 0, with the reinsertion
+    rule in place of the kill.  A block that passes the cap is marked
+    blown and runs on; a plain run raises, and otherwise reads as its
+    one block."""
     grid = config.grid
     if abs(grid[0]) > _TIME_TOL or any(abs(s) > _TIME_TOL for s in blocks.starts):
         raise ValueError("reinsertion dynamics must start at t=0")
-    if grid[-1] > model.horizon + _TIME_TOL:
-        raise ValueError("grid extends beyond the model horizon")
-    policies, seeds, flows = blocks.policies, blocks.seeds, blocks.flows
-    if not all(isinstance(p, FeedbackPolicy) for p in policies):
+    if not all(isinstance(p, FeedbackPolicy) for p in blocks.policies):
         raise ValueError("reinsertion dynamics take a feedback policy")
-
     n_blocks = len(blocks)
     n = config.n_particles
-    if n % n_blocks:
-        raise ValueError("n_particles must split evenly over the blocks")
-    n_block = n // n_blocks
-    d = model.dim
-    dt = config.dt
-    noise = Noise.of(model.sigma_matrix())
-    domain = model.domain
-    node_steps = config.node_steps()
-
     mean_field = variant == "meanfield"
     source = SOURCE_FLOW_SAMPLE if mean_field else SOURCE_UNIFORM_PEER
-    coupled = model.drift.mf_gain != 0.0
-    if mean_field and any(flow is None for flow in flows):
+    if mean_field and any(flow is None for flow in blocks.flows):
         raise ValueError("the mean-field variant requires an input flow")
     if not mean_field and (n_blocks > 1 or n < 2):
         raise ValueError("the finite variant runs one block of at least two particles")
-    means = _flow_mean_per_step(flows, np.zeros(n_blocks), np.zeros(n_blocks, dtype=int), dt,
-                                int(node_steps[-1]), needed=mean_field and coupled)
-    x = _initial_positions(model, blocks, n_block)
-    draws_of = _first_alike(seeds)
-    constants = _constant_values(policies)
+    n_block = n // n_blocks
+    d = model.dim
+    dt = config.dt
 
     counts = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
     blown: list = [None] * n_blocks
     # Per step with exits: their stamps, indices and new positions.
     ev_times: list[np.ndarray] = []
     ev_particles: list[np.ndarray] = []
     ev_positions: list[np.ndarray] = []
+    f_curve = np.empty((grid.shape[0], n_blocks))
+    f_se = np.empty((grid.shape[0], n_blocks))
 
-    n_nodes = grid.shape[0]
-    snapshots = np.empty((n_nodes, *x.shape))
-    controls = np.empty((n_nodes, n_blocks, n_block, model.control_dim))
-    f_curve = np.empty((n_nodes, n_blocks))
-    f_se = np.empty((n_nodes, n_blocks))
+    def reinsert(clocks, x_new, node_exits, bridge_kills, alive, draws):
+        t = float(clocks[0])
+        exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
+        stamps = np.where(node_exits[exits], t + dt, t + 0.5 * dt)
+        flat = x_new.reshape(n, d)
+        if mean_field:
+            u = draws(rng.REINSERT_SAMPLE)
+        else:
+            if exits.size == n:
+                raise TotalExtinction(float(stamps[0]))
+            _reinsert_at_peers(flat, exits, draws(rng.PEER_CHOICE))
+        counts[exits] += 1
+        # Block j's exits, ascending, are exits[edges[j]:edges[j + 1]].
+        edges = np.searchsorted(exits, np.arange(n_blocks + 1) * n_block).tolist()
+        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            mine = exits[lo:hi]
+            if mean_field:
+                flat[mine] = sample_many(blocks.flows[j].node_at(t + dt), u[mine % u.shape[0]])
+            over = mine[counts[mine] > reinsertion_cap]
+            if over.size and blown[j] is None:
+                blown[j] = ReinsertionBlowup(t + dt, int(over[0]) - j * n_block,
+                                             reinsertion_cap)
+        ev_times.append(stamps)
+        ev_particles.append(exits)
+        ev_positions.append(flat[exits])
+        if one_run and blown[0] is not None:
+            raise blown[0]
 
-    def record(node: int, t: float):
-        snapshots[node] = x
-        controls[node] = _controls_at(policies, constants, t, x, {})
+    def record_counts(node: int):
         for j, block_counts in enumerate(counts.reshape(n_blocks, n_block)):
             f_curve[node, j] = block_counts.mean()
             f_se[node, j] = block_counts.std(ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
 
-    record(0, 0.0)
-    for segment in range(n_nodes - 1):
-        for k in range(int(node_steps[segment]), int(node_steps[segment + 1])):
-            t = k * dt
-            a = _controls_at(policies, constants, t, x, {})
-            if mean_field:
-                mean_k = means[k] if means is not None else None
-            else:
-                mean_k = x[0].mean(axis=0) if coupled else None
-            b = drift_given_mean(model, t, x, mean_k, a)
-            local = [k] * n_blocks
-            draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,),
-                                                np.concatenate, seeds, draws_of, local)
-            z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
-                            seeds, draws_of, local)
-            x_new, node_exits, bridge_kills = euler_step(
-                domain, x, b, z, dt, noise, alive,
-                (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
-            if node_exits.any() or bridge_kills.size:
-                exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
-                stamps = np.where(node_exits[exits], t + dt, t + 0.5 * dt)
-                flat = x_new.reshape(n, d)
-                if mean_field:
-                    u = draws(rng.REINSERT_SAMPLE)
-                else:
-                    if exits.size == n:
-                        raise TotalExtinction(float(stamps[0]))
-                    _reinsert_at_peers(flat, exits, draws(rng.PEER_CHOICE))
-                counts[exits] += 1
-                # Block j's exits, ascending, are exits[edges[j]:edges[j + 1]].
-                edges = np.searchsorted(exits, np.arange(n_blocks + 1) * n_block).tolist()
-                for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-                    mine = exits[lo:hi]
-                    if mean_field:
-                        flat[mine] = sample_many(flows[j].node_at(t + dt),
-                                                 u[mine % u.shape[0]])
-                    over = mine[counts[mine] > reinsertion_cap]
-                    if over.size and blown[j] is None:
-                        blown[j] = ReinsertionBlowup(t + dt, int(over[0]) - j * n_block,
-                                                     reinsertion_cap)
-                ev_times.append(stamps)
-                ev_particles.append(exits)
-                ev_positions.append(flat[exits])
-                if one_run and blown[0] is not None:
-                    raise blown[0]
-            x = x_new
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
-        record(segment + 1, float(grid[segment + 1]))
-
+    # The finite system's drift reads its own current mean.
+    snapshots, controls, _ = _pass(model, blocks,
+                                   replace(config, min_survivors=0, record_controls=True),
+                                   reinsert, record_counts, live_mean=not mean_field)
     event_times = np.concatenate([np.empty(0), *ev_times])
     trace = FVTrace(
         model=model,

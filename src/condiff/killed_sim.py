@@ -6,14 +6,16 @@ correction is on, by a Bernoulli draw with the within-step boundary
 crossing probability of the pinned bridge between consecutive
 positions; bridge kills are stamped at the midpoint of their step.
 One step function, euler_step, moves the particles and finds both kinds
-of exit; the Fleming-Viot dynamics take the same step and differ only
-in what follows an exit.  The step evaluates the bridge probability only
-on the band of geometry's banded_bridge, the particles near enough to the
-boundary for it to be nonzero in float64; every other particle's is
-exactly 0.0, so the band changes no kill.  Killed paths keep moving:
-each step advances the whole array instead of gathering the survivors,
-and paths.bin records their motion after the exit.  They are simply
-excluded from conditional statistics.
+of exit, and one pass, _pass, runs it over the grid and records the
+nodes.  The killed and the Fleming-Viot dynamics both run that pass and
+differ only in the exit rule it calls: here an exit is stamped and the
+particle stops counting as alive.  The step evaluates the bridge
+probability only on the band of geometry's banded_bridge, the particles
+near enough to the boundary for it to be nonzero in float64; every other
+particle's is exactly 0.0, so the band changes no kill.  Killed paths
+keep moving: each step advances the whole array instead of gathering the
+survivors, and paths.bin records their motion after the exit.  They are
+simply excluded from conditional statistics.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A pass
@@ -140,7 +142,6 @@ class KilledEnsemble:
 
     model: ModelSpec
     times: np.ndarray
-    initial_points: np.ndarray
     exit_times: np.ndarray
     snapshots: np.ndarray
     controls: np.ndarray | None
@@ -149,7 +150,7 @@ class KilledEnsemble:
 
     @property
     def n(self) -> int:
-        return self.initial_points.shape[0]
+        return self.exit_times.shape[0]
 
     def block(self, b: int) -> "KilledEnsemble":
         """Block b as a view of this ensemble; raises the depletion that ended it.
@@ -166,7 +167,6 @@ class KilledEnsemble:
         return KilledEnsemble(
             model=self.model,
             times=np.concatenate([[start], self.times[first + 1:]]),
-            initial_points=self.initial_points[part],
             exit_times=self.exit_times[part],
             snapshots=self.snapshots[first:, b],
             controls=None if self.controls is None else self.controls[first:, b],
@@ -215,7 +215,6 @@ def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
     return KilledEnsemble(
         model=ens.model,
         times=ens.times[:k],
-        initial_points=ens.initial_points,
         exit_times=ens.exit_times,
         snapshots=ens.snapshots[:k],
         controls=None if ens.controls is None else ens.controls[:k],
@@ -239,10 +238,7 @@ def _flow_mean_per_step(flows, starts, first_steps, dt: float, total_steps: int,
     means = np.zeros((total_steps, len(flows), 1, flows[0].node_means.shape[1]))
     for b, (flow, start, first) in enumerate(zip(flows, starts, first_steps)):
         step_times = start + np.arange(total_steps - first) * dt
-        idx = np.searchsorted(flow.times, step_times - _TIME_TOL, side="left")
-        if np.any(idx >= flow.times.shape[0]):
-            raise ValueError("flow grid does not cover the simulation window")
-        means[first:, b, 0] = flow.node_means[idx]
+        means[first:, b, 0] = flow.node_means[flow.index_at(step_times)]
     return means
 
 
@@ -385,26 +381,23 @@ def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
     return x_new, node_exits, bridge_kills
 
 
-def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
-                    initial_law=None, t0: float | None = None) -> KilledEnsemble:
-    """Simulate a killed ensemble and record it on the output grid.
+def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_record=None,
+          live_mean: bool = False):
+    """Move the blocks through euler_step and record them on the output grid.
 
-    control is a FeedbackPolicy or an OpenLoopControl, run under
-    config.seed from initial_law (default model.initial) at t0 (default
-    the grid start); flow_input feeds the mean-field drift term (it may
-    be None for models with zero mean-field gain).  That run is the
-    one-block case of a pass over Blocks: control may instead be Blocks,
-    which bring their own flows, seeds, starts and laws and split
-    config.n_particles evenly.  The grid starts at the first start.
-    Work is shared where the blocks allow it: blocks with the same seed
-    and law share one initial sample, blocks with the same seed and start
-    one draw per step, and blocks with the same start one drift call per
-    step.  A block whose survivors fall below config.min_survivors is
-    marked depleted, and the run raises once every block is; with several
-    blocks, the error's blocks holds each block's own depletion.
+    The killed and the reinsertion dynamics share this loop and differ
+    only in their exit rule.  After each step with an exit the pass calls
+    on_exits(clocks, x_new, node_exits, bridge_kills, alive, draws):
+    clocks holds the started blocks' times before the step, x_new their
+    new (B', N, d) positions, which the rule may move, alive the mask it
+    may clear, and draws(purpose) returns the step's shared uniforms.
+    After recording each node it calls on_record(node).  With live_mean
+    the drift reads each block's current mean instead of its flow.
+    Returns the (n_nodes, B, N, .) snapshots, the controls (None unless
+    config.record_controls) and per block the SurvivorDepletion that
+    ended it, or None.
     """
     grid = config.grid
-    blocks, one_run = _as_blocks(model, control, flow_input, config, initial_law, t0)
     if grid[-1] > model.horizon + _TIME_TOL:
         raise ValueError("grid extends beyond the model horizon")
     n_blocks = len(blocks)
@@ -421,8 +414,9 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     starts = np.asarray(blocks.starts)
     first_steps = _start_steps(starts, grid, dt)
     node_steps = config.node_steps()
+    coupled = model.drift.mf_gain != 0.0
     means = _flow_mean_per_step(blocks.flows, starts, first_steps, dt, int(node_steps[-1]),
-                                needed=model.drift.mf_gain != 0.0)
+                                needed=coupled and not live_mean)
 
     # Positions are (B, N, d).  Blocks that share a seed and a law share one
     # initial sample, blocks that share a seed and a start the draws of
@@ -437,7 +431,6 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     state = policies[0].init_state(x[0]) if open_loop else {}
     constants = _constant_values(policies)
 
-    exit_times = np.full(n, np.inf)
     alive = np.ones(n, dtype=bool)
     depleted: list = [None] * n_blocks
 
@@ -467,6 +460,8 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
                     raise depleted[0]
                 raise SurvivorDepletion(t, int(survivors.max()), config.min_survivors,
                                         blocks=tuple(depleted))
+        if on_record is not None:
+            on_record(node)
 
     record(0, blocks.starts[0])
     active = 0
@@ -483,23 +478,24 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
             for lo, hi in clock_groups:
                 if lo < active:
                     t = float(clocks[lo])
+                    mean = None if means is None else means[k, lo:hi]
+                    if live_mean and coupled:
+                        mean = x[lo:hi].mean(axis=1, keepdims=True)
                     drifts.append(drift_given_mean(
-                        model, t, x[lo:hi], None if means is None else means[k, lo:hi],
+                        model, t, x[lo:hi], mean,
                         _controls_at(policies[lo:hi],
                                      None if constants is None else constants[lo:hi],
                                      t, x[lo:hi], state)))
             b = drifts[0] if len(drifts) == 1 else np.concatenate(drifts)
             z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
                             seeds, draws_of, local)
-            draws = lambda: _step_draws(rng.uniforms, rng.BRIDGE_KILL, (n_block,),
-                                        np.concatenate, seeds, draws_of, local)
+            draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,),
+                                                np.concatenate, seeds, draws_of, local)
             x_new, node_exits, bridge_kills = euler_step(
                 domain, x[:active], b, z, dt, noise, alive[:m],
-                draws if config.bridge_correction else None)
-            for hit, offset in ((np.flatnonzero(node_exits), dt), (bridge_kills, 0.5 * dt)):
-                if hit.size:
-                    exit_times[hit] = clocks[hit // n_block] + offset
-                    alive[hit] = False
+                (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
+            if bridge_kills.size or node_exits.any():
+                on_exits(clocks, x_new, node_exits, bridge_kills, alive, draws)
             if open_loop:
                 policies[0].advance(state, float(clocks[0]), z, dt)
             if active == n_blocks:
@@ -509,20 +505,49 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
+    return snapshots, controls, tuple(depleted)
 
+
+def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
+                    initial_law=None, t0: float | None = None) -> KilledEnsemble:
+    """Simulate a killed ensemble and record it on the output grid.
+
+    control is a FeedbackPolicy or an OpenLoopControl, run under
+    config.seed from initial_law (default model.initial) at t0 (default
+    the grid start); flow_input feeds the mean-field drift term (it may
+    be None for models with zero mean-field gain).  That run is the
+    one-block case of a pass over Blocks: control may instead be Blocks,
+    which bring their own flows, seeds, starts and laws and split
+    config.n_particles evenly.  The grid starts at the first start.
+    Work is shared where the blocks allow it: blocks with the same seed
+    and law share one initial sample, blocks with the same seed and start
+    one draw per step, and blocks with the same start one drift call per
+    step.  A block whose survivors fall below config.min_survivors is
+    marked depleted, and the run raises once every block is; with several
+    blocks, the error's blocks holds each block's own depletion.
+    """
+    blocks, one_run = _as_blocks(model, control, flow_input, config, initial_law, t0)
+    exit_times = np.full(config.n_particles, np.inf)
+    dt = config.dt
+
+    def kill(clocks, x_new, node_exits, bridge_kills, alive, draws):
+        for hit, offset in ((np.flatnonzero(node_exits), dt), (bridge_kills, 0.5 * dt)):
+            exit_times[hit] = clocks[hit // x_new.shape[1]] + offset
+            alive[hit] = False
+
+    snapshots, controls, depleted = _pass(model, blocks, config, kill)
     if one_run:
         # A plain call reads as one run, without the block axis.
         snapshots = snapshots[:, 0]
         controls = None if controls is None else controls[:, 0]
     return KilledEnsemble(
         model=model,
-        times=grid.copy(),
-        initial_points=snapshots[0].reshape(n, d).copy(),
+        times=config.grid.copy(),
         exit_times=exit_times,
         snapshots=snapshots,
         controls=controls,
         blocks=None if one_run else blocks,
-        depleted=tuple(depleted),
+        depleted=depleted,
     )
 
 

@@ -160,12 +160,13 @@ class MeasureFlow:
     def dim(self) -> int:
         return self.nodes[0].dim
 
-    def index_at(self, t: float) -> int:
-        """Index of the nearest node at or after time t."""
-        idx = int(np.searchsorted(self.times, t - _TIME_TOL, side="left"))
-        if idx >= self.times.shape[0]:
-            raise ValueError(f"time {t:g} lies beyond the flow grid")
-        return idx
+    def index_at(self, t):
+        """Index of the nearest node at or after time t: an int for a scalar
+        t, an index array for a vector of times."""
+        idx = np.searchsorted(self.times, np.asarray(t) - _TIME_TOL, side="left")
+        if np.any(idx >= self.times.shape[0]):
+            raise ValueError(f"time {np.max(t):g} lies beyond the flow grid")
+        return int(idx) if idx.ndim == 0 else idx
 
     def node_at(self, t: float) -> EmpiricalMeasure:
         return self.nodes[self.index_at(t)]

@@ -115,7 +115,6 @@ class MimicReport:
     j_closed: RewardReport
     delta: float
     delta_se: float
-    policy: GridPolicy
     regression: RegressionGrid
     fixed_point: FixedPointResult
     closed_seed: int
@@ -159,5 +158,5 @@ def mimic_compare(model: ModelSpec, open_control: OpenLoopControl,
     return MimicReport(
         j_open=j_open, j_closed=j_closed,
         delta=j_closed.total - j_open.total, delta_se=se,
-        policy=policy, regression=grid, fixed_point=fp, closed_seed=closed_seed,
+        regression=grid, fixed_point=fp, closed_seed=closed_seed,
     )

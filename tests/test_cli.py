@@ -177,6 +177,32 @@ def test_optimize_command(tmp_path, capsys):
     assert "optimize.reinsertion_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, field, overrides", [
+    ("optimize", "optimize.objective", ["optimize.objective=foo"]),
+    ("optimize", "optimize.method", ["optimize.method=foo"]),
+    ("optimize", "optimize.family", ["optimize.family=foo"]),
+    ("optimize", "optimize.budget", ["optimize.budget=0"]),
+    ("optimize", "optimize.time_bins", ["optimize.family=grid", "optimize.time_bins=0"]),
+    ("optimize", "optimize.space_bins", ["optimize.family=grid", "optimize.space_bins=0"]),
+    ("optimize", "optimize.reinsertion_cost",
+     ["optimize.objective=fv", "optimize.reinsertion_cost=-1"]),
+    *[(cmd, "picard.max_iter", ["picard.max_iter=0"])
+      for cmd in ("picard", "fv", "renewal", "mimic", "optimize")],
+    ("renewal", "renewal.n_paths", ["renewal.n_paths=0"]),
+    ("mimic", "mimic.time_bins", ["mimic.time_bins=0"]),
+    ("simulate", "sim.grid", ["model.drift.mf_gain=0", "sim.grid={\"times\": [0, 0.5, 2]}"]),
+    ("simulate", "sim.store_paths", ["model.drift.mf_gain=0", 'sim.store_paths="false"']),
+    ("simulate", "sim.bridge_correction",
+     ["model.drift.mf_gain=0", 'sim.bridge_correction="no"']),
+])
+def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
+    rc = run(cmd, tmp_path, *overrides)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "paths.bin").exists()
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     rc = run("simulate", tmp_path, "model.drift.mf_gain=0",
              "sim.n_particles=30", "sim.min_survivors=25")

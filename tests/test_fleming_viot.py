@@ -4,13 +4,16 @@ import pytest
 from condiff.errors import ReinsertionBlowup, TotalExtinction
 from condiff.fleming_viot import (fv_correspondence_report, simulate_fv_finite,
                                   simulate_fv_meanfield)
+from condiff import killed_sim
 from condiff.killed_sim import (Blocks, SimConfig, conditional_flow, simulate_killed,
                                 uniform_grid)
+from condiff.measures import EmpiricalMeasure, MeasureFlow
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, GridPolicy, LinearPolicy,
-                           ModelSpec, PointMass, RandomizedSignControl, UniformBox)
+                           ModelSpec, PointMass, RandomizedSignControl, UniformBox,
+                           drift_given_mean)
 from condiff.geometry import Box, Interval
 from condiff.picard import solve_fixed_point
-from condiff.rng import REINSERT_SAMPLE, uniforms
+from condiff.rng import GAUSS_STEP, REINSERT_SAMPLE, normals, uniforms
 from condiff.scenarios import attractive_interval, boundary_start, driftless_interval
 from condiff.scenarios import ZERO_REWARD
 
@@ -79,6 +82,50 @@ def _first_event_times(fv):
     particles, index = np.unique(fv.event_particles, return_index=True)
     first[particles] = fv.event_times[index]
     return first
+
+
+def _coupled_quiet_interval():
+    """A mean-field drift and no exit within one step."""
+    return ModelSpec(
+        domain=Interval(-1.0, 1.0), sigma=((0.1,),),
+        drift=DriftSpec(base_kind="zero", mf_gain=2.0, control_matrix=((1.0,),)),
+        control_set=ControlBox((-1.0,), (1.0,)), horizon=0.1,
+        reward=ZERO_REWARD, initial=UniformBox((-0.5,), (0.5,)))
+
+
+def test_drift_reads_the_variants_mean():
+    # One step: the finite system's drift reads its own current mean, the
+    # mean-field one its flow's node mean, and both move by one Euler step.
+    model = _coupled_quiet_interval()
+    policy = LinearPolicy((0.1,), ((-0.8,),), model.control_set)
+    dt = 0.01
+    config = SimConfig(50, dt, 3, np.array([0.0, dt]))
+    flow = MeasureFlow(np.array([0.0, dt]),
+                       (EmpiricalMeasure(np.array([[0.3]])), EmpiricalMeasure(np.array([[0.2]]))),
+                       np.ones(2))
+    z = normals(config.seed, GAUSS_STEP, 0, (config.n_particles, 1))
+    sigma_t = model.sigma_matrix().T
+    for fv, mean_of in ((simulate_fv_finite(model, policy, config), lambda x0: x0.mean(axis=0)),
+                        (simulate_fv_meanfield(model, policy, flow, config),
+                         lambda x0: flow.node_means[0])):
+        x0 = fv.snapshots[0]
+        b = drift_given_mean(model, 0.0, x0, mean_of(x0), policy.values_at(0.0, x0))
+        assert fv.event_times.shape == (0,)
+        assert np.array_equal(fv.snapshots[1], x0 + b * dt + (z @ sigma_t) * np.sqrt(dt))
+
+
+def test_reinsertion_runs_never_call_simulate_killed(driftless_flow, monkeypatch):
+    # The benchmark counts particle-steps once per simulate_killed call and
+    # once per reinsertion run, so a reinsertion run must not go through it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_killed called")
+
+    monkeypatch.setattr(killed_sim, "simulate_killed", refuse)
+    model = driftless_interval(horizon=1.0)
+    policy = ConstantPolicy((0.0,), model.control_set)
+    config = SimConfig(200, 1e-3, 5, uniform_grid(1.0, 0.05))
+    assert simulate_fv_finite(model, policy, config).event_times.shape[0] > 0
+    assert simulate_fv_meanfield(model, policy, driftless_flow, config).event_times.shape[0] > 0
 
 
 def test_f_curve_counts_events(driftless_run, driftless_flow):

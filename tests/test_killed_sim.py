@@ -72,8 +72,8 @@ def test_survival_tracks_series(driftless_run):
 def test_initial_state_and_node_zero(driftless_run):
     _, _, _, ens = driftless_run
     assert ens.survival[0] == 1.0
-    assert np.array_equal(ens.snapshots[0], ens.initial_points)
-    assert np.all(ens.initial_points == 0.0)
+    assert ens.snapshots[0].shape == (ens.n, 1)
+    assert np.all(ens.snapshots[0] == 0.0)
 
 
 def test_exit_cdf_properties(driftless_run):

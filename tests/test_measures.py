@@ -95,8 +95,12 @@ def test_flow_validation_and_lookup():
     assert flow.index_at(0.5) == 1
     assert flow.mean_at(0.5)[0] == pytest.approx(0.2)
     assert flow.index_at(0.25) == 1  # lookups resolve at-or-after
+    assert type(flow.index_at(0.5)) is int
+    assert flow.index_at(np.array([0.0, 0.25, 0.5, 0.75, 1.0])).tolist() == [0, 1, 1, 2, 2]
     with pytest.raises(ValueError):
         flow.index_at(1.5)
+    with pytest.raises(ValueError):
+        flow.index_at(np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         _flow([0.0, 1.0], [[0.0], [0.1]], [0.9, 0.5])  # must start at one
     with pytest.raises(ValueError):
