@@ -27,9 +27,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import (_json_bool, apply_overrides, build_model, build_open_control,
-                     build_policy, build_sim_config, config_hash, load_config,
-                     optional, optional_as, require)
+from .config import (_building, _json_bool, apply_overrides, build_model,
+                     build_open_control, build_policy, build_sim_config, config_hash,
+                     load_config, optional, optional_as, require)
 from .errors import ConfigError, ModelRuntimeError
 from .fleming_viot import (DEFAULT_REINSERTION_CAP, simulate_fv_finite,
                            simulate_fv_meanfield)
@@ -123,7 +123,7 @@ def _reinsertion_cap(cfg, dotted: str) -> int:
 
 
 def _cmd_simulate(cfg, model, out):
-    sim = build_sim_config(cfg, model, record_controls=False)
+    sim = build_sim_config(cfg, model)
     if model.drift.mf_gain != 0.0:
         raise ConfigError(
             "invalid 'model.drift.mf_gain': simulate runs with no "
@@ -140,7 +140,7 @@ def _cmd_simulate(cfg, model, out):
 
 
 def _cmd_picard(cfg, model, out):
-    sim = build_sim_config(cfg, model, record_controls=False)
+    sim = build_sim_config(cfg, model)
     control = _control_from_config(cfg, model)
     tol, max_iter = _picard_block(cfg)
     fp = solve_fixed_point(model, control, sim, tol=tol, max_iter=max_iter)
@@ -152,7 +152,7 @@ def _cmd_picard(cfg, model, out):
 
 
 def _cmd_fv(cfg, model, out):
-    sim = build_sim_config(cfg, model, record_controls=False)
+    sim = build_sim_config(cfg, model)
     policy = build_policy(cfg, model)
     variant = _one_of(cfg, "fv.variant", "meanfield", ("meanfield", "finite"))
     cap = _reinsertion_cap(cfg, "fv.reinsertion_cap")
@@ -181,7 +181,7 @@ def _cmd_fv(cfg, model, out):
 
 
 def _cmd_renewal(cfg, model, out):
-    sim = build_sim_config(cfg, model, record_controls=False)
+    sim = build_sim_config(cfg, model)
     if sim.grid[0] != 0.0:
         raise ConfigError("invalid 'sim.grid': renewal needs a grid starting at 0")
     policy = build_policy(cfg, model)
@@ -216,7 +216,7 @@ def _cmd_renewal(cfg, model, out):
 
 
 def _cmd_mimic(cfg, model, out):
-    sim = build_sim_config(cfg, model, record_controls=True)
+    sim = build_sim_config(cfg, model)
     open_control = build_open_control(cfg, model)
     tol, max_iter = _picard_block(cfg)
     rep = mimic_compare(model, open_control, sim,
@@ -238,12 +238,13 @@ def _cmd_mimic(cfg, model, out):
 
 
 def _cmd_optimize(cfg, model, out):
-    sim = build_sim_config(cfg, model, record_controls=True)
+    sim = build_sim_config(cfg, model)
     require(cfg, "optimize.family")
     kind = _one_of(cfg, "optimize.family", None, ("constant", "linear", "grid"))
-    family = policy_family(model, kind,
-                           time_bins=_at_least(cfg, "optimize.time_bins", int, 2, 1),
-                           space_bins=_at_least(cfg, "optimize.space_bins", int, 2, 1))
+    time_bins = _at_least(cfg, "optimize.time_bins", int, 2, 1)
+    space_bins = _at_least(cfg, "optimize.space_bins", int, 2, 1)
+    with _building("optimize.time_bins and optimize.space_bins"):
+        family = policy_family(model, kind, time_bins=time_bins, space_bins=space_bins)
     tol, max_iter = _picard_block(cfg)
     res = optimize_policy(
         model, family, sim,

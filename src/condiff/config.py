@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -14,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import domain_from_dict
+from .geometry import BOUNDARY_TOL, domain_from_dict
 from .killed_sim import SimConfig, uniform_grid
 from .measures import _TIME_TOL
-from .model import (ControlBox, DriftSpec, GridPolicy, LinearPolicy, ModelSpec,
-                    ConstantPolicy, NoisePeekControl, PiecewiseControl,
+from .model import (Cloud, ControlBox, DriftSpec, GridPolicy, LinearPolicy, ModelSpec,
+                    ConstantPolicy, NoisePeekControl, PiecewiseControl, PointMass,
                     RandomizedSignControl, RewardSpec, initial_law_from_dict)
 
 _MISSING = object()
@@ -112,6 +113,15 @@ def _building(dotted: str):
         raise ConfigError(f"invalid '{dotted}': {e}")
 
 
+def _hull_points(law) -> np.ndarray:
+    """(k, d) points whose convex hull holds the support of an initial law."""
+    if isinstance(law, PointMass):
+        return np.array([law.x])
+    if isinstance(law, Cloud):
+        return law.points
+    return np.array(list(itertools.product(*zip(law.lo, law.hi))))  # a box's corners
+
+
 def build_model(cfg: dict) -> ModelSpec:
     with _building("model.domain"):
         domain = domain_from_dict(require(cfg, "model.domain"))
@@ -145,6 +155,9 @@ def build_model(cfg: dict) -> ModelSpec:
         )
     with _building("model.initial"):
         initial = initial_law_from_dict(require(cfg, "model.initial"))
+        # Every domain is convex: the law lies in its closure when these do.
+        if np.any(domain.boundary_distance(_hull_points(initial)) < -BOUNDARY_TOL):
+            raise ValueError("initial points must lie in the closed domain")
     with _building("model"):
         return ModelSpec(
             domain=domain,
@@ -157,10 +170,8 @@ def build_model(cfg: dict) -> ModelSpec:
         )
 
 
-def build_sim_config(cfg: dict, model: ModelSpec, *,
-                     record_controls: bool = True) -> SimConfig:
-    """The sim section as a SimConfig; what to record is the caller's to say,
-    as only the caller knows what it reads."""
+def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
+    """The sim section as a SimConfig."""
     grid_spec = require(cfg, "sim.grid")
     with _building("sim.grid"):
         if "times" in grid_spec:
@@ -180,7 +191,6 @@ def build_sim_config(cfg: dict, model: ModelSpec, *,
             grid=grid,
             bridge_correction=optional_as(cfg, "sim.bridge_correction", _json_bool, True),
             min_survivors=int(optional(cfg, "sim.min_survivors", 1)),
-            record_controls=record_controls,
         )
 
 
@@ -208,9 +218,12 @@ def build_open_control(cfg: dict, model: ModelSpec, section: str = "open_control
     box = model.control_set
     with _building(section):
         if kind == "randomized_sign":
+            direction = tuple(require(cfg, f"{section}.direction"))
+            if len(direction) != model.dim:
+                raise ValueError(f"direction must have length {model.dim}, "
+                                 f"got {len(direction)}")
             return RandomizedSignControl(tuple(require(cfg, f"{section}.base")),
-                                         tuple(require(cfg, f"{section}.direction")),
-                                         box)
+                                         direction, box)
         if kind == "piecewise":
             return PiecewiseControl(float(require(cfg, f"{section}.t_switch")),
                                     tuple(require(cfg, f"{section}.before")),

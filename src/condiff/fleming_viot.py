@@ -14,7 +14,9 @@ Both variants run the killed dynamics' own pass (killed_sim._pass) and
 give it a reinsertion rule where the killed run gives its kill rule.  So
 between exits they take the same step with the same draws, and a
 particle's first reinsertion happens exactly when the killed run of the
-same seed kills it; only what follows an exit differs.
+same seed kills it; only what follows an exit differs.  Reinsertion
+takes only feedback policies, so a trace stores no controls: it carries
+its policy, from which a node's controls are read back.
 """
 from __future__ import annotations
 
@@ -41,15 +43,18 @@ DEFAULT_REINSERTION_CAP = 10_000
 class FVTrace:
     """Snapshots, reinsertion events, and the mean reinsertion curve.
 
-    A pass over Blocks adds a block axis after the node axis and numbers
-    its particles block after block; block(b) reads block b as its own
-    run, and blown[b] is the ReinsertionBlowup that ended it, or None.
+    policy is the feedback policy that drove the run; its controls at a
+    node are read back from it (killed_sim._controls_at).  A pass over
+    Blocks adds a block axis after the node axis, numbers its particles
+    block after block and has no policy of its own; block(b) reads block
+    b as its own run, and blown[b] is the ReinsertionBlowup that ended
+    it, or None.
     """
 
     model: ModelSpec
     times: np.ndarray
     snapshots: np.ndarray
-    controls: np.ndarray
+    policy: FeedbackPolicy | None
     f_curve: np.ndarray
     f_se: np.ndarray
     final_counts: np.ndarray
@@ -71,7 +76,7 @@ class FVTrace:
         size = self.n // len(self.blocks)
         mine = self.event_particles // size == b
         return replace(
-            self, snapshots=self.snapshots[:, b], controls=self.controls[:, b],
+            self, snapshots=self.snapshots[:, b], policy=self.blocks.policies[b],
             f_curve=self.f_curve[:, b], f_se=self.f_se[:, b],
             final_counts=self.final_counts[b * size:(b + 1) * size],
             event_times=self.event_times[mine],
@@ -163,15 +168,14 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
             f_se[node, j] = block_counts.std(ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
 
     # The finite system's drift reads its own current mean.
-    snapshots, controls, _ = _pass(model, blocks,
-                                   replace(config, min_survivors=0, record_controls=True),
-                                   reinsert, record_counts, live_mean=not mean_field)
+    snapshots, _, _ = _pass(model, blocks, replace(config, min_survivors=0), reinsert,
+                            record_counts, live_mean=not mean_field)
     event_times = np.concatenate([np.empty(0), *ev_times])
     trace = FVTrace(
         model=model,
         times=grid.copy(),
         snapshots=snapshots,
-        controls=controls,
+        policy=None,
         f_curve=f_curve,
         f_se=f_se,
         final_counts=counts.astype(float),
@@ -192,20 +196,20 @@ def simulate_fv_finite(model: ModelSpec, policy: FeedbackPolicy, config: SimConf
     Same-step exits are processed in ascending particle index, each
     seeing the post-update positions of the ones handled before it.
     """
-    blocks, one_run = _as_blocks(model, policy, None, config, None, None)
+    blocks, one_run = _as_blocks(model, policy, None, config)
     return _simulate_fv(model, blocks, one_run, config, "finite", reinsertion_cap)
 
 
 def simulate_fv_meanfield(model: ModelSpec, policy, flow: MeasureFlow | None,
                           config: SimConfig,
-                          reinsertion_cap: int = DEFAULT_REINSERTION_CAP,
-                          initial_law=None) -> FVTrace:
+                          reinsertion_cap: int = DEFAULT_REINSERTION_CAP) -> FVTrace:
     """Independent reinsertion dynamics driven by a frozen flow.
 
     As in simulate_killed, policy may instead be Blocks (flow None), all
-    starting at t = 0; each block is bit for bit its run alone.
+    starting at t = 0; each block is bit for bit its run alone, and a run
+    from another initial law is one such block.
     """
-    blocks, one_run = _as_blocks(model, policy, flow, config, initial_law, None)
+    blocks, one_run = _as_blocks(model, policy, flow, config)
     return _simulate_fv(model, blocks, one_run, config, "meanfield", reinsertion_cap)
 
 

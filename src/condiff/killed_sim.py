@@ -15,7 +15,11 @@ near enough to the boundary for it to be nonzero in float64; every other
 particle's is exactly 0.0, so the band changes no kill.  Killed paths
 keep moving: each step advances the whole array instead of gathering the
 survivors, and paths.bin records their motion after the exit.  They are
-simply excluded from conditional statistics.
+simply excluded from conditional statistics.  A run records positions;
+a feedback policy's controls are a function of a node's time and
+positions and are read back from the policy (_controls_at), so only an
+open-loop control, whose values depend on the noise path, has them
+recorded.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A pass
@@ -60,7 +64,6 @@ class SimConfig:
     grid: np.ndarray
     bridge_correction: bool = True
     min_survivors: int = 1
-    record_controls: bool = True
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -90,8 +93,8 @@ class Blocks:
     Block b runs policies[b] with the drift and any reinsertion reading
     flows[b] (None if neither does), starts at starts[b] from a sample of
     laws[b], and draws from seeds[b], keyed by its own step count.  It is
-    bit for bit the run with that policy, flow, seed and initial law,
-    t0 = starts[b] and the grid that starts there and continues with the
+    bit for bit the one-block pass with that policy, flow, seed, start
+    and initial law on the grid that starts there and continues with the
     later nodes of the pass's grid.  Starts never decrease, so the blocks
     started by any step are a prefix of the stack; a block is neither
     advanced nor drawn for before its start.  An open-loop control runs
@@ -130,21 +133,26 @@ class KilledEnsemble:
     """Outcome of one killed simulation.
 
     exit_times holds the first detected exit per particle (inf when the
-    particle survives the horizon).  Snapshots and recorded controls are
-    stored at the output grid nodes only.  A pass over Blocks keeps them
-    with a block axis, (n_nodes, B, N, .), its per-particle vectors block
-    after block, and its Blocks; block(b) reads block b as its own run,
-    and depleted[b] is the SurvivorDepletion that ended it, or None.  A
-    block that starts after a node holds its initial sample in that
-    node's snapshot.  Survival and alive masks are read per block: an
-    ensemble with blocks itself refuses them.
+    particle survives the horizon).  Snapshots are stored at the output
+    grid nodes only.  policy is the run's FeedbackPolicy or
+    OpenLoopControl.  Only an open-loop control's values depend on the
+    noise path, so only they are recorded, in controls (None otherwise);
+    _controls_at reads either kind at a node.  A pass over Blocks keeps
+    its snapshots with a block axis, (n_nodes, B, N, d), its per-particle
+    vectors block after block, and its Blocks (policy is then None);
+    block(b) reads block b as its own run, and depleted[b] is the
+    SurvivorDepletion that ended it, or None.  A block that starts after
+    a node holds its initial sample in that node's snapshot.  Survival
+    and alive masks are read per block: an ensemble with blocks itself
+    refuses them.
     """
 
     model: ModelSpec
     times: np.ndarray
     exit_times: np.ndarray
     snapshots: np.ndarray
-    controls: np.ndarray | None
+    policy: FeedbackPolicy | OpenLoopControl | None
+    controls: np.ndarray | None = None
     blocks: Blocks | None = None
     depleted: tuple = (None,)
 
@@ -169,6 +177,7 @@ class KilledEnsemble:
             times=np.concatenate([[start], self.times[first + 1:]]),
             exit_times=self.exit_times[part],
             snapshots=self.snapshots[first:, b],
+            policy=self.blocks.policies[b],
             controls=None if self.controls is None else self.controls[first:, b],
         )
 
@@ -206,21 +215,24 @@ def conditional_flow(ens: KilledEnsemble) -> MeasureFlow:
     return MeasureFlow(ens.times, tuple(nodes), ens.survival)
 
 
+def _controls_at(run, m: int) -> np.ndarray:
+    """The (N, d_A) controls of a one-block run (a KilledEnsemble or an
+    FVTrace) at node m: an open-loop control's recorded values, or the
+    feedback policy's values at the node's time and positions, which are
+    what the pass applied there."""
+    if isinstance(run.policy, OpenLoopControl):
+        return run.controls[m]
+    return run.policy.values_at(float(run.times[m]), run.snapshots[m])
+
+
 def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
     """A view of the ensemble truncated to grid nodes with time <= t_max."""
     keep = ens.times <= t_max + _TIME_TOL
     k = int(keep.sum())
     if k < 1:
         raise ValueError("t_max precedes the first grid node")
-    return KilledEnsemble(
-        model=ens.model,
-        times=ens.times[:k],
-        exit_times=ens.exit_times,
-        snapshots=ens.snapshots[:k],
-        controls=None if ens.controls is None else ens.controls[:k],
-        blocks=ens.blocks,
-        depleted=ens.depleted,
-    )
+    return replace(ens, times=ens.times[:k], snapshots=ens.snapshots[:k],
+                   controls=None if ens.controls is None else ens.controls[:k])
 
 
 def _flow_mean_per_step(flows, starts, first_steps, dt: float, total_steps: int,
@@ -240,12 +252,6 @@ def _flow_mean_per_step(flows, starts, first_steps, dt: float, total_steps: int,
         step_times = start + np.arange(total_steps - first) * dt
         means[first:, b, 0] = flow.node_means[flow.index_at(step_times)]
     return means
-
-
-def _control_values(control, t: float, x: np.ndarray, state: dict) -> np.ndarray:
-    if isinstance(control, OpenLoopControl):
-        return control.values_at(t, state)
-    return control.values_at(t, x)
 
 
 def _initial_sample(law, n: int, seed: int, model: ModelSpec) -> np.ndarray:
@@ -276,15 +282,14 @@ def _first_alike(*keys) -> list[int]:
     return [first.setdefault(key, b) for b, key in enumerate(zip(*keys))]
 
 
-def _as_blocks(model: ModelSpec, control, flow_input, config: SimConfig, initial_law,
-               t0) -> tuple[Blocks, bool]:
+def _as_blocks(model: ModelSpec, control, flow_input,
+               config: SimConfig) -> tuple[Blocks, bool]:
     """The Blocks a pass runs, and whether they stand for one plain run."""
     if not isinstance(control, Blocks):
-        return Blocks((control,), (flow_input,), (config.seed,),
-                      (config.grid[0] if t0 is None else t0,),
-                      (model.initial if initial_law is None else initial_law,)), True
-    if flow_input is not None or initial_law is not None or t0 is not None:
-        raise ValueError("blocks bring their own flows, start times and laws")
+        return Blocks((control,), (flow_input,), (config.seed,), (config.grid[0],),
+                      (model.initial,)), True
+    if flow_input is not None:
+        raise ValueError("blocks bring their own flows")
     return control, False
 
 
@@ -303,13 +308,14 @@ def _constant_values(policies) -> np.ndarray | None:
     return None
 
 
-def _controls_at(policies, constants, t: float, x: np.ndarray, state: dict) -> np.ndarray:
+def _step_controls(policies, constants, t: float, x: np.ndarray, state: dict) -> np.ndarray:
     """(B, N, d_A) controls at positions x (B, N, d); constants (_constant_values)
     are repeated into contiguous memory, as a matrix product over a broadcast
     view can round differently."""
     if constants is not None:
         return np.repeat(constants, x.shape[1], axis=1)
-    values = [_control_values(p, t, xb, state) for p, xb in zip(policies, x)]
+    values = [p.values_at(t, state if isinstance(p, OpenLoopControl) else xb)
+              for p, xb in zip(policies, x)]
     return values[0][None] if len(values) == 1 else np.stack(values)
 
 
@@ -393,8 +399,9 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     may clear, and draws(purpose) returns the step's shared uniforms.
     After recording each node it calls on_record(node).  With live_mean
     the drift reads each block's current mean instead of its flow.
-    Returns the (n_nodes, B, N, .) snapshots, the controls (None unless
-    config.record_controls) and per block the SurvivorDepletion that
+    Returns the (n_nodes, B, N, d) snapshots, the (n_nodes, 1, N, d_A)
+    controls of an open-loop control (None for feedback policies, which
+    _controls_at reads back) and per block the SurvivorDepletion that
     ended it, or None.
     """
     grid = config.grid
@@ -406,7 +413,6 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
         raise ValueError("n_particles must split evenly over the blocks")
     n_block = n // n_blocks
     d = model.dim
-    d_a = model.control_dim
     dt = config.dt
     noise = Noise.of(model.sigma_matrix())
     domain = model.domain
@@ -436,19 +442,16 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
 
     n_nodes = grid.shape[0]
     snapshots = np.empty((n_nodes, *x.shape))
-    controls = None
-    if config.record_controls:
-        # Constant controls never move: one broadcast view records them.
-        controls = (np.empty((n_nodes, n_blocks, n_block, d_a)) if constants is None
-                    else np.broadcast_to(constants, (n_nodes, n_blocks, n_block, d_a)))
+    # An open-loop control depends on the noise path, so only its values
+    # are recorded; it always runs as one block.
+    controls = np.empty((n_nodes, *x.shape[:2], model.control_dim)) if open_loop else None
 
     def record(node: int, t: float):
         # A block that has not started yet holds its initial sample, which
         # its own run records at its start time.
         snapshots[node] = x
-        if controls is not None and constants is None:
-            for j, (policy, start) in enumerate(zip(policies, blocks.starts)):
-                controls[node, j] = _control_values(policy, max(start, t), x[j], state)
+        if open_loop:
+            controls[node, 0] = policies[0].values_at(t, state)
         if config.min_survivors > 0:
             survivors = alive.reshape(n_blocks, n_block).sum(axis=1)
             for j in np.flatnonzero(survivors < config.min_survivors):
@@ -483,9 +486,9 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
                         mean = x[lo:hi].mean(axis=1, keepdims=True)
                     drifts.append(drift_given_mean(
                         model, t, x[lo:hi], mean,
-                        _controls_at(policies[lo:hi],
-                                     None if constants is None else constants[lo:hi],
-                                     t, x[lo:hi], state)))
+                        _step_controls(policies[lo:hi],
+                                       None if constants is None else constants[lo:hi],
+                                       t, x[lo:hi], state)))
             b = drifts[0] if len(drifts) == 1 else np.concatenate(drifts)
             z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
                             seeds, draws_of, local)
@@ -508,17 +511,18 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     return snapshots, controls, tuple(depleted)
 
 
-def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
-                    initial_law=None, t0: float | None = None) -> KilledEnsemble:
+def simulate_killed(model: ModelSpec, control, flow_input,
+                    config: SimConfig) -> KilledEnsemble:
     """Simulate a killed ensemble and record it on the output grid.
 
     control is a FeedbackPolicy or an OpenLoopControl, run under
-    config.seed from initial_law (default model.initial) at t0 (default
-    the grid start); flow_input feeds the mean-field drift term (it may
-    be None for models with zero mean-field gain).  That run is the
-    one-block case of a pass over Blocks: control may instead be Blocks,
-    which bring their own flows, seeds, starts and laws and split
-    config.n_particles evenly.  The grid starts at the first start.
+    config.seed from model.initial at the grid start; flow_input feeds
+    the mean-field drift term (it may be None for models with zero
+    mean-field gain).  That run is the one-block case of a pass over
+    Blocks: control may instead be Blocks, which bring their own flows,
+    seeds, starts and laws and split config.n_particles evenly, and a
+    run from another law or start is one such block, read through
+    block(0).  The grid starts at the first start.
     Work is shared where the blocks allow it: blocks with the same seed
     and law share one initial sample, blocks with the same seed and start
     one draw per step, and blocks with the same start one drift call per
@@ -526,7 +530,7 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
     marked depleted, and the run raises once every block is; with several
     blocks, the error's blocks holds each block's own depletion.
     """
-    blocks, one_run = _as_blocks(model, control, flow_input, config, initial_law, t0)
+    blocks, one_run = _as_blocks(model, control, flow_input, config)
     exit_times = np.full(config.n_particles, np.inf)
     dt = config.dt
 
@@ -536,19 +540,11 @@ def simulate_killed(model: ModelSpec, control, flow_input, config: SimConfig,
             alive[hit] = False
 
     snapshots, controls, depleted = _pass(model, blocks, config, kill)
-    if one_run:
-        # A plain call reads as one run, without the block axis.
-        snapshots = snapshots[:, 0]
-        controls = None if controls is None else controls[:, 0]
-    return KilledEnsemble(
-        model=model,
-        times=config.grid.copy(),
-        exit_times=exit_times,
-        snapshots=snapshots,
-        controls=controls,
-        blocks=None if one_run else blocks,
-        depleted=depleted,
-    )
+    ens = KilledEnsemble(model=model, times=config.grid.copy(), exit_times=exit_times,
+                         snapshots=snapshots, policy=None, controls=controls,
+                         blocks=blocks, depleted=depleted)
+    # A plain call reads as its one block, without the block axis.
+    return ens.block(0) if one_run else ens
 
 
 def without_mean_field(model: ModelSpec) -> ModelSpec:

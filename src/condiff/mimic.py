@@ -19,15 +19,15 @@ import numpy as np
 
 from . import rng
 from .errors import SurvivorDepletion
-from .killed_sim import KilledEnsemble, SimConfig, simulate_killed
+from .killed_sim import KilledEnsemble, SimConfig, _controls_at, simulate_killed
 from .model import GridPolicy, ModelSpec, OpenLoopControl
 from .picard import FixedPointResult, solve_fixed_point
-from .reward_opt import RewardReport, eval_reward_conditional
+from .reward_opt import RewardReport, _batch_se, eval_reward_conditional
 
 
 @dataclass
 class RegressionGrid:
-    """Cell means of recorded controls among survivors.
+    """Cell means of the controls among survivors.
 
     filled marks cells that held no samples; their values were copied
     from the nearest populated cell (Manhattan distance, breadth-first,
@@ -47,9 +47,7 @@ class RegressionGrid:
 
 def build_regression_grid(ens: KilledEnsemble, time_bins: int,
                           space_bins: int) -> RegressionGrid:
-    """Average recorded controls of alive particles per lattice cell."""
-    if ens.controls is None:
-        raise ValueError("regression needs an ensemble with recorded controls")
+    """Average the controls of alive particles per lattice cell."""
     model = ens.model
     d_a = model.control_dim
     shape = (int(time_bins),) + (int(space_bins),) * model.dim
@@ -63,7 +61,7 @@ def build_regression_grid(ens: KilledEnsemble, time_bins: int,
             continue  # the slab coverage check below reports the gap
         t = float(ens.times[m])
         tb, spatial = template.cell_index(t, ens.snapshots[m][alive])
-        np.add.at(sums, (tb, *spatial), ens.controls[m][alive])
+        np.add.at(sums, (tb, *spatial), _controls_at(ens, m)[alive])
         np.add.at(counts, (tb, *spatial), 1)
 
     slab_counts = counts.reshape(shape[0], -1).sum(axis=1)
@@ -144,8 +142,6 @@ def mimic_compare(model: ModelSpec, open_control: OpenLoopControl,
     """
     if not isinstance(open_control, OpenLoopControl):
         raise ValueError("mimic_compare expects an open-loop control")
-    if not config.record_controls:
-        raise ValueError("mimic_compare needs record_controls enabled")
     fp = solve_fixed_point(model, open_control, config, tol=tol, max_iter=max_iter)
     j_open = eval_reward_conditional(fp.ensemble, fp.flow)
     policy, grid = regress_feedback(fp.ensemble, time_bins, space_bins)
@@ -153,10 +149,8 @@ def mimic_compare(model: ModelSpec, open_control: OpenLoopControl,
     ens_closed = simulate_killed(model, policy, fp.flow,
                                  replace(config, seed=closed_seed))
     j_closed = eval_reward_conditional(ens_closed, fp.flow)
-    deltas = j_closed.batch_totals - j_open.batch_totals
-    se = float(deltas.std(ddof=1) / np.sqrt(deltas.shape[0])) if deltas.shape[0] > 1 else 0.0
     return MimicReport(
-        j_open=j_open, j_closed=j_closed,
-        delta=j_closed.total - j_open.total, delta_se=se,
+        j_open=j_open, j_closed=j_closed, delta=j_closed.total - j_open.total,
+        delta_se=_batch_se(j_closed.batch_totals - j_open.batch_totals),
         regression=grid, fixed_point=fp, closed_seed=closed_seed,
     )

@@ -411,7 +411,7 @@ class RandomizedSignControl(OpenLoopControl):
     box: ControlBox
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(np.asarray(self.base, dtype=float).tolist()))
+        object.__setattr__(self, "base", tuple(_vec(self.base, self.box.dim, "base").tolist()))
         object.__setattr__(self, "direction",
                            tuple(np.asarray(self.direction, dtype=float).tolist()))
 
@@ -434,8 +434,9 @@ class PiecewiseControl(OpenLoopControl):
     box: ControlBox
 
     def __post_init__(self):
-        object.__setattr__(self, "before", tuple(np.asarray(self.before, dtype=float).tolist()))
-        object.__setattr__(self, "after", tuple(np.asarray(self.after, dtype=float).tolist()))
+        object.__setattr__(self, "before",
+                           tuple(_vec(self.before, self.box.dim, "before").tolist()))
+        object.__setattr__(self, "after", tuple(_vec(self.after, self.box.dim, "after").tolist()))
 
     def init_state(self, initial_points):
         return {"n": initial_points.shape[0]}
@@ -455,7 +456,7 @@ class NoisePeekControl(OpenLoopControl):
     box: ControlBox
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(np.asarray(self.base, dtype=float).tolist()))
+        object.__setattr__(self, "base", tuple(_vec(self.base, self.box.dim, "base").tolist()))
 
     def init_state(self, initial_points):
         return {"w1": np.zeros(initial_points.shape[0])}

@@ -110,7 +110,7 @@ def estimate_restart_kernel(model: ModelSpec, policy: FeedbackPolicy,
         seeds=[rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i) for i in range(n_r)],
         starts=s_grid, laws=[Cloud(flow.node_at(float(s)).points) for s in s_grid])
     pass_config = replace(config, n_particles=n_r * n_paths, grid=np.array([0.0, t_end]),
-                          min_survivors=0, record_controls=False)
+                          min_survivors=0)
     ens = simulate_killed(model, blocks, None, pass_config)
 
     cdf = np.full((n_r, n_r + 1), np.nan)

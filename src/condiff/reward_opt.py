@@ -2,9 +2,12 @@
 
 The objective is the time integral of the running reward under the
 conditional law plus a terminal term, with an optional penalty per
-reinsertion when the reinsertion dynamics do the estimating.  The
-integral uses the left-endpoint rule on the output grid, so a running
-reward identically equal to one integrates to the horizon exactly.
+reinsertion when the reinsertion dynamics do the estimating.  One
+estimator scores both kinds of run: a killed run on its survivors, a
+reinsertion run on every particle plus the penalty.  A feedback policy's
+controls are read back from the policy at each node.  The integral uses
+the left-endpoint rule on the output grid, so a running reward
+identically equal to one integrates to the horizon exactly.
 
 Optimization evaluates candidate policies under common random numbers:
 every candidate re-solves the fixed point and re-simulates with the
@@ -23,8 +26,8 @@ from scipy.optimize import Bounds, minimize
 from . import rng
 from .errors import ReinsertionBlowup, SurvivorDepletion
 from .fleming_viot import DEFAULT_REINSERTION_CAP, FVTrace, simulate_fv_meanfield
-from .killed_sim import Blocks, KilledEnsemble, SimConfig
-from .measures import EmpiricalMeasure, MeasureFlow, conditional_empirical
+from .killed_sim import Blocks, KilledEnsemble, SimConfig, _controls_at
+from .measures import MeasureFlow, conditional_empirical
 from .model import (ConstantPolicy, FeedbackPolicy, GridPolicy, LinearPolicy,
                     ModelSpec, RewardSpec)
 from .picard import solve_fixed_points
@@ -67,14 +70,55 @@ def _batch_slices(n: int) -> list[slice]:
     return [slice(int(bounds[b]), int(bounds[b + 1])) for b in range(len(bounds) - 1)]
 
 
-def _running_values(reward: RewardSpec, flow: MeasureFlow, times: np.ndarray,
-                    snapshots: np.ndarray, controls: np.ndarray) -> list[np.ndarray]:
+def _batch_se(values: np.ndarray) -> float:
+    """Standard error of the mean of per-batch values."""
+    b = values.shape[0]
+    return float(values.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
+
+
+def _running_values(reward: RewardSpec, flow: MeasureFlow, run) -> list[np.ndarray]:
     """Per-particle running integrand at every node except the last."""
     out = []
-    for m in range(times.shape[0] - 1):
-        t = float(times[m])
-        out.append(reward.running(t, snapshots[m], flow.mean_at(t), controls[m]))
+    for m in range(run.times.shape[0] - 1):
+        t = float(run.times[m])
+        out.append(reward.running(t, run.snapshots[m], flow.mean_at(t), _controls_at(run, m)))
     return out
+
+
+def _estimate(run, flow: MeasureFlow, reward: RewardSpec, alive: list[np.ndarray],
+              counts: np.ndarray | None = None, cost: float = 0.0) -> RewardReport:
+    """The reward of a run over the particles alive at each node.
+
+    The running term integrates the survivors' mean integrand on the
+    output grid, the terminal term reads the last node's survivors, and
+    with reinsertion counts the reinsertion term is -cost times their
+    mean.  Every term is recomputed on contiguous particle batches.
+    """
+    times = run.times
+    deltas = np.diff(times)
+    values = _running_values(reward, flow, run)
+
+    def totals(sel: slice) -> tuple[float, float, float]:
+        running = 0.0
+        for m, vals in enumerate(values):
+            mask = alive[m][sel]
+            if not mask.any():
+                raise SurvivorDepletion(float(times[m]), 0, 1)
+            running += float(deltas[m]) * float(vals[sel][mask].mean())
+        cloud = conditional_empirical(run.snapshots[-1][sel], alive[-1][sel])
+        reinsertion = 0.0 if counts is None else -cost * float(counts[sel].mean())
+        return running, reward.terminal(cloud), reinsertion
+
+    running, terminal, reinsertion = totals(slice(None))
+    runs, terms, extra = (np.array(column) for column in
+                          zip(*(totals(s) for s in _batch_slices(run.n))))
+    batch_totals = runs + terms + extra
+    return RewardReport(
+        running=running, terminal=terminal, reinsertion=reinsertion,
+        total=running + terminal + reinsertion,
+        running_se=_batch_se(runs), terminal_se=_batch_se(terms),
+        total_se=_batch_se(batch_totals), batch_totals=batch_totals,
+    )
 
 
 def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
@@ -87,76 +131,24 @@ def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
     last sweep), not the input flow its drift read; the two lie the last
     entry of distance_trace apart.
     """
-    if ens.controls is None:
-        raise ValueError("reward evaluation needs recorded controls")
     reward = ens.model.reward if reward is None else reward
-    times = ens.times
-    deltas = np.diff(times)
-    alive_masks = [ens.alive_at(m) for m in range(times.shape[0])]
-    values = _running_values(reward, flow, times, ens.snapshots, ens.controls)
-
-    def totals(sel: slice) -> tuple[float, float]:
-        run = 0.0
-        for m, vals in enumerate(values):
-            alive = alive_masks[m][sel]
-            if not alive.any():
-                raise SurvivorDepletion(float(times[m]), 0, 1)
-            run += float(deltas[m]) * float(vals[sel][alive].mean())
-        cloud = conditional_empirical(ens.snapshots[-1][sel], alive_masks[-1][sel])
-        return run, reward.terminal(cloud)
-
-    running, terminal = totals(slice(None))
-    batches = [totals(s) for s in _batch_slices(ens.n)]
-    return _assemble_report(running, terminal, 0.0, batches, reinsertions=None)
+    return _estimate(ens, flow, reward, [ens.alive_at(m) for m in range(ens.times.shape[0])])
 
 
 def eval_reward_fv(fv: FVTrace, flow: MeasureFlow, reward: RewardSpec | None = None,
                    reinsertion_cost: float | None = None) -> RewardReport:
     """Reward of a reinsertion run, charging a cost per reinsertion.
 
-    All particles are alive by construction, so the averages are plain;
-    the reinsertion term is -cost times the mean final count, which
-    makes the dependence on the cost exactly linear.
+    This is the conditional estimate with every particle alive, plus the
+    reinsertion term -cost times the mean final count, which makes the
+    dependence on the cost exactly linear.
     """
     reward = fv.model.reward if reward is None else reward
     cost = reward.reinsertion_cost if reinsertion_cost is None else float(reinsertion_cost)
     if cost < 0:
         raise ValueError("reinsertion_cost must be nonnegative")
-    times = fv.times
-    deltas = np.diff(times)
-    values = _running_values(reward, flow, times, fv.snapshots, fv.controls)
-
-    def totals(sel: slice) -> tuple[float, float, float]:
-        run = sum(float(deltas[m]) * float(vals[sel].mean())
-                  for m, vals in enumerate(values))
-        term = reward.terminal(EmpiricalMeasure(fv.snapshots[-1][sel]))
-        return run, term, -cost * float(fv.final_counts[sel].mean())
-
-    running, terminal, reinsertion = totals(slice(None))
-    batches = [totals(s) for s in _batch_slices(fv.n)]
-    return _assemble_report(running, terminal, reinsertion,
-                            [(r, t) for r, t, _ in batches],
-                            reinsertions=[c for _, _, c in batches])
-
-
-def _assemble_report(running: float, terminal: float, reinsertion: float,
-                     batches: list[tuple[float, float]],
-                     reinsertions: list[float] | None) -> RewardReport:
-    runs = np.array([r for r, _ in batches])
-    terms = np.array([t for _, t in batches])
-    extra = np.asarray(reinsertions) if reinsertions is not None else np.zeros(len(batches))
-    totals = runs + terms + extra
-    b = len(batches)
-
-    def se(arr: np.ndarray) -> float:
-        return float(arr.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
-
-    return RewardReport(
-        running=running, terminal=terminal, reinsertion=reinsertion,
-        total=running + terminal + reinsertion,
-        running_se=se(runs), terminal_se=se(terms), total_se=se(totals),
-        batch_totals=totals,
-    )
+    everyone = [np.ones(fv.n, dtype=bool)] * fv.times.shape[0]
+    return _estimate(fv, flow, reward, everyone, fv.final_counts, cost)
 
 
 @dataclass(frozen=True)

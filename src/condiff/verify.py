@@ -28,7 +28,7 @@ from .io import write_csv, write_json
 from .killed_sim import (Blocks, SimConfig, analytic_interval_survival,
                          conditional_flow, exit_cdf, girsanov_survival_floor,
                          restrict_ensemble, simulate_killed, uniform_grid)
-from .measures import EmpiricalMeasure, MeasureFlow, flow_distance, restrict_flow
+from .measures import flow_distance, restrict_flow
 from .mimic import mimic_compare
 from .model import (Cloud, ConstantPolicy, GridPolicy, LinearPolicy, PiecewiseControl,
                     RandomizedSignControl)
@@ -62,21 +62,14 @@ def _seed(index: int) -> int:
     return rng.derive_seed(VERIFY_SEED, rng.SCENARIO, index)
 
 
-def _subset_flow(ens, sl: slice) -> MeasureFlow:
-    nodes, surv = [], []
-    for m in range(ens.times.shape[0]):
-        alive = ens.alive_at(m)[sl]
-        nodes.append(EmpiricalMeasure(ens.snapshots[m][sl][alive]))
-        surv.append(float(alive.mean()))
-    return MeasureFlow(ens.times, tuple(nodes), np.asarray(surv))
-
-
 def _noise_floor(ens) -> float:
     """Half of the flow distance between the two halves of one ensemble:
     a same-law W1 noise scale for the full sample size."""
     half = ens.n // 2
-    return flow_distance(_subset_flow(ens, slice(0, half)),
-                         _subset_flow(ens, slice(half, ens.n))) / 2.0
+    flows = [conditional_flow(replace(ens, exit_times=ens.exit_times[part],
+                                      snapshots=ens.snapshots[:, part]))
+             for part in (slice(0, half), slice(half, ens.n))]
+    return flow_distance(*flows) / 2.0
 
 
 @dataclass
@@ -100,8 +93,7 @@ class Verifier:
             grid = np.concatenate([uniform_grid(1.0, 0.05),
                                    uniform_grid(3.0, 0.25, t_start=1.25)])
             config = SimConfig(n_particles=100_000, dt=1e-3, seed=_seed(0),
-                               grid=grid, min_survivors=50,
-                               record_controls=False)
+                               grid=grid, min_survivors=50)
             policy = ConstantPolicy((0.0,), model.control_set)
             start = time.perf_counter()
             ens = simulate_killed(model, policy, None, config)
@@ -114,8 +106,7 @@ class Verifier:
         if not hasattr(self, "_run_b"):
             model = driftless_interval(horizon=1.0)
             config = SimConfig(n_particles=50_000, dt=1e-3, seed=_seed(1),
-                               grid=uniform_grid(1.0, 0.01), min_survivors=50,
-                               record_controls=False)
+                               grid=uniform_grid(1.0, 0.01), min_survivors=50)
             policy = ConstantPolicy((0.0,), model.control_set)
             self._run_b = simulate_killed(model, policy, None, config)
         return self._run_b
@@ -197,8 +188,7 @@ class Verifier:
         policy = ConstantPolicy((0.0,), model.control_set)
         flow_b = conditional_flow(ens_b)
         kernel_config = SimConfig(n_particles=2000, dt=1e-3, seed=_seed(5),
-                                  grid=np.array([0.0, 1.0]), min_survivors=0,
-                                  record_controls=False)
+                                  grid=np.array([0.0, 1.0]), min_survivors=0)
         kernel = estimate_restart_kernel(model, policy, flow_b, kernel_config,
                                          dt_r=0.01, n_paths=2000)
         grid_r = ens_b.times
@@ -345,8 +335,7 @@ class Verifier:
         blocks = Blocks(policies=policies, flows=[None] * 20,
                         seeds=[_seed(90 + j) for j in range(20)], starts=[0.0] * 20,
                         laws=[model.initial] * 20)
-        config = SimConfig(20 * 10_000, 1e-3, _seed(90), np.array([0.0, 1.0]),
-                           record_controls=False)
+        config = SimConfig(20 * 10_000, 1e-3, _seed(90), np.array([0.0, 1.0]))
         ens = simulate_killed(model, blocks, None, config)
         rows, all_ok = [], True
         for j in range(20):
@@ -373,8 +362,7 @@ class Verifier:
         rows = {}
         for bridge in (True, False):
             config = SimConfig(2000, 1e-5, _seed(100), grid,
-                               bridge_correction=bridge, min_survivors=0,
-                               record_controls=False)
+                               bridge_correction=bridge, min_survivors=0)
             ens = simulate_killed(model, policy, None, config)
             rows[bridge] = 1.0 - float(ens.survival_at(0.01))
         passed = rows[True] == 1.0 and rows[False] >= 0.9
@@ -402,18 +390,20 @@ class Verifier:
         model = driftless_interval(horizon=0.2)
         policy = ConstantPolicy((0.0,), model.control_set)
         base = SimConfig(2000, 5e-3, _seed(110), uniform_grid(0.2, 0.05),
-                         min_survivors=10, record_controls=False)
+                         min_survivors=10)
         flow = conditional_flow(simulate_killed(model, policy, None, base))
         kernel_config = SimConfig(500, 5e-3, _seed(111), np.array([0.0, 0.2]),
-                                  min_survivors=0, record_controls=False)
+                                  min_survivors=0)
         kernel = estimate_restart_kernel(model, policy, flow, kernel_config,
                                          dt_r=0.05, n_paths=500)
         kernel_equal = True
         for i, s in enumerate(kernel.s_grid):
-            column = replace(kernel_config, grid=np.array([s, 0.2]), seed=rng.derive_seed(
-                kernel_config.seed, rng.KERNEL_COLUMN, i))
-            alone = simulate_killed(model, policy, flow, column,
-                                    initial_law=Cloud(flow.node_at(s).points), t0=s)
+            # The column alone: one block from the flow's node at s.
+            column = Blocks((policy,), (flow,), (rng.derive_seed(kernel_config.seed,
+                                                                 rng.KERNEL_COLUMN, i),),
+                            (s,), (Cloud(flow.node_at(s).points),))
+            alone = simulate_killed(model, column, None, replace(
+                kernel_config, grid=np.array([s, 0.2]))).block(0)
             valid = kernel.u_grid.shape[0] - i
             row = exit_cdf(alone, s + kernel.u_grid[:valid])
             kernel_equal &= kernel.cdf[i, :valid].tobytes() == row.tobytes()

@@ -147,10 +147,7 @@ def test_renewal_command(tmp_path, capsys):
 
 
 def test_mimic_command(tmp_path):
-    # recording is the command's to choose: the sim section cannot turn
-    # off the controls mimic regresses
-    rc = run("mimic", tmp_path, "mimic.time_bins=4", "mimic.space_bins=8",
-             "sim.record_controls=false")
+    rc = run("mimic", tmp_path, "mimic.time_bins=4", "mimic.space_bins=8")
     assert rc == 0
     compare = (tmp_path / "compare.csv").read_text().splitlines()
     assert compare[0] == "J_open,J_closed,delta,se"
@@ -194,6 +191,12 @@ def test_optimize_command(tmp_path, capsys):
     ("simulate", "sim.store_paths", ["model.drift.mf_gain=0", 'sim.store_paths="false"']),
     ("simulate", "sim.bridge_correction",
      ["model.drift.mf_gain=0", 'sim.bridge_correction="no"']),
+    *[(cmd, "model.initial", ["model.drift.mf_gain=0", "model.initial.lo=[-2]",
+                              "model.initial.hi=[2]"])
+      for cmd in ("simulate", "fv", "mimic")],
+    ("mimic", "open_control", ["model.drift.mf_gain=0", "open_control.direction=[1, 2]"]),
+    ("optimize", "optimize.time_bins",
+     ["optimize.family=grid", "optimize.time_bins=9", "optimize.space_bins=8"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)

@@ -86,12 +86,6 @@ def test_build_model_and_sim_from_default():
     assert config.grid[0] == 0.0
     assert config.grid[-1] == 1.0
 
-    # what is recorded is the caller's to say, not the sim section's
-    assert config.record_controls
-    quiet = build_sim_config(apply_overrides(cfg, ["sim.record_controls=false"]), model)
-    assert quiet.record_controls
-    assert not build_sim_config(cfg, model, record_controls=False).record_controls
-
     explicit = apply_overrides(cfg, ["sim.grid={\"times\": [0.0, 0.5, 1.0]}"])
     config2 = build_sim_config(explicit, model)
     assert np.array_equal(config2.grid, [0.0, 0.5, 1.0])

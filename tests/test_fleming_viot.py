@@ -5,8 +5,8 @@ from condiff.errors import ReinsertionBlowup, TotalExtinction
 from condiff.fleming_viot import (fv_correspondence_report, simulate_fv_finite,
                                   simulate_fv_meanfield)
 from condiff import killed_sim
-from condiff.killed_sim import (Blocks, SimConfig, conditional_flow, simulate_killed,
-                                uniform_grid)
+from condiff.killed_sim import (Blocks, SimConfig, _controls_at, conditional_flow,
+                                simulate_killed, uniform_grid)
 from condiff.measures import EmpiricalMeasure, MeasureFlow
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, GridPolicy, LinearPolicy,
                            ModelSpec, PointMass, RandomizedSignControl, UniformBox,
@@ -17,7 +17,7 @@ from condiff.rng import GAUSS_STEP, REINSERT_SAMPLE, normals, uniforms
 from condiff.scenarios import attractive_interval, boundary_start, driftless_interval
 from condiff.scenarios import ZERO_REWARD
 
-_FIELDS = ("snapshots", "controls", "f_curve", "f_se", "final_counts", "event_times",
+_FIELDS = ("snapshots", "f_curve", "f_se", "final_counts", "event_times",
            "event_particles", "event_positions", "event_sources")
 
 
@@ -222,6 +222,8 @@ def test_finite_needs_two_particles():
 def _assert_same_run(block, alone):
     for name in _FIELDS:
         assert getattr(block, name).tobytes() == getattr(alone, name).tobytes(), name
+    for m in range(alone.times.shape[0]):
+        assert _controls_at(block, m).tobytes() == _controls_at(alone, m).tobytes(), m
     assert block.n == alone.n
 
 
@@ -245,9 +247,9 @@ def test_meanfield_blocks_read_as_their_own_runs():
     assert stacked.snapshots.shape == (grid.shape[0], 4, 300, 1)
     assert stacked.f_curve.shape == (grid.shape[0], 4)
     for b in range(4):
-        alone = simulate_fv_meanfield(model, policies[b], blocks.flows[b],
-                                      SimConfig(300, 1e-2, blocks.seeds[b], grid),
-                                      initial_law=blocks.laws[b])
+        alone = simulate_fv_meanfield(
+            model, Blocks((policies[b],), (blocks.flows[b],), (blocks.seeds[b],), (0.0,),
+                          (blocks.laws[b],)), None, SimConfig(300, 1e-2, 41, grid)).block(0)
         assert alone.event_times.shape[0] > 20
         _assert_same_run(stacked.block(b), alone)
 

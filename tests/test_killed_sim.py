@@ -7,8 +7,8 @@ from condiff import geometry
 from condiff.errors import NumericalError, SurvivorDepletion
 from condiff.fleming_viot import simulate_fv_finite, simulate_fv_meanfield
 from condiff.geometry import Ball, Box
-from condiff.killed_sim import (Blocks, SimConfig, analytic_interval_survival,
-                                conditional_flow, exit_cdf,
+from condiff.killed_sim import (Blocks, SimConfig, _controls_at,
+                                analytic_interval_survival, conditional_flow, exit_cdf,
                                 girsanov_survival_floor, restrict_ensemble,
                                 simulate_killed, uniform_grid,
                                 without_mean_field)
@@ -223,9 +223,8 @@ def _assert_blocks_are_their_own_runs(model, blocks, config):
     for b, (policy, flow, seed, start, law) in enumerate(zip(
             blocks.policies, blocks.flows, blocks.seeds, blocks.starts, blocks.laws)):
         grid = np.concatenate([[start], config.grid[config.grid > start + 1e-9]])
-        alone = simulate_killed(model, policy, flow,
-                                replace(config, n_particles=n_block, seed=seed, grid=grid),
-                                initial_law=law, t0=start)
+        alone = simulate_killed(model, Blocks((policy,), (flow,), (seed,), (start,), (law,)),
+                                None, replace(config, n_particles=n_block, grid=grid)).block(0)
         _assert_block_is_its_own_run(ens.block(b), alone, b)
     return ens
 
@@ -281,15 +280,63 @@ def test_restarted_blocks_read_as_their_own_runs():
     _assert_blocks_are_their_own_runs(model, blocks, replace(config, n_particles=4 * 150))
 
 
+def test_controls_are_read_back_from_the_policy():
+    # A feedback run stores no controls: _controls_at reads the policy at a
+    # node's time and positions.  On a block view that must be what the
+    # stacked pass applied there: the block's policy at its own clock (its
+    # start before it starts) and the stacked node's positions.  An
+    # open-loop control depends on the noise path, so it stays recorded.
+    model = attractive_interval(horizon=0.5)
+    box = model.control_set
+    grid = np.array([0.0, 0.2, 0.35, 0.5])
+    # The time-dependent grid policy is the block that starts between nodes.
+    policies = (ConstantPolicy((0.4,), box),
+                GridPolicy.build(model, 5, 4, np.linspace(-1.0, 1.0, 20).reshape(5, 4, 1)),
+                LinearPolicy((0.1,), ((-0.8,),), box))
+    flow = conditional_flow(simulate_killed(without_mean_field(model), policies[0], None,
+                                            SimConfig(400, 0.01, 3, uniform_grid(0.5, 0.05))))
+
+    def assert_views_read_the_pass(run, starts, views):
+        for b, (policy, start) in enumerate(zip(policies, starts)):
+            first = int(np.searchsorted(grid, start + 1e-9)) - 1
+            for m in range(views[b].times.shape[0]):
+                t = max(start, grid[first + m])
+                want = policy.values_at(t, run.snapshots[first + m, b])
+                assert _controls_at(views[b], m).tobytes() == want.tobytes(), (b, m)
+
+    starts = (0.0, 0.13, 0.2)
+    ens = simulate_killed(model, Blocks(policies, (flow,) * 3, (5, 6, 7), starts,
+                                        (model.initial,) * 3), None,
+                          SimConfig(3 * 100, 0.01, 5, grid, min_survivors=0))
+    assert ens.controls is None
+    assert_views_read_the_pass(ens, starts, [ens.block(b) for b in range(3)])
+    plain = simulate_killed(model, policies[2], flow, SimConfig(100, 0.01, 5, grid))
+    assert plain.controls is None and plain.policy is policies[2]
+
+    trace = simulate_fv_meanfield(model, Blocks(policies, (flow,) * 3, (5, 6, 7), (0.0,) * 3,
+                                                (model.initial,) * 3), None,
+                                  SimConfig(3 * 100, 0.01, 5, grid))
+    assert trace.event_times.shape[0] > 0 and not hasattr(trace, "controls")
+    assert_views_read_the_pass(trace, (0.0,) * 3, [trace.block(b) for b in range(3)])
+
+    sign = RandomizedSignControl((0.3,), (1.0,), box)
+    open_loop = simulate_killed(without_mean_field(model), sign, None,
+                                SimConfig(100, 0.01, 5, grid))
+    assert open_loop.controls.shape == (grid.shape[0], 100, 1)
+    want = box.clamp(np.sign(open_loop.snapshots[0] @ np.array([1.0]))[:, None] * 0.3)
+    for m in range(grid.shape[0]):
+        assert _controls_at(open_loop, m).tobytes() == want.tobytes()
+
+
 def test_restarts_are_validated():
     model = driftless_interval(horizon=0.5)
     policy = ConstantPolicy((0.0,), model.control_set)
     config = SimConfig(20, 0.01, 1, uniform_grid(0.5, 0.25), min_survivors=0)
 
-    def run(starts, control=policy, **kwargs):
+    def run(starts, control=policy, flow_input=None):
         blocks = Blocks((control,) * len(starts), (None,) * len(starts),
                         range(len(starts)), starts, (model.initial,) * len(starts))
-        return simulate_killed(model, blocks, None, config, **kwargs)
+        return simulate_killed(model, blocks, flow_input, config)
 
     assert len(run((0.0, 0.25)).blocks) == 2
     with pytest.raises(ValueError, match="must not decrease"):
@@ -302,8 +349,9 @@ def test_restarts_are_validated():
         run((0.0, 0.125))
     with pytest.raises(ValueError, match="split evenly"):
         run((0.0, 0.1, 0.2))
-    with pytest.raises(ValueError, match="their own flows, start times"):
-        run((0.0, 0.25), initial_law=model.initial)
+    with pytest.raises(ValueError, match="their own flows"):
+        run((0.0, 0.25), flow_input=conditional_flow(simulate_killed(model, policy, None,
+                                                                     config)))
     with pytest.raises(ValueError, match="one feedback policy"):
         run((0.0, 0.25), control=RandomizedSignControl((0.0,), (1.0,), model.control_set))
     with pytest.raises(ValueError, match="one policy, flow, seed, start and law"):

@@ -15,8 +15,7 @@ def test_regression_recovers_grid_policy_exactly():
     model = mimic_interval(horizon=0.5)
     target = GridPolicy.build(
         model, 2, 2, np.array([[[0.3], [-0.4]], [[0.1], [0.6]]]))
-    config = SimConfig(2000, 2.5e-3, 11, uniform_grid(0.5, 0.05),
-                       record_controls=True)
+    config = SimConfig(2000, 2.5e-3, 11, uniform_grid(0.5, 0.05))
     ens = simulate_killed(model, target, None, config)
 
     policy, grid = regress_feedback(ens, 2, 2)
@@ -31,8 +30,7 @@ def test_markov_open_loop_is_a_fixed_point():
     the reconstruction reproduces it and the rewards tie exactly."""
     model = mimic_interval(horizon=0.5)
     control = PiecewiseControl(0.25, (0.2,), (-0.1,), model.control_set)
-    config = SimConfig(4000, 2.5e-3, 12, uniform_grid(0.5, 0.025),
-                       record_controls=True)
+    config = SimConfig(4000, 2.5e-3, 12, uniform_grid(0.5, 0.025))
     rep = mimic_compare(model, control, config)
     assert abs(rep.delta) <= 3.0 * rep.delta_se + 1e-12
     # the cost is a deterministic function of time here, so every batch ties
@@ -50,8 +48,7 @@ def test_noise_dependent_control_improves_under_mimicking():
     mixed cells, so the feedback version earns strictly more."""
     model = mimic_interval(horizon=0.5)
     control = RandomizedSignControl((0.3,), (1.0,), model.control_set)
-    config = SimConfig(4000, 2.5e-3, 13, uniform_grid(0.5, 0.025),
-                       record_controls=True)
+    config = SimConfig(4000, 2.5e-3, 13, uniform_grid(0.5, 0.025))
     rep = mimic_compare(model, control, config)
     # open-loop cost is exactly -0.09 * 0.5 regardless of the draw
     assert rep.j_open.total == pytest.approx(-0.045, abs=1e-12)
@@ -62,8 +59,7 @@ def test_noise_dependent_control_improves_under_mimicking():
 def test_empty_cells_are_filled_from_neighbors():
     model = mimic_interval(horizon=0.25)
     target = ConstantPolicy((0.25,), model.control_set)
-    config = SimConfig(200, 2.5e-3, 14, uniform_grid(0.25, 0.025),
-                       record_controls=True)
+    config = SimConfig(200, 2.5e-3, 14, uniform_grid(0.25, 0.025))
     ens = simulate_killed(model, target, None, config)
     policy, grid = regress_feedback(ens, 5, 25)
     # outer space cells see no survivors but still get usable values
@@ -78,7 +74,7 @@ def test_empty_time_slab_raises_depletion():
     model = driftless_interval(halfwidth=0.3, horizon=1.0)
     policy = ConstantPolicy((0.0,), model.control_set)
     config = SimConfig(50, 1e-3, 15, uniform_grid(1.0, 0.125),
-                       min_survivors=0, record_controls=True)
+                       min_survivors=0)
     ens = simulate_killed(model, policy, None, config)
     with pytest.raises(SurvivorDepletion):
         build_regression_grid(ens, 8, 4)
@@ -87,14 +83,6 @@ def test_empty_time_slab_raises_depletion():
 def test_input_validation():
     model = mimic_interval(horizon=0.25)
     feedback = ConstantPolicy((0.1,), model.control_set)
-    control = PiecewiseControl(0.1, (0.1,), (0.0,), model.control_set)
     grid = uniform_grid(0.25, 0.025)
     with pytest.raises(ValueError):
-        mimic_compare(model, feedback, SimConfig(100, 2.5e-3, 16, grid,
-                                                 record_controls=True))
-    no_record = SimConfig(100, 2.5e-3, 16, grid, record_controls=False)
-    with pytest.raises(ValueError):
-        mimic_compare(model, control, no_record)
-    ens = simulate_killed(model, feedback, None, no_record)
-    with pytest.raises(ValueError):
-        build_regression_grid(ens, 2, 2)
+        mimic_compare(model, feedback, SimConfig(100, 2.5e-3, 16, grid))

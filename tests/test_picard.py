@@ -5,8 +5,8 @@ import pytest
 
 from condiff.errors import SurvivorDepletion
 from condiff.geometry import Box, Interval
-from condiff.killed_sim import (Blocks, SimConfig, conditional_flow, exit_cdf,
-                                simulate_killed, uniform_grid)
+from condiff.killed_sim import (Blocks, SimConfig, _controls_at, conditional_flow,
+                                exit_cdf, simulate_killed, uniform_grid)
 from condiff.measures import flow_distance
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
                            ModelSpec, UniformBox)
@@ -78,9 +78,12 @@ def _assert_same_solve(stacked, single):
     assert stacked.converged == single.converged
     for a, b in zip(stacked.flow.nodes, single.flow.nodes):
         assert a.points.tobytes() == b.points.tobytes()
-    for name in ("exit_times", "snapshots", "controls"):
+    for name in ("exit_times", "snapshots"):
         assert getattr(stacked.ensemble, name).tobytes() == \
             getattr(single.ensemble, name).tobytes()
+    for m in range(single.ensemble.times.shape[0]):
+        assert _controls_at(stacked.ensemble, m).tobytes() == \
+            _controls_at(single.ensemble, m).tobytes()
     # The flow a fixed point returns, and the reward reads, is its own
     # ensemble's output flow, not the input flow the last sweep's drift saw.
     for fp in (stacked, single):

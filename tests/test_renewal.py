@@ -5,8 +5,8 @@ import pytest
 from condiff import rng
 from condiff.errors import ContractionViolation, SurvivorDepletion
 from condiff.geometry import Box
-from condiff.killed_sim import (SimConfig, conditional_flow, exit_cdf, simulate_killed,
-                                uniform_grid)
+from condiff.killed_sim import (Blocks, SimConfig, conditional_flow, exit_cdf,
+                                simulate_killed, uniform_grid)
 from condiff.model import (Cloud, ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
                            ModelSpec, UniformBox)
 from condiff.picard import solve_fixed_point
@@ -176,11 +176,11 @@ def _assert_columns_run_alone(model, policy, flow, config, kernel):
     """Each kernel row equals its restart column simulated on its own."""
     t_end = float(flow.times[-1])
     for i, s in enumerate(kernel.s_grid):
-        column = SimConfig(kernel.n_paths, config.dt,
-                           rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i),
-                           np.array([s, t_end]), min_survivors=0)
-        alone = simulate_killed(model, policy, flow, column,
-                                initial_law=Cloud(flow.node_at(s).points), t0=s)
+        seed = rng.derive_seed(config.seed, rng.KERNEL_COLUMN, i)
+        column = Blocks((policy,), (flow,), (seed,), (s,), (Cloud(flow.node_at(s).points),))
+        alone = simulate_killed(model, column, None, SimConfig(
+            kernel.n_paths, config.dt, config.seed, np.array([s, t_end]),
+            min_survivors=0)).block(0)
         valid = kernel.u_grid.shape[0] - i
         row = exit_cdf(alone, s + kernel.u_grid[:valid])
         assert kernel.cdf[i, :valid].tobytes() == row.tobytes(), f"column {i}"

@@ -69,16 +69,6 @@ def test_fv_reward_decomposition_and_cost_linearity():
         eval_reward_fv(fv, flow, reward=reward, reinsertion_cost=-1.0)
 
 
-def test_conditional_eval_requires_recorded_controls():
-    model = driftless_interval(horizon=0.25)
-    policy = ConstantPolicy((0.0,), model.control_set)
-    config = SimConfig(100, 2.5e-3, 33, uniform_grid(0.25, 0.05),
-                       record_controls=False)
-    ens = simulate_killed(model, policy, None, config)
-    with pytest.raises(ValueError):
-        eval_reward_conditional(ens, conditional_flow(ens))
-
-
 def test_nelder_mead_finds_zero_control():
     model = cost_only_model()
     family = PolicyFamily("constant", 1, (0.7,), (-1.0,), (1.0,))
