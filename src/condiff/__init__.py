@@ -14,9 +14,8 @@ from .errors import (ConfigError, ContractionViolation, ModelRuntimeError,
                      NumericalError, ReinsertionBlowup, SurvivorDepletion,
                      TotalExtinction)
 from .geometry import Ball, Box, Domain, Interval, domain_from_dict
-from .measures import (EmpiricalMeasure, MeasureFlow, conditional_empirical,
-                       flow_distance, restrict_flow, sample_many,
-                       sliced_w1, w1_distance_1d)
+from .measures import (EmpiricalMeasure, MeasureFlow, flow_distance, restrict_flow,
+                       sample_many, sliced_w1, w1_distance_1d)
 from .model import (Cloud, ConstantPolicy, ControlBox, DriftSpec,
                     FeedbackPolicy, GridPolicy, InitialLaw, LinearPolicy,
                     ModelSpec, NoisePeekControl, OpenLoopControl,

@@ -27,12 +27,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import (_building, _json_bool, apply_overrides, build_model,
-                     build_open_control, build_policy, build_sim_config, config_hash,
-                     load_config, optional, optional_as, require)
+from .config import (_building, _lookup, apply_overrides, build_model, build_open_control,
+                     build_policy, build_sim_config, config_hash, load_config, read)
 from .errors import ConfigError, ModelRuntimeError
-from .fleming_viot import (DEFAULT_REINSERTION_CAP, simulate_fv_finite,
-                           simulate_fv_meanfield)
+from .fleming_viot import simulate_fv_finite, simulate_fv_meanfield
 from .io import write_csv, write_json
 from .killed_sim import exit_cdf, simulate_killed
 from .mimic import mimic_compare
@@ -45,9 +43,9 @@ from .verify import VERIFY_SEED, run_verify
 
 def _control_from_config(cfg, model):
     """The policy section wins when both control sections are present."""
-    if optional(cfg, "policy") is not None:
+    if _lookup(cfg, "policy") is not None:
         return build_policy(cfg, model)
-    if optional(cfg, "open_control") is not None:
+    if _lookup(cfg, "open_control") is not None:
         return build_open_control(cfg, model)
     raise ConfigError("missing required field 'policy' (or 'open_control')")
 
@@ -96,41 +94,14 @@ def _write_paths_bin(out: Path, ens) -> None:
     (out / "paths.bin").write_bytes(arr.tobytes())
 
 
-def _at_least(cfg, dotted: str, cast, default, low):
-    """optional_as(cfg, dotted, cast, default), refusing values below low."""
-    value = optional_as(cfg, dotted, cast, default)
-    if value is not None and value < low:
-        raise ConfigError(f"invalid '{dotted}': must be at least {low}, got {value}")
-    return value
-
-
-def _one_of(cfg, dotted: str, default, choices: tuple):
-    """optional(cfg, dotted, default), which must be one of choices."""
-    value = optional(cfg, dotted, default)
-    if value not in choices:
-        raise ConfigError(f"invalid '{dotted}': must be one of "
-                          f"{', '.join(map(repr, choices))}, got {value!r}")
-    return value
-
-
-def _picard_block(cfg) -> tuple[float, int]:
-    return (optional_as(cfg, "picard.tol", float, 1e-2),
-            _at_least(cfg, "picard.max_iter", int, 10, 1))
-
-
-def _reinsertion_cap(cfg, dotted: str) -> int:
-    return _at_least(cfg, dotted, int, DEFAULT_REINSERTION_CAP, 0)
-
-
-def _cmd_simulate(cfg, model, out):
-    sim = build_sim_config(cfg, model)
+def _cmd_simulate(cfg, model, sim, out):
     if model.drift.mf_gain != 0.0:
         raise ConfigError(
             "invalid 'model.drift.mf_gain': simulate runs with no "
             "conditional-mean input; use the picard command for coupled "
             "models or override model.drift.mf_gain=0")
     control = _control_from_config(cfg, model)
-    store_paths = optional_as(cfg, "sim.store_paths", _json_bool, False)
+    store_paths = read(cfg, "sim.store_paths")
     ens = simulate_killed(model, control, None, sim)
     _write_survival_csv(out, ens)
     _write_flow_csv(out, ens)
@@ -139,10 +110,9 @@ def _cmd_simulate(cfg, model, out):
     return {"survival_end": float(ens.survival[-1])}
 
 
-def _cmd_picard(cfg, model, out):
-    sim = build_sim_config(cfg, model)
+def _cmd_picard(cfg, model, sim, out):
     control = _control_from_config(cfg, model)
-    tol, max_iter = _picard_block(cfg)
+    tol, max_iter = read(cfg, "picard.tol"), read(cfg, "picard.max_iter")
     fp = solve_fixed_point(model, control, sim, tol=tol, max_iter=max_iter)
     write_csv(out / "iterations.csv", ["iter", "distance"],
               [(k + 1, d) for k, d in enumerate(fp.distance_trace)])
@@ -151,16 +121,15 @@ def _cmd_picard(cfg, model, out):
             "final_distance": float(fp.distance_trace[-1])}
 
 
-def _cmd_fv(cfg, model, out):
-    sim = build_sim_config(cfg, model)
+def _cmd_fv(cfg, model, sim, out):
     policy = build_policy(cfg, model)
-    variant = _one_of(cfg, "fv.variant", "meanfield", ("meanfield", "finite"))
-    cap = _reinsertion_cap(cfg, "fv.reinsertion_cap")
+    variant = read(cfg, "fv.variant")
+    cap = read(cfg, "fv.reinsertion_cap")
     if variant == "finite" and sim.n_particles < 2:
-        raise ConfigError("invalid 'sim.n_particles': the finite variant needs "
+        raise ConfigError("invalid 'sim.n_particles': the finite 'fv.variant' needs "
                           f"at least two particles, got {sim.n_particles}")
     if variant == "meanfield":
-        tol, max_iter = _picard_block(cfg)
+        tol, max_iter = read(cfg, "picard.tol"), read(cfg, "picard.max_iter")
         fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)
         fv = simulate_fv_meanfield(model, policy, fp.flow, sim,
                                    reinsertion_cap=cap)
@@ -180,19 +149,18 @@ def _cmd_fv(cfg, model, out):
             "events": int(fv.event_times.shape[0])}
 
 
-def _cmd_renewal(cfg, model, out):
-    sim = build_sim_config(cfg, model)
+def _cmd_renewal(cfg, model, sim, out):
     if sim.grid[0] != 0.0:
         raise ConfigError("invalid 'sim.grid': renewal needs a grid starting at 0")
     policy = build_policy(cfg, model)
     # Restart columns start on output-grid nodes, so dt_r defaults to the grid step.
-    dt_r = optional_as(cfg, "renewal.dt_r", float, sim.grid[1] - sim.grid[0])
-    try:
+    dt_r = read(cfg, "renewal.dt_r")
+    if dt_r is None:
+        dt_r = float(sim.grid[1] - sim.grid[0])
+    with _building("renewal.dt_r"):
         restart_times(sim.grid, dt_r, sim.dt)
-    except ValueError as e:
-        raise ConfigError(f"invalid 'renewal.dt_r': {e}")
-    n_paths = _at_least(cfg, "renewal.n_paths", int, 2000, 1)
-    tol, max_iter = _picard_block(cfg)
+    n_paths = read(cfg, "renewal.n_paths")
+    tol, max_iter = read(cfg, "picard.tol"), read(cfg, "picard.max_iter")
     fp = solve_fixed_point(model, policy, sim, tol=tol, max_iter=max_iter)
     kernel = estimate_restart_kernel(model, policy, fp.flow, sim, dt_r, n_paths)
     grid_r = kernel.u_grid
@@ -215,14 +183,11 @@ def _cmd_renewal(cfg, model, out):
             "isotonic_correction": kernel.isotonic_correction}
 
 
-def _cmd_mimic(cfg, model, out):
-    sim = build_sim_config(cfg, model)
+def _cmd_mimic(cfg, model, sim, out):
     open_control = build_open_control(cfg, model)
-    tol, max_iter = _picard_block(cfg)
-    rep = mimic_compare(model, open_control, sim,
-                        time_bins=_at_least(cfg, "mimic.time_bins", int, 8, 1),
-                        space_bins=_at_least(cfg, "mimic.space_bins", int, 16, 1),
-                        tol=tol, max_iter=max_iter)
+    tol, max_iter = read(cfg, "picard.tol"), read(cfg, "picard.max_iter")
+    rep = mimic_compare(model, open_control, sim, time_bins=read(cfg, "mimic.time_bins"),
+                        space_bins=read(cfg, "mimic.space_bins"), tol=tol, max_iter=max_iter)
     grid = rep.regression
     d = len(grid.space_edges)
     d_a = grid.values.shape[-1]
@@ -237,24 +202,20 @@ def _cmd_mimic(cfg, model, out):
     return rep.to_dict()
 
 
-def _cmd_optimize(cfg, model, out):
-    sim = build_sim_config(cfg, model)
-    require(cfg, "optimize.family")
-    kind = _one_of(cfg, "optimize.family", None, ("constant", "linear", "grid"))
-    time_bins = _at_least(cfg, "optimize.time_bins", int, 2, 1)
-    space_bins = _at_least(cfg, "optimize.space_bins", int, 2, 1)
+def _cmd_optimize(cfg, model, sim, out):
+    kind = read(cfg, "optimize.family")
+    time_bins = read(cfg, "optimize.time_bins")
+    space_bins = read(cfg, "optimize.space_bins")
     with _building("optimize.time_bins and optimize.space_bins"):
         family = policy_family(model, kind, time_bins=time_bins, space_bins=space_bins)
-    tol, max_iter = _picard_block(cfg)
     res = optimize_policy(
         model, family, sim,
-        objective=_one_of(cfg, "optimize.objective", "conditional", ("conditional", "fv")),
-        method=_one_of(cfg, "optimize.method", "nelder-mead",
-                       ("nelder-mead", "cross-entropy")),
-        budget=_at_least(cfg, "optimize.budget", int, 100, 1),
-        picard_tol=tol, picard_max_iter=max_iter,
-        reinsertion_cost=_at_least(cfg, "optimize.reinsertion_cost", float, None, 0.0),
-        reinsertion_cap=_reinsertion_cap(cfg, "optimize.reinsertion_cap"))
+        objective=read(cfg, "optimize.objective"),
+        method=read(cfg, "optimize.method"),
+        budget=read(cfg, "optimize.budget"),
+        picard_tol=read(cfg, "picard.tol"), picard_max_iter=read(cfg, "picard.max_iter"),
+        reinsertion_cost=read(cfg, "optimize.reinsertion_cost"),
+        reinsertion_cap=read(cfg, "optimize.reinsertion_cap"))
     k = res.trace_params.shape[1]
     write_csv(out / "trace.csv",
               ["eval_id"] + [f"p{j + 1}" for j in range(k)] + ["J", "J_se"],
@@ -336,10 +297,9 @@ def main(argv=None) -> int:
             return 0
         cfg = apply_overrides(load_config(args.config), args.override)
         model = build_model(cfg)
-        require(cfg, "sim.seed")
-        seed = optional_as(cfg, "sim.seed", int, None)
-        extra = _COMMANDS[args.command](cfg, model, out)
-        _write_manifest(out, args.command, cfg, seed, args.threads,
+        sim = build_sim_config(cfg, model)
+        extra = _COMMANDS[args.command](cfg, model, sim, out)
+        _write_manifest(out, args.command, cfg, sim.seed, args.threads,
                         time.perf_counter() - start, extra)
         return 0
     except ConfigError as e:

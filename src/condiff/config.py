@@ -9,20 +9,23 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .fleming_viot import DEFAULT_REINSERTION_CAP
 from .geometry import BOUNDARY_TOL, domain_from_dict
 from .killed_sim import SimConfig, uniform_grid
 from .measures import _TIME_TOL
-from .model import (Cloud, ControlBox, DriftSpec, GridPolicy, LinearPolicy, ModelSpec,
-                    ConstantPolicy, NoisePeekControl, PiecewiseControl, PointMass,
-                    RandomizedSignControl, RewardSpec, initial_law_from_dict)
+from .model import (_BASE_KINDS, _PHI_KINDS, Cloud, ControlBox, DriftSpec, GridPolicy,
+                    LinearPolicy, ModelSpec, ConstantPolicy, NoisePeekControl,
+                    PiecewiseControl, PointMass, RandomizedSignControl, RewardSpec,
+                    initial_law_from_dict)
 
-_MISSING = object()
+_REQUIRED = object()
 
 
 def load_config(path) -> dict:
@@ -67,39 +70,102 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def require(cfg: dict, dotted: str):
-    node = cfg
-    parts = dotted.split(".")
+# Every scalar field the program reads: (type, default, rule).  A str
+# field's rule is its tuple of choices, a number's is (">", bound),
+# (">=", bound) or None.  A default of None is worked out by the caller:
+# sim.grid.t_end is the model horizon, renewal.dt_r the output-grid step
+# and optimize.reinsertion_cost the model's.
+FIELDS = {
+    "model.domain.type": (str, _REQUIRED, ("interval", "box", "ball")),
+    "model.drift.base": (str, "zero", _BASE_KINDS),
+    "model.drift.mf_gain": (float, 0.0, None),
+    "model.drift.clip_bound": (float, np.inf, (">", 0.0)),
+    "model.horizon": (float, _REQUIRED, (">", 0.0)),
+    "model.reward.r_x": (float, 0.0, None),
+    "model.reward.phi": (str, "one", _PHI_KINDS),
+    "model.reward.r_m": (float, 0.0, None),
+    "model.reward.r_a": (float, 0.0, (">=", 0.0)),
+    "model.reward.g_w": (float, 0.0, None),
+    "model.reward.g_var": (float, 0.0, None),
+    "model.reward.reinsertion_cost": (float, 0.0, (">=", 0.0)),
+    "model.initial.type": (str, _REQUIRED, ("point", "uniform", "points")),
+    "sim.n_particles": (int, _REQUIRED, (">=", 1)),
+    "sim.dt": (float, _REQUIRED, (">", 0.0)),
+    "sim.seed": (int, _REQUIRED, (">=", 0)),
+    "sim.grid.step": (float, _REQUIRED, (">", 0.0)),
+    "sim.grid.t_end": (float, None, (">", 0.0)),
+    "sim.bridge_correction": (bool, True, None),
+    "sim.min_survivors": (int, 1, (">=", 0)),
+    "sim.store_paths": (bool, False, None),
+    "policy.type": (str, _REQUIRED, ("constant", "linear", "grid")),
+    "policy.time_bins": (int, _REQUIRED, (">=", 1)),
+    "policy.space_bins": (int, _REQUIRED, (">=", 1)),
+    "open_control.type": (str, _REQUIRED, ("randomized_sign", "piecewise", "noise_peek")),
+    "open_control.t_switch": (float, _REQUIRED, None),
+    "open_control.peek_time": (float, _REQUIRED, None),
+    "picard.tol": (float, 1e-2, (">=", 0.0)),
+    "picard.max_iter": (int, 10, (">=", 1)),
+    "fv.variant": (str, "meanfield", ("meanfield", "finite")),
+    "fv.reinsertion_cap": (int, DEFAULT_REINSERTION_CAP, (">=", 0)),
+    "renewal.dt_r": (float, None, (">", 0.0)),
+    "renewal.n_paths": (int, 2000, (">=", 1)),
+    "mimic.time_bins": (int, 8, (">=", 1)),
+    "mimic.space_bins": (int, 16, (">=", 1)),
+    "optimize.family": (str, _REQUIRED, ("constant", "linear", "grid")),
+    "optimize.method": (str, "nelder-mead", ("nelder-mead", "cross-entropy")),
+    "optimize.objective": (str, "conditional", ("conditional", "fv")),
+    "optimize.budget": (int, 100, (">=", 1)),
+    "optimize.time_bins": (int, 2, (">=", 1)),
+    "optimize.space_bins": (int, 2, (">=", 1)),
+    "optimize.reinsertion_cost": (float, None, (">=", 0.0)),
+    "optimize.reinsertion_cap": (int, DEFAULT_REINSERTION_CAP, (">=", 0)),
+}
+_KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _lookup(cfg: dict, dotted: str, default=None):
+    """The value at a dotted path, or default where it or a section on the
+    way is missing or null; a section that is not an object is refused."""
+    node, parts = cfg, dotted.split(".")
     for i, p in enumerate(parts):
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"missing required field '{'.'.join(parts[: i + 1])}'")
-        node = node[p]
-    return node
-
-
-def optional(cfg: dict, dotted: str, default=None):
-    node = cfg
-    for p in dotted.split("."):
-        if not isinstance(node, dict) or p not in node:
+        if node is None:
             return default
-        node = node[p]
+        if not isinstance(node, dict):
+            raise ConfigError(f"invalid '{'.'.join(parts[:i])}': must be an object, "
+                              f"got {node!r}")
+        node = node.get(p)
     return default if node is None else node
 
 
-def optional_as(cfg: dict, dotted: str, cast, default):
-    """optional(cfg, dotted, default) cast by cast (int, float); a value
-    the cast refuses is a ConfigError naming the field."""
-    value = optional(cfg, dotted, default)
+def require(cfg: dict, dotted: str):
+    value = _lookup(cfg, dotted)
     if value is None:
-        return None
-    with _building(dotted):
-        return cast(value)
+        raise ConfigError(f"missing required field '{dotted}'")
+    return value
 
 
-def _json_bool(value) -> bool:
-    """A cast for optional_as that takes only JSON booleans, not any truthy value."""
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
+def read(cfg: dict, dotted: str, declared: str | None = None):
+    """The scalar field at dotted, checked against its FIELDS entry (that of
+    declared, for a section read under another name)."""
+    kind, default, rule = FIELDS[declared or dotted]
+    value = require(cfg, dotted) if default is _REQUIRED else _lookup(cfg, dotted)
+    if value is None:
+        return default
+    if kind in (str, bool):
+        ok = isinstance(value, kind)
+    else:  # JSON booleans are not numbers, and an int field takes no fraction
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value) and (kind is float or float(value).is_integer()))
+    if not ok:
+        raise ConfigError(f"invalid '{dotted}': must be {_KIND_NAMES[kind]}, got {value!r}")
+    value = kind(value)
+    if kind is str and value not in rule:
+        raise ConfigError(f"invalid '{dotted}': must be one of "
+                          f"{', '.join(map(repr, rule))}, got {value!r}")
+    if kind in (int, float) and rule is not None:
+        op, bound = rule
+        if not (value > bound if op == ">" else value >= bound):
+            raise ConfigError(f"invalid '{dotted}': must be {op} {bound:g}, got {value!r}")
     return value
 
 
@@ -123,48 +189,48 @@ def _hull_points(law) -> np.ndarray:
 
 
 def build_model(cfg: dict) -> ModelSpec:
+    read(cfg, "model.domain.type")  # an object of a known type
     with _building("model.domain"):
         domain = domain_from_dict(require(cfg, "model.domain"))
     with _building("model.drift"):
-        dspec = require(cfg, "model.drift")
-        clip = optional(cfg, "model.drift.clip_bound")
         drift = DriftSpec(
-            base_kind=optional(cfg, "model.drift.base", "zero"),
-            base_vector=dspec.get("base_vector"),
-            base_matrix=dspec.get("base_matrix"),
-            mf_gain=float(optional(cfg, "model.drift.mf_gain", 0.0)),
+            base_kind=read(cfg, "model.drift.base"),
+            base_vector=_lookup(cfg, "model.drift.base_vector"),
+            base_matrix=_lookup(cfg, "model.drift.base_matrix"),
+            mf_gain=read(cfg, "model.drift.mf_gain"),
             control_matrix=tuple(map(tuple, require(cfg, "model.drift.control_matrix"))),
-            clip_bound=np.inf if clip is None else float(clip),
+            clip_bound=read(cfg, "model.drift.clip_bound"),
         )
     with _building("model.control_box"):
         box = ControlBox(tuple(require(cfg, "model.control_box.lo")),
                          tuple(require(cfg, "model.control_box.hi")))
     with _building("model.reward"):
-        r = optional(cfg, "model.reward", {})
+        zeros = (0.0,) * domain.dim
         reward = RewardSpec(
-            r_x=float(r.get("r_x", 0.0)),
-            phi_kind=r.get("phi", "one"),
-            phi_weights=r.get("phi_weights"),
-            r_m=float(r.get("r_m", 0.0)),
-            mean_weights=tuple(r.get("mean_weights", (0.0,) * domain.dim)),
-            r_a=float(r.get("r_a", 0.0)),
-            g_w=float(r.get("g_w", 0.0)),
-            terminal_weights=tuple(r.get("terminal_weights", (0.0,) * domain.dim)),
-            g_var=float(r.get("g_var", 0.0)),
-            reinsertion_cost=float(r.get("reinsertion_cost", 0.0)),
+            r_x=read(cfg, "model.reward.r_x"),
+            phi_kind=read(cfg, "model.reward.phi"),
+            phi_weights=_lookup(cfg, "model.reward.phi_weights"),
+            r_m=read(cfg, "model.reward.r_m"),
+            mean_weights=tuple(_lookup(cfg, "model.reward.mean_weights", zeros)),
+            r_a=read(cfg, "model.reward.r_a"),
+            g_w=read(cfg, "model.reward.g_w"),
+            terminal_weights=tuple(_lookup(cfg, "model.reward.terminal_weights", zeros)),
+            g_var=read(cfg, "model.reward.g_var"),
+            reinsertion_cost=read(cfg, "model.reward.reinsertion_cost"),
         )
+    read(cfg, "model.initial.type")  # an object of a known type
     with _building("model.initial"):
         initial = initial_law_from_dict(require(cfg, "model.initial"))
         # Every domain is convex: the law lies in its closure when these do.
         if np.any(domain.boundary_distance(_hull_points(initial)) < -BOUNDARY_TOL):
-            raise ValueError("initial points must lie in the closed domain")
+            raise ValueError("initial points must lie in the closed 'model.domain'")
     with _building("model"):
         return ModelSpec(
             domain=domain,
             sigma=tuple(map(tuple, require(cfg, "model.sigma"))),
             drift=drift,
             control_set=box,
-            horizon=float(require(cfg, "model.horizon")),
+            horizon=read(cfg, "model.horizon"),
             reward=reward,
             initial=initial,
         )
@@ -172,30 +238,30 @@ def build_model(cfg: dict) -> ModelSpec:
 
 def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
     """The sim section as a SimConfig."""
-    grid_spec = require(cfg, "sim.grid")
+    times = _lookup(cfg, "sim.grid.times")
     with _building("sim.grid"):
-        if "times" in grid_spec:
-            grid = np.asarray(grid_spec["times"], dtype=float)
+        if times is not None:
+            grid = np.asarray(times, dtype=float)
         else:
-            step = float(require(cfg, "sim.grid.step"))
-            t_end = float(grid_spec.get("t_end", model.horizon))
-            grid = uniform_grid(t_end, step)
-        if grid[-1] > model.horizon + _TIME_TOL:
-            raise ValueError(f"ends at {grid[-1]:g}, beyond the model horizon "
+            t_end = read(cfg, "sim.grid.t_end")
+            grid = uniform_grid(model.horizon if t_end is None else t_end,
+                                read(cfg, "sim.grid.step"))
+        if np.any(grid > model.horizon + _TIME_TOL):
+            raise ValueError(f"ends at {grid.max():g}, beyond 'model.horizon' "
                              f"{model.horizon:g}")
     with _building("sim"):
         return SimConfig(
-            n_particles=int(require(cfg, "sim.n_particles")),
-            dt=float(require(cfg, "sim.dt")),
-            seed=int(require(cfg, "sim.seed")),
+            n_particles=read(cfg, "sim.n_particles"),
+            dt=read(cfg, "sim.dt"),
+            seed=read(cfg, "sim.seed"),
             grid=grid,
-            bridge_correction=optional_as(cfg, "sim.bridge_correction", _json_bool, True),
-            min_survivors=int(optional(cfg, "sim.min_survivors", 1)),
+            bridge_correction=read(cfg, "sim.bridge_correction"),
+            min_survivors=read(cfg, "sim.min_survivors"),
         )
 
 
 def build_policy(cfg: dict, model: ModelSpec, section: str = "policy"):
-    kind = require(cfg, f"{section}.type")
+    kind = read(cfg, f"{section}.type", "policy.type")
     box = model.control_set
     with _building(section):
         if kind == "constant":
@@ -204,17 +270,15 @@ def build_policy(cfg: dict, model: ModelSpec, section: str = "policy"):
             return LinearPolicy(tuple(require(cfg, f"{section}.theta0")),
                                 tuple(map(tuple, require(cfg, f"{section}.theta1"))),
                                 box)
-        if kind == "grid":
-            values = np.asarray(require(cfg, f"{section}.values"), dtype=float)
-            return GridPolicy.build(model,
-                                    int(require(cfg, f"{section}.time_bins")),
-                                    int(require(cfg, f"{section}.space_bins")),
-                                    values)
-    raise ConfigError(f"invalid '{section}.type': unknown policy type {kind!r}")
+        values = np.asarray(require(cfg, f"{section}.values"), dtype=float)
+        return GridPolicy.build(model,
+                                read(cfg, f"{section}.time_bins", "policy.time_bins"),
+                                read(cfg, f"{section}.space_bins", "policy.space_bins"),
+                                values)
 
 
 def build_open_control(cfg: dict, model: ModelSpec, section: str = "open_control"):
-    kind = require(cfg, f"{section}.type")
+    kind = read(cfg, f"{section}.type", "open_control.type")
     box = model.control_set
     with _building(section):
         if kind == "randomized_sign":
@@ -225,12 +289,11 @@ def build_open_control(cfg: dict, model: ModelSpec, section: str = "open_control
             return RandomizedSignControl(tuple(require(cfg, f"{section}.base")),
                                          direction, box)
         if kind == "piecewise":
-            return PiecewiseControl(float(require(cfg, f"{section}.t_switch")),
-                                    tuple(require(cfg, f"{section}.before")),
-                                    tuple(require(cfg, f"{section}.after")),
-                                    box)
-        if kind == "noise_peek":
-            return NoisePeekControl(tuple(require(cfg, f"{section}.base")),
-                                    float(require(cfg, f"{section}.peek_time")),
-                                    box)
-    raise ConfigError(f"invalid '{section}.type': unknown control type {kind!r}")
+            return PiecewiseControl(
+                read(cfg, f"{section}.t_switch", "open_control.t_switch"),
+                tuple(require(cfg, f"{section}.before")),
+                tuple(require(cfg, f"{section}.after")),
+                box)
+        return NoisePeekControl(tuple(require(cfg, f"{section}.base")),
+                                read(cfg, f"{section}.peek_time", "open_control.peek_time"),
+                                box)

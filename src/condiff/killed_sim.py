@@ -46,6 +46,8 @@ from .model import (ConstantPolicy, FeedbackPolicy, ModelSpec, OpenLoopControl,
 
 def uniform_grid(t_end: float, step: float, t_start: float = 0.0) -> np.ndarray:
     """Output grid t_start, t_start + step, ..., t_end (endpoint exact)."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     count = int(round((t_end - t_start) / step))
     if count < 1 or abs(t_start + count * step - t_end) > _TIME_TOL:
         raise ValueError("step must divide the interval evenly")

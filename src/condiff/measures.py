@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SurvivorDepletion
 
 # Tolerance for matching times against grid nodes and exit stamps.
 _TIME_TOL = 1e-9
@@ -52,18 +51,6 @@ class EmpiricalMeasure:
         """Mean squared distance to the mean (trace of the covariance)."""
         centered = self.points - self.mean()
         return float(np.mean(np.sum(centered * centered, axis=1)))
-
-
-def conditional_empirical(positions, alive) -> EmpiricalMeasure:
-    """Measure of the alive subsample; empty selections are an error."""
-    positions = np.asarray(positions, dtype=float)
-    alive = np.asarray(alive, dtype=bool)
-    if positions.shape[0] != alive.shape[0]:
-        raise ValueError("positions and alive mask must have matching length")
-    count = int(alive.sum())
-    if count == 0:
-        raise SurvivorDepletion(float("nan"), 0, 1)
-    return EmpiricalMeasure(positions[alive])
 
 
 def sample_many(measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:

@@ -74,13 +74,17 @@ class DriftSpec:
         if B.ndim != 2:
             raise ValueError("control_matrix must be a (d, d_A) matrix")
         object.__setattr__(self, "control_matrix", tuple(map(tuple, B.tolist())))
+        if self.base_kind == "constant" and self.base_vector is None:
+            raise ValueError("a constant base needs base_vector")
+        if self.base_kind == "affine" and self.base_matrix is None:
+            raise ValueError("an affine base needs base_matrix")
         if self.base_vector is not None:
             object.__setattr__(self, "base_vector",
-                               tuple(np.asarray(self.base_vector, dtype=float).tolist()))
+                               tuple(_vec(self.base_vector, self.dim, "base_vector").tolist()))
         if self.base_matrix is not None:
             M = np.asarray(self.base_matrix, dtype=float)
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
-                raise ValueError("base_matrix must be square")
+            if M.shape != (self.dim, self.dim):
+                raise ValueError(f"base_matrix must have shape ({self.dim}, {self.dim})")
             object.__setattr__(self, "base_matrix", tuple(map(tuple, M.tolist())))
         if not self.clip_bound > 0:
             raise ValueError("clip_bound must be positive")
@@ -252,6 +256,13 @@ class ModelSpec:
             raise ValueError("control_matrix width does not match the control box")
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive and finite")
+        r = self.reward  # every weight vector the reward reads is a vector in R^dim
+        for name, used in (("phi_weights", r.phi_kind == "linear"), ("mean_weights", r.r_m != 0.0),
+                           ("terminal_weights", r.g_w != 0.0)):
+            weights = getattr(r, name)
+            if used and (weights is None or len(weights) != self.dim):
+                raise ValueError(f"model.reward.{name} must have length {self.dim}, got "
+                                 f"{None if weights is None else list(weights)}")
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,7 @@ from . import rng
 from .errors import ReinsertionBlowup, SurvivorDepletion
 from .fleming_viot import DEFAULT_REINSERTION_CAP, FVTrace, simulate_fv_meanfield
 from .killed_sim import Blocks, KilledEnsemble, SimConfig, _controls_at
-from .measures import MeasureFlow, conditional_empirical
+from .measures import EmpiricalMeasure, MeasureFlow
 from .model import (ConstantPolicy, FeedbackPolicy, GridPolicy, LinearPolicy,
                     ModelSpec, RewardSpec)
 from .picard import solve_fixed_points
@@ -65,9 +65,9 @@ class RewardReport:
         }
 
 
-def _batch_slices(n: int) -> list[slice]:
+def _batch_bounds(n: int) -> list[tuple[int, int]]:
     bounds = np.linspace(0, n, min(BATCHES, n) + 1).astype(int)
-    return [slice(int(bounds[b]), int(bounds[b + 1])) for b in range(len(bounds) - 1)]
+    return [(int(bounds[b]), int(bounds[b + 1])) for b in range(len(bounds) - 1)]
 
 
 def _batch_se(values: np.ndarray) -> float:
@@ -85,33 +85,43 @@ def _running_values(reward: RewardSpec, flow: MeasureFlow, run) -> list[np.ndarr
     return out
 
 
-def _estimate(run, flow: MeasureFlow, reward: RewardSpec, alive: list[np.ndarray],
+def _estimate(run, flow: MeasureFlow, reward: RewardSpec, alive: list[np.ndarray] | None,
               counts: np.ndarray | None = None, cost: float = 0.0) -> RewardReport:
     """The reward of a run over the particles alive at each node.
 
-    The running term integrates the survivors' mean integrand on the
-    output grid, the terminal term reads the last node's survivors, and
-    with reinsertion counts the reinsertion term is -cost times their
-    mean.  Every term is recomputed on contiguous particle batches.
+    alive[m] masks the particles alive at node m; None keeps every
+    particle.  The running term integrates the survivors' mean integrand
+    on the output grid, the terminal term reads the last node's
+    survivors, and with reinsertion counts the reinsertion term is -cost
+    times their mean.  Every term is recomputed on contiguous particle
+    batches.
     """
     times = run.times
     deltas = np.diff(times)
-    values = _running_values(reward, flow, run)
+    # Each node's integrand, then the last node's positions, over its
+    # survivors in particle order.  ends[m][i] counts node m's survivors
+    # among the first i particles, so a batch is one slice of each.
+    nodes = [*_running_values(reward, flow, run), run.snapshots[-1]]
+    if alive is None:
+        ends = [np.arange(run.n + 1)] * len(nodes)
+    else:
+        nodes = [v[mask] for v, mask in zip(nodes, alive)]
+        ends = [np.concatenate(([0], np.cumsum(mask))) for mask in alive]
 
-    def totals(sel: slice) -> tuple[float, float, float]:
+    def totals(lo: int, hi: int) -> tuple[float, float, float]:
+        kept = [v[e[lo]:e[hi]] for v, e in zip(nodes, ends)]
         running = 0.0
-        for m, vals in enumerate(values):
-            mask = alive[m][sel]
-            if not mask.any():
+        for m, v in enumerate(kept):
+            if v.shape[0] == 0:
                 raise SurvivorDepletion(float(times[m]), 0, 1)
-            running += float(deltas[m]) * float(vals[sel][mask].mean())
-        cloud = conditional_empirical(run.snapshots[-1][sel], alive[-1][sel])
-        reinsertion = 0.0 if counts is None else -cost * float(counts[sel].mean())
-        return running, reward.terminal(cloud), reinsertion
+            if m < deltas.shape[0]:
+                running += float(deltas[m]) * float(v.mean())
+        reinsertion = 0.0 if counts is None else -cost * float(counts[lo:hi].mean())
+        return running, reward.terminal(EmpiricalMeasure(kept[-1])), reinsertion
 
-    running, terminal, reinsertion = totals(slice(None))
+    running, terminal, reinsertion = totals(0, run.n)
     runs, terms, extra = (np.array(column) for column in
-                          zip(*(totals(s) for s in _batch_slices(run.n))))
+                          zip(*(totals(lo, hi) for lo, hi in _batch_bounds(run.n))))
     batch_totals = runs + terms + extra
     return RewardReport(
         running=running, terminal=terminal, reinsertion=reinsertion,
@@ -147,8 +157,7 @@ def eval_reward_fv(fv: FVTrace, flow: MeasureFlow, reward: RewardSpec | None = N
     cost = reward.reinsertion_cost if reinsertion_cost is None else float(reinsertion_cost)
     if cost < 0:
         raise ValueError("reinsertion_cost must be nonnegative")
-    everyone = [np.ones(fv.n, dtype=bool)] * fv.times.shape[0]
-    return _estimate(fv, flow, reward, everyone, fv.final_counts, cost)
+    return _estimate(fv, flow, reward, None, fv.final_counts, cost)
 
 
 @dataclass(frozen=True)

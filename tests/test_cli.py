@@ -1,4 +1,5 @@
 """End-to-end command tests, run in process against the shipped config."""
+import copy
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from condiff import cli
+from condiff.config import apply_overrides, load_config
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
@@ -197,6 +199,12 @@ def test_optimize_command(tmp_path, capsys):
     ("mimic", "open_control", ["model.drift.mf_gain=0", "open_control.direction=[1, 2]"]),
     ("optimize", "optimize.time_bins",
      ["optimize.family=grid", "optimize.time_bins=9", "optimize.space_bins=8"]),
+    *[(cmd, "sim.grid.step", ["model.drift.mf_gain=0", "sim.grid.step=0"])
+      for cmd in ("simulate", "picard", "fv", "renewal", "mimic", "optimize")],
+    ("optimize", "optimize.budget", ["optimize.budget=2.7"]),
+    *[(cmd, "model.reward.phi_weights",
+       ["model.drift.mf_gain=0", "model.reward.phi_weights=[1, 2]"]) for cmd in ("simulate", "mimic")],
+    ("picard", "model.drift", ["model.drift.base=affine"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)
@@ -218,3 +226,60 @@ def test_unreadable_config(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+def _paths(node, prefix=""):
+    """Dotted paths of every leaf and every section of a config, sections first."""
+    for key, value in node.items():
+        path = prefix + key
+        yield path
+        if isinstance(value, dict):
+            yield from _paths(value, path + ".")
+
+
+def _at(cfg, parts):
+    for p in parts:
+        cfg = cfg[p]
+    return cfg
+
+
+_DELETE = object()
+# Small enough that a case which passes validation runs in milliseconds, with
+# 20 particles in each of the 20 reward batches so that each keeps a survivor.
+_TINY = ["sim.n_particles=400", "sim.dt=0.25", "sim.grid.step=0.25", "picard.max_iter=2",
+         "renewal.dt_r=0.25", "renewal.n_paths=20", "mimic.time_bins=2", "mimic.space_bins=2",
+         "optimize.budget=2"]
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "picard", "fv", "renewal", "mimic", "optimize"])
+def test_every_field_is_refused_by_name_or_accepted(tmp_path, capsys, cmd):
+    """Each leaf of the shipped config set to a bad value or deleted, and each
+    section replaced by a non-object or deleted: the run succeeds, fails at
+    run time, or exits 2 naming the field or its section; it never dies with
+    a traceback."""
+    extra = ["model.drift.mf_gain=0"] if cmd == "simulate" else []
+    base = apply_overrides(load_config(DEFAULT_CONFIG), _TINY + extra)
+    path = tmp_path / "case.json"
+    failures = []
+    for dotted in _paths(base):
+        *parents, key = dotted.split(".")
+        for value in (["abc", -1, 0, None, _DELETE, [1, 2], True]
+                      if not isinstance(_at(base, parents)[key], dict) else [7, _DELETE]):
+            cfg = copy.deepcopy(base)
+            node = _at(cfg, parents)
+            if value is _DELETE:
+                del node[key]
+            else:
+                node[key] = value
+            path.write_text(json.dumps(cfg))
+            case = f"{dotted}={'<deleted>' if value is _DELETE else json.dumps(value)}"
+            try:
+                rc = cli.main([cmd, "--config", str(path), "--out", str(tmp_path / "out")])
+            except Exception as e:  # any traceback is the failure reported
+                failures.append(f"{case}: {type(e).__name__}: {e}")
+                continue
+            err = capsys.readouterr().err
+            named = any(p and p in err for p in (dotted, ".".join(parents)))
+            if rc not in (0, 2, 3) or (rc == 2 and not named):
+                failures.append(f"{case}: exit {rc}: {err.strip()}")
+    assert not failures, f"{len(failures)} cases:\n" + "\n".join(failures)

@@ -6,7 +6,7 @@ import pytest
 
 from condiff.config import (apply_overrides, build_model, build_open_control,
                             build_policy, build_sim_config, config_hash,
-                            load_config, optional, require)
+                            load_config, read, require)
 from condiff.errors import ConfigError
 from condiff.io import write_csv, write_json
 from condiff.model import (ConstantPolicy, GridPolicy, LinearPolicy,
@@ -64,15 +64,30 @@ def test_config_hash_is_order_independent():
 
 
 def test_require_and_optional():
-    cfg = {"sim": {"seed": 7, "empty": None}}
+    cfg = {"sim": {"seed": 7, "dt": None, "grid": 5}}
     assert require(cfg, "sim.seed") == 7
-    with pytest.raises(ConfigError, match="missing required field 'sim.dt'"):
-        require(cfg, "sim.dt")
-    with pytest.raises(ConfigError, match="missing required field 'model'"):
+    with pytest.raises(ConfigError, match="missing required field 'sim.n_particles'"):
+        require(cfg, "sim.n_particles")
+    with pytest.raises(ConfigError, match="missing required field 'model.sigma'"):
         require(cfg, "model.sigma")
-    assert optional(cfg, "sim.seed") == 7
-    assert optional(cfg, "sim.dt", 0.01) == 0.01
-    assert optional(cfg, "sim.empty", 3) == 3  # explicit null means default
+    assert read(cfg, "sim.seed") == 7
+    assert read(cfg, "sim.min_survivors") == 1  # a missing field is its declared default
+    with pytest.raises(ConfigError, match="missing required field 'sim.dt'"):
+        read(cfg, "sim.dt")  # explicit null means missing
+    with pytest.raises(ConfigError, match="invalid 'sim.grid': must be an object"):
+        read(cfg, "sim.grid.step")
+    # an integral float is an int, an int is a float
+    cfg = {"sim": {"n_particles": 40.0, "dt": 1}}
+    assert type(read(cfg, "sim.n_particles")) is int and read(cfg, "sim.dt") == 1.0
+    for dotted, value, message in (
+            ("sim.n_particles", 2.7, "an integer"), ("sim.n_particles", True, "an integer"),
+            ("sim.n_particles", "40", "an integer"), ("sim.store_paths", 1, "true or false"),
+            ("sim.dt", "0.1", "a finite number"), ("sim.dt", float("inf"), "a finite number"),
+            ("sim.dt", 0, "> 0"), ("sim.min_survivors", -1, ">= 0"),
+            ("fv.variant", "both", "one of 'meanfield', 'finite'")):
+        section, key = dotted.split(".")
+        with pytest.raises(ConfigError, match=f"invalid '{dotted}': must be {message}, got"):
+            read({section: {key: value}}, dotted)
 
 
 def test_build_model_and_sim_from_default():

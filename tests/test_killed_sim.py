@@ -16,7 +16,7 @@ from condiff.model import (Cloud, ConstantPolicy, ControlBox, DriftSpec, GridPol
                           LinearPolicy, ModelSpec, PointMass, RandomizedSignControl,
                           UniformBox)
 from condiff.scenarios import (attractive_interval, boundary_start,
-                               driftless_interval, rich_reward)
+                               ZERO_REWARD, driftless_interval)
 
 
 def images_survival(t: float, terms: int = 200) -> float:
@@ -46,6 +46,9 @@ def test_uniform_grid():
     assert np.allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
     g2 = uniform_grid(1.0, 0.25, t_start=0.5)
     assert np.allclose(g2, [0.5, 0.75, 1.0])
+    for step in (0.0, -0.25, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            uniform_grid(1.0, step)
 
 
 def test_sim_config_validation():
@@ -203,7 +206,7 @@ def _coupled_box():
                         mf_gain=1.0, control_matrix=((0.9, 0.35), (0.15, 1.1)),
                         clip_bound=3.0),
         control_set=ControlBox((-1.0, -1.0), (1.0, 1.0)), horizon=0.5,
-        reward=rich_reward(0.0), initial=UniformBox((-0.5, -0.5), (0.5, 0.5)))
+        reward=ZERO_REWARD, initial=UniformBox((-0.5, -0.5), (0.5, 0.5)))
 
 
 def _assert_block_is_its_own_run(block, alone, label):
@@ -365,7 +368,7 @@ def _coupled_ball():
         drift=DriftSpec(base_kind="zero", mf_gain=0.5, control_matrix=((1.0,), (0.0,), (0.5,)),
                         clip_bound=3.0),
         control_set=ControlBox((-1.0,), (1.0,)), horizon=0.5,
-        reward=rich_reward(0.0), initial=UniformBox((-0.4,) * 3, (0.4,) * 3))
+        reward=ZERO_REWARD, initial=UniformBox((-0.4,) * 3, (0.4,) * 3))
 
 
 @pytest.mark.parametrize("make_model", [_coupled_box, _coupled_ball])

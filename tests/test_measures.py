@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from condiff.measures import (EmpiricalMeasure, MeasureFlow, conditional_empirical,
-                              flow_distance, restrict_flow, sample_many,
-                              sliced_w1, w1_distance_1d)
+from condiff.measures import (EmpiricalMeasure, MeasureFlow, flow_distance, restrict_flow,
+                              sample_many, sliced_w1, w1_distance_1d)
 
 
 def test_w1_1d_examples():
@@ -74,14 +73,6 @@ def test_empirical_measure_shapes():
     assert m.total_variance() == pytest.approx(np.var([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.empty((0, 1)))
-
-
-def test_conditional_empirical():
-    pos = np.array([[0.0], [1.0], [2.0], [3.0]])
-    alive = np.array([True, False, True, False])
-    m = conditional_empirical(pos, alive)
-    assert m.n == 2
-    assert m.mean()[0] == pytest.approx(1.0)
 
 
 def _flow(times, clouds, survival):

@@ -141,6 +141,13 @@ def test_reward_validation():
         RewardSpec(reinsertion_cost=-0.5)
     with pytest.raises(ValueError):
         RewardSpec(phi_kind="cubic")
+    # a model checks the weight vectors its reward reads against its dimension
+    for reward, name in ((RewardSpec(phi_kind="linear"), "phi_weights"),
+                         (RewardSpec(r_m=1.0, mean_weights=(1.0, 1.0)), "mean_weights"),
+                         (RewardSpec(g_w=1.0, terminal_weights=(1.0, 1.0)), "terminal_weights")):
+        with pytest.raises(ValueError, match=f"model.reward.{name} must have length 1"):
+            attractive_interval(reward=reward)
+    attractive_interval(reward=RewardSpec(mean_weights=(1.0, 1.0)))  # r_m = 0: never read
 
 
 def test_initial_laws_sample_inside():
@@ -161,3 +168,11 @@ def test_drift_spec_validation():
         DriftSpec(base_kind="spline")
     with pytest.raises(ValueError):
         DriftSpec(control_matrix=(1.0,))
+    with pytest.raises(ValueError, match="needs base_vector"):
+        DriftSpec(base_kind="constant")
+    with pytest.raises(ValueError, match="needs base_matrix"):
+        DriftSpec(base_kind="affine", base_vector=(1.0,))
+    with pytest.raises(ValueError, match="base_vector must have length 1"):
+        DriftSpec(base_kind="constant", base_vector=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"base_matrix must have shape \(1, 1\)"):
+        DriftSpec(base_kind="affine", base_matrix=((1.0, 0.0), (0.0, 1.0)))

@@ -12,7 +12,8 @@ from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
                            ModelSpec, UniformBox)
 from condiff.picard import flow_update, solve_fixed_point, solve_fixed_points
 from condiff.reward_opt import eval_reward_conditional
-from condiff.scenarios import attractive_interval, driftless_interval, rich_reward
+from condiff.scenarios import (ZERO_REWARD, attractive_interval, driftless_interval,
+                               rich_reward)
 
 
 def test_uncoupled_model_converges_immediately():
@@ -124,7 +125,7 @@ def _matrix_control_model(dim):
         drift=DriftSpec(base_kind="zero", mf_gain=1.0,
                         control_matrix=((0.9, 0.35), (0.15, 1.1))[:dim], clip_bound=3.0),
         control_set=ControlBox((-1.0, -1.0), (1.0, 1.0)), horizon=0.5,
-        reward=rich_reward(0.0), initial=UniformBox((-0.5,) * dim, (0.5,) * dim))
+        reward=ZERO_REWARD, initial=UniformBox((-0.5,) * dim, (0.5,) * dim))
 
 
 @pytest.mark.parametrize("dim,kind", [(2, "linear"), (2, "constant"), (1, "constant")])

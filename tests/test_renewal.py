@@ -12,7 +12,8 @@ from condiff.model import (Cloud, ConstantPolicy, ControlBox, DriftSpec, LinearP
 from condiff.picard import solve_fixed_point
 from condiff.renewal import (RestartKernel, estimate_restart_kernel,
                              log_survival_check, volterra_solve)
-from condiff.scenarios import attractive_interval, driftless_interval, rich_reward
+from condiff.scenarios import (ZERO_REWARD, attractive_interval, driftless_interval,
+                               rich_reward)
 
 
 def _analytic_kernel(n_r, dt_r, k_func):
@@ -194,7 +195,7 @@ def _coupled_box():
         drift=DriftSpec(base_kind="zero", mf_gain=1.0,
                         control_matrix=((0.9, 0.35), (0.15, 1.1)), clip_bound=3.0),
         control_set=ControlBox((-1.0, -1.0), (1.0, 1.0)), horizon=0.4,
-        reward=rich_reward(0.0), initial=UniformBox((-0.6, -0.6), (0.6, 0.6)))
+        reward=ZERO_REWARD, initial=UniformBox((-0.6, -0.6), (0.6, 0.6)))
 
 
 @pytest.mark.parametrize("case", ["coupled_interval", "coupled_box"])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from condiff.errors import SurvivorDepletion
 from condiff.fleming_viot import simulate_fv_meanfield
 from condiff.geometry import Interval
 from condiff.killed_sim import (SimConfig, conditional_flow, simulate_killed,
                                 uniform_grid)
+from condiff.measures import EmpiricalMeasure
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, ModelSpec,
                            PointMass, RewardSpec)
 from condiff.picard import solve_fixed_point
@@ -41,6 +43,28 @@ def test_unit_running_reward_integrates_to_horizon():
     assert rep.total == 1.0
     assert rep.running_se == 0.0
     assert np.all(rep.batch_totals == 1.0)
+
+
+def test_batches_are_the_survivors_of_contiguous_particles():
+    model = driftless_interval(horizon=1.0)
+    policy = ConstantPolicy((0.0,), model.control_set)
+    ens = simulate_killed(model, policy, None, SimConfig(400, 0.01, 33, uniform_grid(1.0, 0.25)))
+    flow = conditional_flow(ens)
+    reward = rich_reward(1.0)
+    rep = eval_reward_conditional(ens, flow, reward=reward)
+    bounds = np.linspace(0, 400, 21).astype(int)
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        running = 0.0
+        for m, t in enumerate(ens.times[:-1]):
+            x = ens.snapshots[m][lo:hi]
+            values = reward.running(t, x, flow.mean_at(t), np.zeros_like(x))
+            running += float(ens.times[m + 1] - t) * float(values[ens.alive_at(m)[lo:hi]].mean())
+        last = EmpiricalMeasure(ens.snapshots[-1][lo:hi][ens.alive_at(4)[lo:hi]])  # t = 1
+        assert rep.batch_totals[b] == running + reward.terminal(last)
+    # batches of two particles: one of them has no survivor left to average
+    few = simulate_killed(model, policy, None, SimConfig(40, 0.01, 33, uniform_grid(1.0, 0.25)))
+    with pytest.raises(SurvivorDepletion):
+        eval_reward_conditional(few, conditional_flow(few), reward=reward)
 
 
 def test_fv_reward_decomposition_and_cost_linearity():
