@@ -247,14 +247,15 @@ def _versions() -> dict:
             "scipy": scipy.__version__, "condiff": __version__}
 
 
-def _write_manifest(out: Path, command: str, cfg, seed: int, threads: int,
-                    runtime: float, extra: dict) -> None:
+def _write_manifest(out: Path, command: str, cfg, seed: int, runtime: float,
+                    extra: dict, threads: int | None = None) -> None:
+    """verify takes no --threads, so its manifest records none."""
     write_json(out / "manifest.json", {
         "command": command,
         "config": cfg,
         "config_hash": None if cfg is None else config_hash(cfg),
         "seed": seed,
-        "threads": threads,
+        **({} if threads is None else {"threads": threads}),
         "versions": _versions(),
         "runtime_seconds": runtime,
         "result": extra,
@@ -277,8 +278,6 @@ def main(argv=None) -> int:
                        metavar="KEY=VALUE", help="dot-path config override")
     pv = sub.add_parser("verify")
     pv.add_argument("--out", required=True, help="output directory")
-    pv.add_argument("--threads", type=int, default=1,
-                    help="recorded in the manifest; verify runs no threads")
 
     args = parser.parse_args(argv)
     out = Path(args.out)
@@ -288,8 +287,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             report = run_verify(out, log=print)
             extra = report.pop("_manifest_extra", {})
-            _write_manifest(out, "verify", None, VERIFY_SEED, args.threads,
-                            time.perf_counter() - start,
+            _write_manifest(out, "verify", None, VERIFY_SEED, time.perf_counter() - start,
                             {**extra, "all_passed": report["all_passed"]})
             if not report["all_passed"]:
                 print("verification failed", file=sys.stderr)
@@ -299,8 +297,8 @@ def main(argv=None) -> int:
         model = build_model(cfg)
         sim = build_sim_config(cfg, model)
         extra = _COMMANDS[args.command](cfg, model, sim, out)
-        _write_manifest(out, args.command, cfg, sim.seed, args.threads,
-                        time.perf_counter() - start, extra)
+        _write_manifest(out, args.command, cfg, sim.seed, time.perf_counter() - start,
+                        extra, threads=args.threads)
         return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

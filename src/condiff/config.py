@@ -121,6 +121,7 @@ FIELDS = {
     "optimize.reinsertion_cap": (int, DEFAULT_REINSERTION_CAP, (">=", 0)),
 }
 _KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
+_ARRAY_NAMES = {1: "a list of numbers", 2: "a list of lists of numbers"}
 
 
 def _lookup(cfg: dict, dotted: str, default=None):
@@ -144,10 +145,9 @@ def require(cfg: dict, dotted: str):
     return value
 
 
-def read(cfg: dict, dotted: str, declared: str | None = None):
-    """The scalar field at dotted, checked against its FIELDS entry (that of
-    declared, for a section read under another name)."""
-    kind, default, rule = FIELDS[declared or dotted]
+def read(cfg: dict, dotted: str):
+    """The scalar field at dotted, checked against its FIELDS entry."""
+    kind, default, rule = FIELDS[dotted]
     value = require(cfg, dotted) if default is _REQUIRED else _lookup(cfg, dotted)
     if value is None:
         return default
@@ -167,6 +167,24 @@ def read(cfg: dict, dotted: str, declared: str | None = None):
         if not (value > bound if op == ">" else value >= bound):
             raise ConfigError(f"invalid '{dotted}': must be {op} {bound:g}, got {value!r}")
     return value
+
+
+def read_array(cfg: dict, dotted: str, depth: int, default=_REQUIRED):
+    """The field at dotted as tuples of floats, depth lists deep: 1 for a
+    vector, 2 for a matrix.  JSON booleans, and scalars where a list
+    belongs, are refused by the field's name; lengths and shapes are left
+    to the object that takes the value."""
+    value = require(cfg, dotted) if default is _REQUIRED else _lookup(cfg, dotted)
+    if value is None:
+        return default
+
+    def nested(v, level: int):
+        if level == 0 and isinstance(v, (int, float)) and not isinstance(v, bool):
+            return float(v)
+        if level > 0 and isinstance(v, list):
+            return tuple(nested(item, level - 1) for item in v)
+        raise ConfigError(f"invalid '{dotted}': must be {_ARRAY_NAMES[depth]}, got {value!r}")
+    return nested(value, depth)
 
 
 @contextmanager
@@ -195,26 +213,26 @@ def build_model(cfg: dict) -> ModelSpec:
     with _building("model.drift"):
         drift = DriftSpec(
             base_kind=read(cfg, "model.drift.base"),
-            base_vector=_lookup(cfg, "model.drift.base_vector"),
-            base_matrix=_lookup(cfg, "model.drift.base_matrix"),
+            base_vector=read_array(cfg, "model.drift.base_vector", 1, None),
+            base_matrix=read_array(cfg, "model.drift.base_matrix", 2, None),
             mf_gain=read(cfg, "model.drift.mf_gain"),
-            control_matrix=tuple(map(tuple, require(cfg, "model.drift.control_matrix"))),
+            control_matrix=read_array(cfg, "model.drift.control_matrix", 2),
             clip_bound=read(cfg, "model.drift.clip_bound"),
         )
     with _building("model.control_box"):
-        box = ControlBox(tuple(require(cfg, "model.control_box.lo")),
-                         tuple(require(cfg, "model.control_box.hi")))
+        box = ControlBox(read_array(cfg, "model.control_box.lo", 1),
+                         read_array(cfg, "model.control_box.hi", 1))
     with _building("model.reward"):
         zeros = (0.0,) * domain.dim
         reward = RewardSpec(
             r_x=read(cfg, "model.reward.r_x"),
             phi_kind=read(cfg, "model.reward.phi"),
-            phi_weights=_lookup(cfg, "model.reward.phi_weights"),
+            phi_weights=read_array(cfg, "model.reward.phi_weights", 1, None),
             r_m=read(cfg, "model.reward.r_m"),
-            mean_weights=tuple(_lookup(cfg, "model.reward.mean_weights", zeros)),
+            mean_weights=read_array(cfg, "model.reward.mean_weights", 1, zeros),
             r_a=read(cfg, "model.reward.r_a"),
             g_w=read(cfg, "model.reward.g_w"),
-            terminal_weights=tuple(_lookup(cfg, "model.reward.terminal_weights", zeros)),
+            terminal_weights=read_array(cfg, "model.reward.terminal_weights", 1, zeros),
             g_var=read(cfg, "model.reward.g_var"),
             reinsertion_cost=read(cfg, "model.reward.reinsertion_cost"),
         )
@@ -227,7 +245,7 @@ def build_model(cfg: dict) -> ModelSpec:
     with _building("model"):
         return ModelSpec(
             domain=domain,
-            sigma=tuple(map(tuple, require(cfg, "model.sigma"))),
+            sigma=read_array(cfg, "model.sigma", 2),
             drift=drift,
             control_set=box,
             horizon=read(cfg, "model.horizon"),
@@ -238,7 +256,7 @@ def build_model(cfg: dict) -> ModelSpec:
 
 def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
     """The sim section as a SimConfig."""
-    times = _lookup(cfg, "sim.grid.times")
+    times = read_array(cfg, "sim.grid.times", 1, None)
     with _building("sim.grid"):
         if times is not None:
             grid = np.asarray(times, dtype=float)
@@ -260,40 +278,34 @@ def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
         )
 
 
-def build_policy(cfg: dict, model: ModelSpec, section: str = "policy"):
-    kind = read(cfg, f"{section}.type", "policy.type")
+def build_policy(cfg: dict, model: ModelSpec):
+    kind = read(cfg, "policy.type")
     box = model.control_set
-    with _building(section):
+    with _building("policy"):
         if kind == "constant":
-            return ConstantPolicy(tuple(require(cfg, f"{section}.value")), box)
+            return ConstantPolicy(read_array(cfg, "policy.value", 1), box)
         if kind == "linear":
-            return LinearPolicy(tuple(require(cfg, f"{section}.theta0")),
-                                tuple(map(tuple, require(cfg, f"{section}.theta1"))),
-                                box)
-        values = np.asarray(require(cfg, f"{section}.values"), dtype=float)
-        return GridPolicy.build(model,
-                                read(cfg, f"{section}.time_bins", "policy.time_bins"),
-                                read(cfg, f"{section}.space_bins", "policy.space_bins"),
-                                values)
+            return LinearPolicy(read_array(cfg, "policy.theta0", 1),
+                                read_array(cfg, "policy.theta1", 2), box)
+        values = np.asarray(require(cfg, "policy.values"), dtype=float)
+        return GridPolicy.build(model, read(cfg, "policy.time_bins"),
+                                read(cfg, "policy.space_bins"), values)
 
 
-def build_open_control(cfg: dict, model: ModelSpec, section: str = "open_control"):
-    kind = read(cfg, f"{section}.type", "open_control.type")
+def build_open_control(cfg: dict, model: ModelSpec):
+    kind = read(cfg, "open_control.type")
     box = model.control_set
-    with _building(section):
+    with _building("open_control"):
         if kind == "randomized_sign":
-            direction = tuple(require(cfg, f"{section}.direction"))
+            direction = read_array(cfg, "open_control.direction", 1)
             if len(direction) != model.dim:
                 raise ValueError(f"direction must have length {model.dim}, "
                                  f"got {len(direction)}")
-            return RandomizedSignControl(tuple(require(cfg, f"{section}.base")),
+            return RandomizedSignControl(read_array(cfg, "open_control.base", 1),
                                          direction, box)
         if kind == "piecewise":
-            return PiecewiseControl(
-                read(cfg, f"{section}.t_switch", "open_control.t_switch"),
-                tuple(require(cfg, f"{section}.before")),
-                tuple(require(cfg, f"{section}.after")),
-                box)
-        return NoisePeekControl(tuple(require(cfg, f"{section}.base")),
-                                read(cfg, f"{section}.peek_time", "open_control.peek_time"),
-                                box)
+            return PiecewiseControl(read(cfg, "open_control.t_switch"),
+                                    read_array(cfg, "open_control.before", 1),
+                                    read_array(cfg, "open_control.after", 1), box)
+        return NoisePeekControl(read_array(cfg, "open_control.base", 1),
+                                read(cfg, "open_control.peek_time"), box)

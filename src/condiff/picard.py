@@ -62,9 +62,11 @@ def solve_fixed_point(model: ModelSpec, control, config: SimConfig,
     """Iterate the conditional-law map until the flow stops moving.
 
     The initial guess is the conditional flow of the same model with the
-    mean-field gain switched off, simulated under the same seed.  Non-
-    convergence within max_iter is reported through the converged flag
-    rather than an exception.
+    mean-field gain switched off, simulated under the same seed.  An
+    uncoupled model (mf_gain 0) is therefore solved in one pass: its map
+    ignores the input flow, so the guess is the fixed point, reported as
+    one iteration at distance 0.0.  Non-convergence within max_iter is
+    reported through the converged flag rather than an exception.
     """
     result = solve_fixed_points(model, [control], config, tol=tol, max_iter=max_iter)[0]
     if isinstance(result, SurvivorDepletion):
@@ -79,8 +81,9 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
     Each control is a block of config.n_particles particles under
     config.seed, so entry b equals solve_fixed_point(model, controls[b],
     config) bit for bit; where that call would raise SurvivorDepletion,
-    entry b is the error instead.  Each sweep is a single simulate_killed
-    pass over Blocks, so more than one control needs feedback policies.
+    entry b is the error instead.  The guess and each sweep are one
+    flow_update, a single simulate_killed pass over Blocks, so more than
+    one control needs feedback policies.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -89,55 +92,44 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
     flows: list = [None] * len(controls)
     traces: list[list[float]] = [[] for _ in controls]
     start = float(config.grid[0])
+    # Uncoupled, the map ignores its input flow: the guess is its own image.
+    uncoupled = model.drift.mf_gain == 0.0
 
-    def sweep(active: list[int], coupled: bool) -> tuple[list, KilledEnsemble | None]:
-        """Run the active blocks in one pass: per block its new flow or
-        SurvivorDepletion, and the ensemble.  Uncoupled, the pass is the
-        initial guess with the mean-field gain switched off."""
+    active = list(range(len(controls)))
+    sweep_model = without_mean_field(model)  # the initial guess
+    while active:
         n_active = len(active)
         blocks = Blocks(policies=[controls[b] for b in active],
-                        flows=[flows[b] if coupled else None for b in active],
+                        flows=[flows[b] for b in active],
                         seeds=[config.seed] * n_active, starts=[start] * n_active,
                         laws=[model.initial] * n_active)
         stacked = replace(config, n_particles=config.n_particles * n_active)
         try:
-            if coupled:
-                return flow_update(model, blocks, None, stacked)
-            ens = simulate_killed(without_mean_field(model), blocks, None, stacked)
-            return _block_flows(ens), ens
+            new_flows, ens = flow_update(sweep_model, blocks, None, stacked)
         except SurvivorDepletion as err:
-            return list(err.blocks or [err]), None
-
-    active = list(range(len(controls)))
-    for b, guess in zip(active, sweep(active, coupled=False)[0]):
-        if isinstance(guess, SurvivorDepletion):
-            results[b] = guess
-        else:
-            flows[b] = guess
-    active = [b for b in active if results[b] is None]
-
-    while active:
-        new_flows, ens = sweep(active, coupled=True)
+            new_flows, ens = list(err.blocks or [err]), None
         remaining = []
         for j, (b, new_flow) in enumerate(zip(active, new_flows)):
             if isinstance(new_flow, SurvivorDepletion):
                 results[b] = new_flow
                 continue
-            dist = flow_distance(flows[b], new_flow)
-            traces[b].append(dist)
+            if flows[b] is not None or uncoupled:
+                dist = 0.0 if flows[b] is None else flow_distance(flows[b], new_flow)
+                traces[b].append(dist)
+                if dist <= tol or len(traces[b]) == max_iter:
+                    results[b] = FixedPointResult(
+                        flow=new_flow,
+                        iterations=len(traces[b]),
+                        distance_trace=traces[b],
+                        converged=dist <= tol,
+                        ensemble=ens.block(j),
+                    )
+                    continue
             flows[b] = new_flow
-            if dist <= tol or len(traces[b]) == max_iter:
-                results[b] = FixedPointResult(
-                    flow=new_flow,
-                    iterations=len(traces[b]),
-                    distance_trace=traces[b],
-                    converged=dist <= tol,
-                    ensemble=ens.block(j),
-                )
-            else:
-                remaining.append(b)
+            remaining.append(b)
         # Blocks still iterating need only their flows: let the stacked
         # ensemble go unless a finished block's view holds it.
         del ens
         active = remaining
+        sweep_model = model
     return results

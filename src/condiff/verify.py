@@ -383,9 +383,8 @@ class Verifier:
         objective of the optimizer solves and rescores each generation's
         candidates as the blocks of stacked passes, so each traced score
         must equal that candidate solved and rescored on its own.  The
-        cross-process guarantee (whole artifact directories byte-identical
-        under different --threads) is checked by the acceptance suite,
-        which runs the full script three times.
+        bytes of every artifact this script writes are pinned by digest in
+        the test suite, which runs it once.
         """
         model = driftless_interval(horizon=0.2)
         policy = ConstantPolicy((0.0,), model.control_set)

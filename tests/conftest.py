@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from condiff import cli
 from condiff.killed_sim import SimConfig, conditional_flow, simulate_killed, uniform_grid
 from condiff.model import ConstantPolicy
 from condiff.scenarios import driftless_interval
+
+
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    """One `condiff verify` run: its output directory and exit code."""
+    out = tmp_path_factory.mktemp("verify")
+    return out, cli.main(["verify", "--out", str(out)])
 
 
 @pytest.fixture(scope="session")

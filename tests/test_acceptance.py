@@ -1,32 +1,18 @@
-"""Full verification suite at two thread widths.
+"""The full verification suite, one test per criterion.
 
 Each numbered check gets its own test so a verbose run prints one
-pass/fail line per criterion; the final tests compare artifact bytes
-across thread counts and require a clean exit code everywhere.  The
-width is only recorded in manifest.json, so two widths compare two
-processes as well as three would.
+pass/fail line per criterion; the last test requires a clean exit.
+verify runs once per session (conftest.verify_run), and
+test_artifact_digests pins the bytes of every file it writes.
 """
 import json
 
 import pytest
 
-from condiff import cli
-
 
 @pytest.fixture(scope="session")
-def verify_runs(tmp_path_factory):
-    runs = {}
-    for threads in (1, 8):
-        out = tmp_path_factory.mktemp(f"verify_t{threads}")
-        rc = cli.main(["verify", "--out", str(out), "--threads",
-                       str(threads)])
-        runs[threads] = (out, rc)
-    return runs
-
-
-@pytest.fixture(scope="session")
-def report(verify_runs):
-    out, _ = verify_runs[1]
+def report(verify_run):
+    out, _ = verify_run
     return json.loads((out / "verify_report.json").read_text())
 
 
@@ -81,20 +67,7 @@ def test_c11_deterministic_scheduling(report):
     _check(report, "C11")
 
 
-def test_artifacts_bit_identical_across_thread_widths(verify_runs):
-    (base, _), (other, _) = verify_runs[1], verify_runs[8]
-    names = sorted(p.name for p in base.iterdir()
-                   if p.name != "manifest.json")
-    assert "verify_report.json" in names
-    assert any(n.endswith(".csv") for n in names)
-    assert sorted(p.name for p in other.iterdir() if p.name != "manifest.json") == names
-    for name in names:
-        assert (other / name).read_bytes() == (base / name).read_bytes(), \
-            f"threads=8: {name} differs"
-
-
-def test_verify_reports_clean(verify_runs, report):
+def test_verify_reports_clean(verify_run, report):
     assert report["all_passed"]
     assert report["seed"] == 1729
-    for threads, (_, rc) in verify_runs.items():
-        assert rc == 0, f"threads={threads} exited {rc}"
+    assert verify_run[1] == 0

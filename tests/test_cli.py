@@ -205,6 +205,13 @@ def test_optimize_command(tmp_path, capsys):
     *[(cmd, "model.reward.phi_weights",
        ["model.drift.mf_gain=0", "model.reward.phi_weights=[1, 2]"]) for cmd in ("simulate", "mimic")],
     ("picard", "model.drift", ["model.drift.base=affine"]),
+    # vectors and matrices refuse JSON booleans and scalars by the leaf's name
+    *[("picard", f"model.reward.{name}", [f"model.reward.{name}={value}"])
+      for name in ("phi_weights", "terminal_weights") for value in ("true", "-1", "[true]")],
+    *[("picard", "model.control_box.lo", [f"model.control_box.lo={value}"])
+      for value in ("true", "-1", "[false]")],
+    *[("picard", "model.sigma", [f"model.sigma={value}"])
+      for value in ("true", "1", "[1]", "[[true]]")],
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)

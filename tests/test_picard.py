@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from condiff import picard
 from condiff.errors import SurvivorDepletion
 from condiff.geometry import Box, Interval
 from condiff.killed_sim import (Blocks, SimConfig, _controls_at, conditional_flow,
@@ -16,16 +17,32 @@ from condiff.scenarios import (ZERO_REWARD, attractive_interval, driftless_inter
                                rich_reward)
 
 
-def test_uncoupled_model_converges_immediately():
+def test_uncoupled_model_converges_immediately(monkeypatch):
     model = driftless_interval(horizon=0.5)
     policy = ConstantPolicy((0.0,), model.control_set)
     config = SimConfig(2000, 1e-3, 21, uniform_grid(0.5, 0.1))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return simulate_killed(*args)
+
+    monkeypatch.setattr(picard, "simulate_killed", counted)
     fp = solve_fixed_point(model, policy, config)
-    # with zero coupling the first sweep replays the initial-guess run
-    # under the same seed, so the distance is exactly zero
+    # with zero coupling the map ignores its input flow, so the initial
+    # guess is the fixed point: one pass, reported at distance zero
+    assert len(calls) == 1
     assert fp.converged
     assert fp.iterations == 1
     assert fp.distance_trace == [0.0]
+    plain = simulate_killed(model, policy, None, config)
+    for name in ("exit_times", "snapshots", "survival"):
+        assert getattr(fp.ensemble, name).tobytes() == getattr(plain, name).tobytes()
+    flow = conditional_flow(plain)
+    assert fp.flow.times.tobytes() == flow.times.tobytes()
+    assert fp.flow.survival.tobytes() == flow.survival.tobytes()
+    for a, b in zip(fp.flow.nodes, flow.nodes, strict=True):
+        assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_coupled_model_contracts():
