@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, ContractionViolation, ModelRuntimeError,
                      NumericalError, ReinsertionBlowup, SurvivorDepletion,
                      TotalExtinction)
-from .geometry import Ball, Box, Domain, Interval, domain_from_dict
+from .geometry import Ball, Box, Domain, Interval
 from .measures import (EmpiricalMeasure, MeasureFlow, flow_distance, restrict_flow,
                        sample_many, sliced_w1, w1_distance_1d)
 from .model import (Cloud, ConstantPolicy, ControlBox, DriftSpec,

@@ -1,7 +1,9 @@
 """JSON configuration: loading, overrides, hashing, object construction.
 
-Config errors always name the offending field by its dotted path, so a
-failure in a nested section (say sim.grid.step) is directly actionable.
+This is the one module that turns JSON into objects: FIELDS declares every
+field, and read is the only way to read one.  Config errors always name
+the offending field by its dotted path, so a failure in a nested section
+(say sim.grid.step) is directly actionable.
 """
 from __future__ import annotations
 
@@ -17,13 +19,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .fleming_viot import DEFAULT_REINSERTION_CAP
-from .geometry import BOUNDARY_TOL, domain_from_dict
+from .geometry import BOUNDARY_TOL, Ball, Box, Interval
 from .killed_sim import SimConfig, uniform_grid
 from .measures import _TIME_TOL
 from .model import (_BASE_KINDS, _PHI_KINDS, Cloud, ControlBox, DriftSpec, GridPolicy,
                     LinearPolicy, ModelSpec, ConstantPolicy, NoisePeekControl,
                     PiecewiseControl, PointMass, RandomizedSignControl, RewardSpec,
-                    initial_law_from_dict)
+                    UniformBox)
 
 _REQUIRED = object()
 
@@ -45,7 +47,8 @@ def load_config(path) -> dict:
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     """Apply key=value pairs with dotted paths; values parse as JSON
-    literals and fall back to plain strings."""
+    literals and fall back to plain strings.  The result is refused if it
+    holds a key that FIELDS does not declare."""
     cfg = copy.deepcopy(cfg)
     for item in overrides:
         if "=" not in item:
@@ -62,6 +65,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"override path '{dotted}' crosses a non-object")
         node[parts[-1]] = value
+    _refuse_undeclared(cfg)
     return cfg
 
 
@@ -70,38 +74,71 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# Every scalar field the program reads: (type, default, rule).  A str
-# field's rule is its tuple of choices, a number's is (">", bound),
-# (">=", bound) or None.  A default of None is worked out by the caller:
-# sim.grid.t_end is the model horizon, renewal.dt_r the output-grid step
-# and optimize.reinsertion_cost the model's.
+# The kinds of a field of numbers in lists: a vector, a matrix, or, for the
+# fields whose objects reshape them, numbers at any depth, a bare one included.
+_VECTOR, _MATRIX, _NUMBERS = "vector", "matrix", "numbers"
+_DEPTHS = {_VECTOR: 1, _MATRIX: 2, _NUMBERS: None}
+
+# Every field the program reads: (kind, default, rule).  A kind is a
+# Python type for a scalar or one of the list kinds above.  A str field's
+# rule is its tuple of choices, a number's is (">", bound), (">=", bound)
+# or None, and a list field has none.  A default of None is worked out by
+# the caller: sim.grid.t_end is the model horizon, renewal.dt_r the
+# output-grid step, optimize.reinsertion_cost the model's, and an unset
+# reward weight vector is zeros.
 FIELDS = {
     "model.domain.type": (str, _REQUIRED, ("interval", "box", "ball")),
+    "model.domain.lo": (_NUMBERS, _REQUIRED, None),  # a number for an interval
+    "model.domain.hi": (_NUMBERS, _REQUIRED, None),
+    "model.domain.center": (_VECTOR, _REQUIRED, None),
+    "model.domain.radius": (float, _REQUIRED, (">", 0.0)),
+    "model.sigma": (_MATRIX, _REQUIRED, None),
     "model.drift.base": (str, "zero", _BASE_KINDS),
+    "model.drift.base_vector": (_VECTOR, None, None),
+    "model.drift.base_matrix": (_MATRIX, None, None),
     "model.drift.mf_gain": (float, 0.0, None),
+    "model.drift.control_matrix": (_MATRIX, _REQUIRED, None),
     "model.drift.clip_bound": (float, np.inf, (">", 0.0)),
+    "model.control_box.lo": (_VECTOR, _REQUIRED, None),
+    "model.control_box.hi": (_VECTOR, _REQUIRED, None),
     "model.horizon": (float, _REQUIRED, (">", 0.0)),
     "model.reward.r_x": (float, 0.0, None),
     "model.reward.phi": (str, "one", _PHI_KINDS),
+    "model.reward.phi_weights": (_VECTOR, None, None),
     "model.reward.r_m": (float, 0.0, None),
+    "model.reward.mean_weights": (_VECTOR, None, None),
     "model.reward.r_a": (float, 0.0, (">=", 0.0)),
     "model.reward.g_w": (float, 0.0, None),
+    "model.reward.terminal_weights": (_VECTOR, None, None),
     "model.reward.g_var": (float, 0.0, None),
     "model.reward.reinsertion_cost": (float, 0.0, (">=", 0.0)),
     "model.initial.type": (str, _REQUIRED, ("point", "uniform", "points")),
+    "model.initial.x": (_NUMBERS, _REQUIRED, None),
+    "model.initial.lo": (_NUMBERS, _REQUIRED, None),
+    "model.initial.hi": (_NUMBERS, _REQUIRED, None),
+    "model.initial.values": (_NUMBERS, _REQUIRED, None),
     "sim.n_particles": (int, _REQUIRED, (">=", 1)),
     "sim.dt": (float, _REQUIRED, (">", 0.0)),
     "sim.seed": (int, _REQUIRED, (">=", 0)),
     "sim.grid.step": (float, _REQUIRED, (">", 0.0)),
     "sim.grid.t_end": (float, None, (">", 0.0)),
+    "sim.grid.times": (_VECTOR, None, None),
     "sim.bridge_correction": (bool, True, None),
     "sim.min_survivors": (int, 1, (">=", 0)),
     "sim.store_paths": (bool, False, None),
     "policy.type": (str, _REQUIRED, ("constant", "linear", "grid")),
+    "policy.value": (_VECTOR, _REQUIRED, None),
+    "policy.theta0": (_VECTOR, _REQUIRED, None),
+    "policy.theta1": (_MATRIX, _REQUIRED, None),
     "policy.time_bins": (int, _REQUIRED, (">=", 1)),
     "policy.space_bins": (int, _REQUIRED, (">=", 1)),
+    "policy.values": (_NUMBERS, _REQUIRED, None),
     "open_control.type": (str, _REQUIRED, ("randomized_sign", "piecewise", "noise_peek")),
+    "open_control.base": (_VECTOR, _REQUIRED, None),
+    "open_control.direction": (_VECTOR, _REQUIRED, None),
     "open_control.t_switch": (float, _REQUIRED, None),
+    "open_control.before": (_VECTOR, _REQUIRED, None),
+    "open_control.after": (_VECTOR, _REQUIRED, None),
     "open_control.peek_time": (float, _REQUIRED, None),
     "picard.tol": (float, 1e-2, (">=", 0.0)),
     "picard.max_iter": (int, 10, (">=", 1)),
@@ -120,37 +157,57 @@ FIELDS = {
     "optimize.reinsertion_cost": (float, None, (">=", 0.0)),
     "optimize.reinsertion_cap": (int, DEFAULT_REINSERTION_CAP, (">=", 0)),
 }
-_KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
-_ARRAY_NAMES = {1: "a list of numbers", 2: "a list of lists of numbers"}
+_KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number",
+               _VECTOR: "a list of numbers", _MATRIX: "a list of lists of numbers",
+               _NUMBERS: "a number or lists of numbers"}
+# Every section on the way to a declared field, e.g. "sim" and "sim.grid".
+_SECTIONS = {dotted.rsplit(".", k)[0] for dotted in FIELDS for k in range(1, dotted.count(".") + 1)}
 
 
-def _lookup(cfg: dict, dotted: str, default=None):
-    """The value at a dotted path, or default where it or a section on the
-    way is missing or null; a section that is not an object is refused."""
+def _refuse_undeclared(node: dict, prefix: str = "") -> None:
+    """Refuse each key below node that is neither a declared field nor a
+    section on the way to one; a section or field of the wrong shape is
+    left for read to refuse."""
+    for key, value in node.items():
+        dotted = prefix + key
+        if "." in key or (dotted not in FIELDS and dotted not in _SECTIONS):
+            raise ConfigError(f"unknown field '{dotted}'")
+        if dotted in _SECTIONS and isinstance(value, dict):
+            _refuse_undeclared(value, dotted + ".")
+
+
+def _lookup(cfg: dict, dotted: str):
+    """The value at a dotted path, or None where it or a section on the way
+    is missing or null; a section that is not an object is refused."""
     node, parts = cfg, dotted.split(".")
     for i, p in enumerate(parts):
         if node is None:
-            return default
+            return None
         if not isinstance(node, dict):
             raise ConfigError(f"invalid '{'.'.join(parts[:i])}': must be an object, "
                               f"got {node!r}")
         node = node.get(p)
-    return default if node is None else node
-
-
-def require(cfg: dict, dotted: str):
-    value = _lookup(cfg, dotted)
-    if value is None:
-        raise ConfigError(f"missing required field '{dotted}'")
-    return value
+    return node
 
 
 def read(cfg: dict, dotted: str):
-    """The scalar field at dotted, checked against its FIELDS entry."""
+    """The field at dotted, checked against its FIELDS entry.  A list kind
+    comes back as floats in tuples, as deep as the value's lists; their
+    lengths and shapes are left to the object that takes the value."""
     kind, default, rule = FIELDS[dotted]
-    value = require(cfg, dotted) if default is _REQUIRED else _lookup(cfg, dotted)
+    value = _lookup(cfg, dotted)
     if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field '{dotted}'")
         return default
+    if kind in _DEPTHS:
+        def nested(v, depth):  # depth None takes any depth
+            if depth != 0 and isinstance(v, list):
+                return tuple(nested(item, None if depth is None else depth - 1) for item in v)
+            if not depth and isinstance(v, (int, float)) and not isinstance(v, bool):
+                return float(v)
+            raise ConfigError(f"invalid '{dotted}': must be {_KIND_NAMES[kind]}, got {value!r}")
+        return nested(value, _DEPTHS[kind])
     if kind in (str, bool):
         ok = isinstance(value, kind)
     else:  # JSON booleans are not numbers, and an int field takes no fraction
@@ -169,31 +226,13 @@ def read(cfg: dict, dotted: str):
     return value
 
 
-def read_array(cfg: dict, dotted: str, depth: int, default=_REQUIRED):
-    """The field at dotted as tuples of floats, depth lists deep: 1 for a
-    vector, 2 for a matrix.  JSON booleans, and scalars where a list
-    belongs, are refused by the field's name; lengths and shapes are left
-    to the object that takes the value."""
-    value = require(cfg, dotted) if default is _REQUIRED else _lookup(cfg, dotted)
-    if value is None:
-        return default
-
-    def nested(v, level: int):
-        if level == 0 and isinstance(v, (int, float)) and not isinstance(v, bool):
-            return float(v)
-        if level > 0 and isinstance(v, list):
-            return tuple(nested(item, level - 1) for item in v)
-        raise ConfigError(f"invalid '{dotted}': must be {_ARRAY_NAMES[depth]}, got {value!r}")
-    return nested(value, depth)
-
-
 @contextmanager
 def _building(dotted: str):
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"invalid '{dotted}': {e}")
 
 
@@ -207,45 +246,59 @@ def _hull_points(law) -> np.ndarray:
 
 
 def build_model(cfg: dict) -> ModelSpec:
-    read(cfg, "model.domain.type")  # an object of a known type
+    kind = read(cfg, "model.domain.type")
     with _building("model.domain"):
-        domain = domain_from_dict(require(cfg, "model.domain"))
+        if kind == "interval":
+            domain = Interval(float(read(cfg, "model.domain.lo")),
+                              float(read(cfg, "model.domain.hi")))
+        elif kind == "box":
+            domain = Box(read(cfg, "model.domain.lo"), read(cfg, "model.domain.hi"))
+        else:
+            domain = Ball(read(cfg, "model.domain.center"), read(cfg, "model.domain.radius"))
     with _building("model.drift"):
         drift = DriftSpec(
             base_kind=read(cfg, "model.drift.base"),
-            base_vector=read_array(cfg, "model.drift.base_vector", 1, None),
-            base_matrix=read_array(cfg, "model.drift.base_matrix", 2, None),
+            base_vector=read(cfg, "model.drift.base_vector"),
+            base_matrix=read(cfg, "model.drift.base_matrix"),
             mf_gain=read(cfg, "model.drift.mf_gain"),
-            control_matrix=read_array(cfg, "model.drift.control_matrix", 2),
+            control_matrix=read(cfg, "model.drift.control_matrix"),
             clip_bound=read(cfg, "model.drift.clip_bound"),
         )
     with _building("model.control_box"):
-        box = ControlBox(read_array(cfg, "model.control_box.lo", 1),
-                         read_array(cfg, "model.control_box.hi", 1))
+        box = ControlBox(read(cfg, "model.control_box.lo"), read(cfg, "model.control_box.hi"))
+
+    def weights(name: str) -> tuple:
+        value = read(cfg, f"model.reward.{name}")
+        return (0.0,) * domain.dim if value is None else value
+
     with _building("model.reward"):
-        zeros = (0.0,) * domain.dim
         reward = RewardSpec(
             r_x=read(cfg, "model.reward.r_x"),
             phi_kind=read(cfg, "model.reward.phi"),
-            phi_weights=read_array(cfg, "model.reward.phi_weights", 1, None),
+            phi_weights=read(cfg, "model.reward.phi_weights"),
             r_m=read(cfg, "model.reward.r_m"),
-            mean_weights=read_array(cfg, "model.reward.mean_weights", 1, zeros),
+            mean_weights=weights("mean_weights"),
             r_a=read(cfg, "model.reward.r_a"),
             g_w=read(cfg, "model.reward.g_w"),
-            terminal_weights=read_array(cfg, "model.reward.terminal_weights", 1, zeros),
+            terminal_weights=weights("terminal_weights"),
             g_var=read(cfg, "model.reward.g_var"),
             reinsertion_cost=read(cfg, "model.reward.reinsertion_cost"),
         )
-    read(cfg, "model.initial.type")  # an object of a known type
+    kind = read(cfg, "model.initial.type")
     with _building("model.initial"):
-        initial = initial_law_from_dict(require(cfg, "model.initial"))
+        if kind == "point":
+            initial = PointMass(read(cfg, "model.initial.x"))
+        elif kind == "uniform":
+            initial = UniformBox(read(cfg, "model.initial.lo"), read(cfg, "model.initial.hi"))
+        else:
+            initial = Cloud(read(cfg, "model.initial.values"))
         # Every domain is convex: the law lies in its closure when these do.
         if np.any(domain.boundary_distance(_hull_points(initial)) < -BOUNDARY_TOL):
             raise ValueError("initial points must lie in the closed 'model.domain'")
     with _building("model"):
         return ModelSpec(
             domain=domain,
-            sigma=read_array(cfg, "model.sigma", 2),
+            sigma=read(cfg, "model.sigma"),
             drift=drift,
             control_set=box,
             horizon=read(cfg, "model.horizon"),
@@ -256,7 +309,7 @@ def build_model(cfg: dict) -> ModelSpec:
 
 def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
     """The sim section as a SimConfig."""
-    times = read_array(cfg, "sim.grid.times", 1, None)
+    times = read(cfg, "sim.grid.times")
     with _building("sim.grid"):
         if times is not None:
             grid = np.asarray(times, dtype=float)
@@ -283,13 +336,11 @@ def build_policy(cfg: dict, model: ModelSpec):
     box = model.control_set
     with _building("policy"):
         if kind == "constant":
-            return ConstantPolicy(read_array(cfg, "policy.value", 1), box)
+            return ConstantPolicy(read(cfg, "policy.value"), box)
         if kind == "linear":
-            return LinearPolicy(read_array(cfg, "policy.theta0", 1),
-                                read_array(cfg, "policy.theta1", 2), box)
-        values = np.asarray(require(cfg, "policy.values"), dtype=float)
+            return LinearPolicy(read(cfg, "policy.theta0"), read(cfg, "policy.theta1"), box)
         return GridPolicy.build(model, read(cfg, "policy.time_bins"),
-                                read(cfg, "policy.space_bins"), values)
+                                read(cfg, "policy.space_bins"), read(cfg, "policy.values"))
 
 
 def build_open_control(cfg: dict, model: ModelSpec):
@@ -297,15 +348,14 @@ def build_open_control(cfg: dict, model: ModelSpec):
     box = model.control_set
     with _building("open_control"):
         if kind == "randomized_sign":
-            direction = read_array(cfg, "open_control.direction", 1)
+            direction = read(cfg, "open_control.direction")
             if len(direction) != model.dim:
                 raise ValueError(f"direction must have length {model.dim}, "
                                  f"got {len(direction)}")
-            return RandomizedSignControl(read_array(cfg, "open_control.base", 1),
-                                         direction, box)
+            return RandomizedSignControl(read(cfg, "open_control.base"), direction, box)
         if kind == "piecewise":
             return PiecewiseControl(read(cfg, "open_control.t_switch"),
-                                    read_array(cfg, "open_control.before", 1),
-                                    read_array(cfg, "open_control.after", 1), box)
-        return NoisePeekControl(read_array(cfg, "open_control.base", 1),
+                                    read(cfg, "open_control.before"),
+                                    read(cfg, "open_control.after"), box)
+        return NoisePeekControl(read(cfg, "open_control.base"),
                                 read(cfg, "open_control.peek_time"), box)

@@ -163,9 +163,9 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
             raise blown[0]
 
     def record_counts(node: int):
-        for j, block_counts in enumerate(counts.reshape(n_blocks, n_block)):
-            f_curve[node, j] = block_counts.mean()
-            f_se[node, j] = block_counts.std(ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
+        per_block = counts.reshape(n_blocks, n_block)
+        f_curve[node] = per_block.mean(axis=1)
+        f_se[node] = per_block.std(axis=1, ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
 
     # The finite system's drift reads its own current mean.
     snapshots, _, _ = _pass(model, blocks, replace(config, min_survivors=0), reinsert,

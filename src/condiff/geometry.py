@@ -150,9 +150,6 @@ class Domain:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
     # Subclass hooks, operating on (n, d) arrays.
     @property
     def _inradius(self) -> float:
@@ -210,9 +207,6 @@ class Interval(Domain):
     def bounding_box(self):
         return np.array([self.lo]), np.array([self.hi])
 
-    def to_dict(self):
-        return {"type": "interval", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class Box(Domain):
@@ -266,9 +260,6 @@ class Box(Domain):
     def bounding_box(self):
         return self._lo.copy(), self._hi.copy()
 
-    def to_dict(self):
-        return {"type": "box", "lo": list(self.lo), "hi": list(self.hi)}
-
 
 @dataclass(frozen=True)
 class Ball(Domain):
@@ -318,17 +309,3 @@ class Ball(Domain):
         c = self._center
         return c - self.radius, c + self.radius
 
-    def to_dict(self):
-        return {"type": "ball", "center": list(self.center), "radius": self.radius}
-
-
-def domain_from_dict(spec: dict) -> Domain:
-    """Build a domain from its JSON form, e.g. {"type": "interval", "lo": -1, "hi": 1}."""
-    kind = spec.get("type")
-    if kind == "interval":
-        return Interval(float(spec["lo"]), float(spec["hi"]))
-    if kind == "box":
-        return Box(tuple(spec["lo"]), tuple(spec["hi"]))
-    if kind == "ball":
-        return Ball(tuple(spec["center"]), float(spec["radius"]))
-    raise ValueError(f"unknown domain type: {kind!r}")

@@ -257,7 +257,7 @@ def _flow_mean_per_step(flows, starts, first_steps, dt: float, total_steps: int,
 
 
 def _initial_sample(law, n: int, seed: int, model: ModelSpec) -> np.ndarray:
-    x0 = np.array(law.sample(n, seed, rng.INITIAL_SAMPLE, 0), dtype=float)
+    x0 = np.array(law.sample(n, seed), dtype=float)
     if x0.shape != (n, model.dim):
         raise ValueError(f"initial sample must have shape ({n}, {model.dim})")
     if np.any(model.domain.boundary_distance(x0) < -BOUNDARY_TOL):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .geometry import Domain, check_sigma
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, sample_many
 
 _PHI_KINDS = ("one", "linear", "quadratic")
 _BASE_KINDS = ("zero", "constant", "affine")
@@ -167,7 +168,8 @@ class RewardSpec:
 class InitialLaw:
     """Initial distribution of the particle cloud, supported in the closure of D."""
 
-    def sample(self, n: int, seed: int, purpose: int, step: int) -> np.ndarray:
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        """n points drawn from the seed's initial-sample stream."""
         raise NotImplementedError
 
 
@@ -178,7 +180,7 @@ class PointMass(InitialLaw):
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(np.asarray(self.x, dtype=float).reshape(-1).tolist()))
 
-    def sample(self, n, seed, purpose, step):
+    def sample(self, n, seed):
         return np.tile(np.asarray(self.x), (n, 1))
 
 
@@ -195,11 +197,10 @@ class UniformBox(InitialLaw):
         object.__setattr__(self, "lo", tuple(lo.tolist()))
         object.__setattr__(self, "hi", tuple(hi.tolist()))
 
-    def sample(self, n, seed, purpose, step):
-        from . import rng
+    def sample(self, n, seed):
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        u = rng.uniforms(seed, purpose, step, (n, lo.shape[0]))
+        u = rng.uniforms(seed, rng.INITIAL_SAMPLE, 0, (n, lo.shape[0]))
         return lo + u * (hi - lo)
 
 
@@ -215,24 +216,10 @@ class Cloud(InitialLaw):
             pts = pts.reshape(-1, 1)
         object.__setattr__(self, "points", pts)
 
-    def sample(self, n, seed, purpose, step):
-        from . import rng
-        from .measures import sample_many
+    def sample(self, n, seed):
         measure = EmpiricalMeasure(self.points)
-        u = rng.uniforms(seed, purpose, step, (n,))
+        u = rng.uniforms(seed, rng.INITIAL_SAMPLE, 0, (n,))
         return sample_many(measure, u)
-
-
-def initial_law_from_dict(spec: dict) -> InitialLaw:
-    kind = spec.get("type")
-    if kind == "point":
-        return PointMass(tuple(np.atleast_1d(spec["x"]).tolist()))
-    if kind == "uniform":
-        return UniformBox(tuple(np.atleast_1d(spec["lo"]).tolist()),
-                          tuple(np.atleast_1d(spec["hi"]).tolist()))
-    if kind == "points":
-        return Cloud(np.asarray(spec["values"], dtype=float))
-    raise ValueError(f"unknown initial law type: {kind!r}")
 
 
 @dataclass(frozen=True)

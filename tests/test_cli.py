@@ -212,6 +212,13 @@ def test_optimize_command(tmp_path, capsys):
       for value in ("true", "-1", "[false]")],
     *[("picard", "model.sigma", [f"model.sigma={value}"])
       for value in ("true", "1", "[1]", "[[true]]")],
+    # so do the fields whose objects reshape them, and undeclared keys are refused
+    ("picard", "model.domain.hi", ["model.domain.hi=true"]),
+    ("picard", "model.initial.hi", ["model.initial.hi=true"]),
+    ("picard", "policy.values", ['policy={"type": "grid", "time_bins": 1, "space_bins": 1, '
+                                 '"values": [true]}']),
+    ("picard", "picard.max_iters", ["picard.max_iters=1"]),
+    ("picard", "sim.grid.stepp", ["sim.grid.stepp=0.5"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)
@@ -263,7 +270,8 @@ def test_every_field_is_refused_by_name_or_accepted(tmp_path, capsys, cmd):
     """Each leaf of the shipped config set to a bad value or deleted, and each
     section replaced by a non-object or deleted: the run succeeds, fails at
     run time, or exits 2 naming the field or its section; it never dies with
-    a traceback."""
+    a traceback.  A misspelt sibling of each (its key plus "_") exits 2
+    naming it."""
     extra = ["model.drift.mf_gain=0"] if cmd == "simulate" else []
     base = apply_overrides(load_config(DEFAULT_CONFIG), _TINY + extra)
     path = tmp_path / "case.json"
@@ -289,4 +297,11 @@ def test_every_field_is_refused_by_name_or_accepted(tmp_path, capsys, cmd):
             named = any(p and p in err for p in (dotted, ".".join(parents)))
             if rc not in (0, 2, 3) or (rc == 2 and not named):
                 failures.append(f"{case}: exit {rc}: {err.strip()}")
+        cfg = copy.deepcopy(base)
+        _at(cfg, parents)[key + "_"] = _at(base, parents)[key]
+        path.write_text(json.dumps(cfg))
+        rc = cli.main([cmd, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if rc != 2 or f"unknown field '{dotted}_'" not in err:
+            failures.append(f"{dotted}_ beside {dotted}: exit {rc}: {err.strip()}")
     assert not failures, f"{len(failures)} cases:\n" + "\n".join(failures)

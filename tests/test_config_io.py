@@ -6,7 +6,7 @@ import pytest
 
 from condiff.config import (apply_overrides, build_model, build_open_control,
                             build_policy, build_sim_config, config_hash,
-                            load_config, read, require)
+                            load_config, read)
 from condiff.errors import ConfigError
 from condiff.io import write_csv, write_json
 from condiff.model import (ConstantPolicy, GridPolicy, LinearPolicy,
@@ -42,11 +42,11 @@ def test_load_config_unwraps_manifest(tmp_path):
 def test_apply_overrides():
     cfg = {"sim": {"dt": 0.001, "seed": 1}}
     out = apply_overrides(cfg, ["sim.dt=0.5", "sim.grid.step=0.1",
-                                "policy.type=constant", "fv.cap=true"])
+                                "policy.type=constant", "sim.store_paths=true"])
     assert out["sim"]["dt"] == 0.5
     assert out["sim"]["grid"]["step"] == 0.1
     assert out["policy"]["type"] == "constant"  # not valid JSON, kept as text
-    assert out["fv"]["cap"] is True
+    assert out["sim"]["store_paths"] is True
     assert cfg["sim"]["dt"] == 0.001  # the input dict stays untouched
 
     with pytest.raises(ConfigError, match="path=value"):
@@ -65,12 +65,11 @@ def test_config_hash_is_order_independent():
 
 def test_require_and_optional():
     cfg = {"sim": {"seed": 7, "dt": None, "grid": 5}}
-    assert require(cfg, "sim.seed") == 7
-    with pytest.raises(ConfigError, match="missing required field 'sim.n_particles'"):
-        require(cfg, "sim.n_particles")
-    with pytest.raises(ConfigError, match="missing required field 'model.sigma'"):
-        require(cfg, "model.sigma")
     assert read(cfg, "sim.seed") == 7
+    with pytest.raises(ConfigError, match="missing required field 'sim.n_particles'"):
+        read(cfg, "sim.n_particles")
+    with pytest.raises(ConfigError, match="missing required field 'model.sigma'"):
+        read(cfg, "model.sigma")
     assert read(cfg, "sim.min_survivors") == 1  # a missing field is its declared default
     with pytest.raises(ConfigError, match="missing required field 'sim.dt'"):
         read(cfg, "sim.dt")  # explicit null means missing
@@ -88,6 +87,69 @@ def test_require_and_optional():
         section, key = dotted.split(".")
         with pytest.raises(ConfigError, match=f"invalid '{dotted}': must be {message}, got"):
             read({section: {key: value}}, dotted)
+
+
+def test_list_fields_take_numbers_only():
+    cfg = {"model": {"sigma": [[1, 0.5]], "control_box": {"lo": [-1]},
+                     "initial": {"x": 0.3, "lo": [[0], [2]], "values": [[[1.5]]]}}}
+    assert read(cfg, "model.sigma") == ((1.0, 0.5),)
+    assert read(cfg, "model.control_box.lo") == (-1.0,)
+    # numbers at any depth, a bare number included; the object reshapes them
+    assert read(cfg, "model.initial.x") == 0.3
+    assert read(cfg, "model.initial.lo") == ((0.0,), (2.0,))
+    assert read(cfg, "model.initial.values") == (((1.5,),),)
+    assert read(cfg, "model.reward.phi_weights") is None  # unset, worked out by the caller
+    for dotted, value, message in (
+            ("model.control_box.lo", 1.0, "a list of numbers"),
+            ("model.control_box.lo", [True], "a list of numbers"),
+            ("model.control_box.lo", [[1.0]], "a list of numbers"),
+            ("model.sigma", [1.0], "a list of lists of numbers"),
+            ("model.initial.x", True, "a number or lists of numbers"),
+            ("model.initial.x", "0.3", "a number or lists of numbers"),
+            ("model.domain.hi", [[1.0], [False]], "a number or lists of numbers"),
+            ("policy.values", {"a": 1.0}, "a number or lists of numbers")):
+        *sections, key = dotted.split(".")
+        node = cfg = {}
+        for p in sections:
+            node = node.setdefault(p, {})
+        node[key] = value
+        with pytest.raises(ConfigError, match=f"invalid '{dotted}': must be {message}, got"):
+            read(cfg, dotted)
+
+
+def test_undeclared_keys_are_refused():
+    cfg = load_config(DEFAULT_CONFIG)
+    for override, dotted in (("model.initial.values_=[1]", "model.initial.values_"),
+                             ("fv.cap=null", "fv.cap"), ("extra={}", "extra")):
+        with pytest.raises(ConfigError, match=f"^unknown field '{dotted}'$"):
+            apply_overrides(cfg, [override])
+    with pytest.raises(ConfigError, match="^unknown field 'sim.dt'$"):
+        apply_overrides({"sim.dt": 0.1}, [])  # a dotted key is no path
+    # a declared leaf or section of the wrong shape is left for read to name
+    wrong = apply_overrides(cfg, ["sim.grid=5", "model.sigma={\"a\": 1}"])
+    with pytest.raises(ConfigError, match="invalid 'model.sigma'"):
+        build_model(wrong)
+
+
+def test_benchmark_inputs_are_accepted(monkeypatch):
+    """The shipped config and every config of each benchmark workload, at
+    its full and its tiny sizes, pass the undeclared-key check and build.
+    A refused key there would fail every round of the benchmark."""
+    monkeypatch.syspath_prepend(str(DEFAULT_CONFIG.parent.parent / "perfbench"))
+    import workloads
+    cfgs = [load_config(DEFAULT_CONFIG)]
+    for workload in workloads.WORKLOADS.values():
+        for sizes in (workload.sizes, workload.tiny):
+            cfgs.extend(workload.configs(1, sizes).values())
+    assert len(cfgs) == 11
+    for cfg in cfgs:
+        cfg = apply_overrides(cfg, [])  # the undeclared-key check
+        model = build_model(cfg)
+        build_sim_config(cfg, model)
+        if "policy" in cfg:
+            build_policy(cfg, model)
+        if "open_control" in cfg:
+            build_open_control(cfg, model)
 
 
 def test_build_model_and_sim_from_default():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from condiff import geometry
-from condiff.geometry import (BOUNDARY_TOL, Ball, Box, Interval, check_sigma,
-                              domain_from_dict, top_variance)
+from condiff.config import build_model
+from condiff.geometry import BOUNDARY_TOL, Ball, Box, Interval, check_sigma, top_variance
 
 SIGMA1 = ((1.0,),)
 
@@ -114,13 +114,25 @@ def test_check_sigma_rejects_singular():
         check_sigma(((np.nan,),), 1)
 
 
-def test_domain_round_trip():
-    for dom in (Interval(-2.0, 3.0), Box((-1.0, 0.0), (1.0, 2.0)),
-                Ball((0.5, -0.5), 1.5)):
-        again = domain_from_dict(dom.to_dict())
-        assert type(again) is type(dom)
-        assert again.to_dict() == dom.to_dict()
-        for got, want in zip(again.bounding_box(), dom.bounding_box()):
+def test_domains_build_from_their_json_forms():
+    for spec, kind, fields, box in (
+            ({"type": "interval", "lo": -2, "hi": 3.0}, Interval,
+             {"lo": -2.0, "hi": 3.0}, ([-2.0], [3.0])),
+            ({"type": "box", "lo": [-1, 0], "hi": [1.0, 2]}, Box,
+             {"lo": (-1.0, 0.0), "hi": (1.0, 2.0)}, ([-1.0, 0.0], [1.0, 2.0])),
+            ({"type": "ball", "center": [0.5, -0.5], "radius": 1.5}, Ball,
+             {"center": (0.5, -0.5), "radius": 1.5}, ([-1.0, -2.0], [2.0, 1.0]))):
+        dim = len(box[0])
+        eye, zeros = np.eye(dim).tolist(), [0.0] * dim
+        dom = build_model({"model": {
+            "domain": spec, "sigma": eye, "drift": {"control_matrix": eye},
+            "control_box": {"lo": zeros, "hi": zeros}, "horizon": 1.0,
+            "initial": {"type": "point", "x": zeros}}}).domain
+        assert type(dom) is kind and dom.dim == dim
+        for name, want in fields.items():
+            got = getattr(dom, name)
+            assert type(got) is type(want) and got == want
+        for got, want in zip(dom.bounding_box(), box):
             assert np.array_equal(got, want)
 
 

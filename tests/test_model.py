@@ -151,13 +151,11 @@ def test_reward_validation():
 
 
 def test_initial_laws_sample_inside():
-    from condiff.rng import INITIAL_SAMPLE
-
     pm = PointMass((0.3,))
-    pts = pm.sample(5, 1, INITIAL_SAMPLE, 0)
+    pts = pm.sample(5, 1)
     assert pts.shape == (5, 1) and np.all(pts == 0.3)
     ub = UniformBox((-0.5,), (0.5,))
-    pts = ub.sample(1000, 2, INITIAL_SAMPLE, 0)
+    pts = ub.sample(1000, 2)
     assert pts.shape == (1000, 1)
     assert np.all(np.abs(pts) <= 0.5)
     assert abs(pts.mean()) < 0.05
