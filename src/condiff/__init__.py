@@ -14,8 +14,8 @@ from .errors import (ConfigError, ContractionViolation, ModelRuntimeError,
                      NumericalError, ReinsertionBlowup, SurvivorDepletion,
                      TotalExtinction)
 from .geometry import Ball, Box, Domain, Interval
-from .measures import (EmpiricalMeasure, MeasureFlow, flow_distance, restrict_flow,
-                       sample_many, sliced_w1, w1_distance_1d)
+from .measures import (EmpiricalMeasure, MeasureFlow, flow_distance, sample_many,
+                       sliced_w1, w1_distance_1d)
 from .model import (Cloud, ConstantPolicy, ControlBox, DriftSpec,
                     FeedbackPolicy, GridPolicy, InitialLaw, LinearPolicy,
                     ModelSpec, NoisePeekControl, OpenLoopControl,

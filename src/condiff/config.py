@@ -79,6 +79,19 @@ def config_hash(cfg: dict) -> str:
 _VECTOR, _MATRIX, _NUMBERS = "vector", "matrix", "numbers"
 _DEPTHS = {_VECTOR: 1, _MATRIX: 2, _NUMBERS: None}
 
+# The leaves each type of a typed section reads; a section's .type field
+# takes this table's keys as its choices, and a leaf its type does not
+# read is refused.
+_TYPE_LEAVES = {
+    "model.domain": {"interval": ("lo", "hi"), "box": ("lo", "hi"), "ball": ("center", "radius")},
+    "model.initial": {"point": ("x",), "uniform": ("lo", "hi"), "points": ("values",)},
+    "policy": {"constant": ("value",), "linear": ("theta0", "theta1"),
+               "grid": ("time_bins", "space_bins", "values")},
+    "open_control": {"randomized_sign": ("base", "direction"),
+                     "piecewise": ("t_switch", "before", "after"),
+                     "noise_peek": ("base", "peek_time")},
+}
+
 # Every field the program reads: (kind, default, rule).  A kind is a
 # Python type for a scalar or one of the list kinds above.  A str field's
 # rule is its tuple of choices, a number's is (">", bound), (">=", bound)
@@ -87,7 +100,7 @@ _DEPTHS = {_VECTOR: 1, _MATRIX: 2, _NUMBERS: None}
 # output-grid step, optimize.reinsertion_cost the model's, and an unset
 # reward weight vector is zeros.
 FIELDS = {
-    "model.domain.type": (str, _REQUIRED, ("interval", "box", "ball")),
+    "model.domain.type": (str, _REQUIRED, tuple(_TYPE_LEAVES["model.domain"])),
     "model.domain.lo": (_NUMBERS, _REQUIRED, None),  # a number for an interval
     "model.domain.hi": (_NUMBERS, _REQUIRED, None),
     "model.domain.center": (_VECTOR, _REQUIRED, None),
@@ -112,7 +125,7 @@ FIELDS = {
     "model.reward.terminal_weights": (_VECTOR, None, None),
     "model.reward.g_var": (float, 0.0, None),
     "model.reward.reinsertion_cost": (float, 0.0, (">=", 0.0)),
-    "model.initial.type": (str, _REQUIRED, ("point", "uniform", "points")),
+    "model.initial.type": (str, _REQUIRED, tuple(_TYPE_LEAVES["model.initial"])),
     "model.initial.x": (_NUMBERS, _REQUIRED, None),
     "model.initial.lo": (_NUMBERS, _REQUIRED, None),
     "model.initial.hi": (_NUMBERS, _REQUIRED, None),
@@ -126,14 +139,14 @@ FIELDS = {
     "sim.bridge_correction": (bool, True, None),
     "sim.min_survivors": (int, 1, (">=", 0)),
     "sim.store_paths": (bool, False, None),
-    "policy.type": (str, _REQUIRED, ("constant", "linear", "grid")),
+    "policy.type": (str, _REQUIRED, tuple(_TYPE_LEAVES["policy"])),
     "policy.value": (_VECTOR, _REQUIRED, None),
     "policy.theta0": (_VECTOR, _REQUIRED, None),
     "policy.theta1": (_MATRIX, _REQUIRED, None),
     "policy.time_bins": (int, _REQUIRED, (">=", 1)),
     "policy.space_bins": (int, _REQUIRED, (">=", 1)),
     "policy.values": (_NUMBERS, _REQUIRED, None),
-    "open_control.type": (str, _REQUIRED, ("randomized_sign", "piecewise", "noise_peek")),
+    "open_control.type": (str, _REQUIRED, tuple(_TYPE_LEAVES["open_control"])),
     "open_control.base": (_VECTOR, _REQUIRED, None),
     "open_control.direction": (_VECTOR, _REQUIRED, None),
     "open_control.t_switch": (float, _REQUIRED, None),
@@ -166,12 +179,18 @@ _SECTIONS = {dotted.rsplit(".", k)[0] for dotted in FIELDS for k in range(1, dot
 
 def _refuse_undeclared(node: dict, prefix: str = "") -> None:
     """Refuse each key below node that is neither a declared field nor a
-    section on the way to one; a section or field of the wrong shape is
-    left for read to refuse."""
+    section on the way to one, and each leaf of a typed section that its
+    type does not read; a section or field of the wrong shape, or a type
+    that is missing or not one of its choices, is left for read to refuse."""
+    section, kind = prefix[:-1], node.get("type")
+    leaves = _TYPE_LEAVES.get(section, {}).get(kind) if isinstance(kind, str) else None
     for key, value in node.items():
         dotted = prefix + key
         if "." in key or (dotted not in FIELDS and dotted not in _SECTIONS):
             raise ConfigError(f"unknown field '{dotted}'")
+        if leaves is not None and key != "type" and key not in leaves:
+            raise ConfigError(f"invalid '{dotted}': a '{section}' of type {kind!r} "
+                              f"does not read it")
         if dotted in _SECTIONS and isinstance(value, dict):
             _refuse_undeclared(value, dotted + ".")
 
@@ -249,8 +268,13 @@ def build_model(cfg: dict) -> ModelSpec:
     kind = read(cfg, "model.domain.type")
     with _building("model.domain"):
         if kind == "interval":
-            domain = Interval(float(read(cfg, "model.domain.lo")),
-                              float(read(cfg, "model.domain.hi")))
+            ends = []
+            for dotted in ("model.domain.lo", "model.domain.hi"):
+                ends.append(read(cfg, dotted))
+                if isinstance(ends[-1], tuple):
+                    raise ConfigError(f"invalid '{dotted}': an interval wants a number, "
+                                      f"got {_lookup(cfg, dotted)!r}")
+            domain = Interval(*ends)
         elif kind == "box":
             domain = Box(read(cfg, "model.domain.lo"), read(cfg, "model.domain.hi"))
         else:

@@ -12,14 +12,9 @@ class ModelRuntimeError(RuntimeError):
 
 
 class SurvivorDepletion(ModelRuntimeError):
-    """Too few alive paths remain to form a conditional estimate.
+    """Too few alive paths remain to form a conditional estimate."""
 
-    A stacked run that ends because every block depleted lists each
-    block's own depletion in blocks, in block order.
-    """
-
-    def __init__(self, time: float, survivors: int, required: int,
-                 blocks: tuple = ()):
+    def __init__(self, time: float, survivors: int, required: int):
         super().__init__(
             f"survivor count at t={time:g} fell to {survivors}, "
             f"below the required minimum {required}"
@@ -27,7 +22,6 @@ class SurvivorDepletion(ModelRuntimeError):
         self.time = time
         self.survivors = survivors
         self.required = required
-        self.blocks = blocks
 
 
 class TotalExtinction(ModelRuntimeError):

@@ -47,8 +47,8 @@ class FVTrace:
     node are read back from it (killed_sim._controls_at).  A pass over
     Blocks adds a block axis after the node axis, numbers its particles
     block after block and has no policy of its own; block(b) reads block
-    b as its own run, and blown[b] is the ReinsertionBlowup that ended
-    it, or None.
+    b as its own run, and failed[b] is the ReinsertionBlowup or
+    TotalExtinction that ended it, or None.
     """
 
     model: ModelSpec
@@ -63,16 +63,16 @@ class FVTrace:
     event_positions: np.ndarray
     event_sources: np.ndarray
     blocks: Blocks | None = None
-    blown: tuple = (None,)
+    failed: tuple = (None,)
 
     @property
     def n(self) -> int:
         return self.final_counts.shape[0]
 
     def block(self, b: int) -> "FVTrace":
-        """Block b as its own run; raises the ReinsertionBlowup that ended it."""
-        if self.blown[b] is not None:
-            raise self.blown[b]
+        """Block b as its own run; raises the error that ended it."""
+        if self.failed[b] is not None:
+            raise self.failed[b]
         size = self.n // len(self.blocks)
         mine = self.event_particles // size == b
         return replace(
@@ -82,7 +82,7 @@ class FVTrace:
             event_times=self.event_times[mine],
             event_particles=self.event_particles[mine] - b * size,
             event_positions=self.event_positions[mine], event_sources=self.event_sources[mine],
-            blocks=None, blown=(None,))
+            blocks=None, failed=(None,))
 
     def source_names(self) -> list[str]:
         return [_SOURCE_NAMES[int(s)] for s in self.event_sources]
@@ -102,12 +102,12 @@ def _reinsert_at_peers(x_new: np.ndarray, exits: np.ndarray, draws: np.ndarray) 
         inside[i] = True
 
 
-def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimConfig,
-                 variant: str, reinsertion_cap: int) -> FVTrace:
+def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: str,
+                 reinsertion_cap: int) -> FVTrace:
     """Every block in one killed_sim pass from t = 0, with the reinsertion
-    rule in place of the kill.  A block that passes the cap is marked
-    blown and runs on; a plain run raises, and otherwise reads as its
-    one block."""
+    rule in place of the kill.  A block that passes the cap, or a finite
+    system whose particles all exit in one step, is marked with its own
+    error in the pass's failed record; the others run on."""
     grid = config.grid
     if abs(grid[0]) > _TIME_TOL or any(abs(s) > _TIME_TOL for s in blocks.starts):
         raise ValueError("reinsertion dynamics must start at t=0")
@@ -126,7 +126,6 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
     dt = config.dt
 
     counts = np.zeros(n, dtype=np.int64)
-    blown: list = [None] * n_blocks
     # Per step with exits: their stamps, indices and new positions.
     ev_times: list[np.ndarray] = []
     ev_particles: list[np.ndarray] = []
@@ -134,7 +133,7 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
     f_curve = np.empty((grid.shape[0], n_blocks))
     f_se = np.empty((grid.shape[0], n_blocks))
 
-    def reinsert(clocks, x_new, node_exits, bridge_kills, alive, draws):
+    def reinsert(clocks, x_new, node_exits, bridge_kills, alive, failed, draws):
         t = float(clocks[0])
         exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
         stamps = np.where(node_exits[exits], t + dt, t + 0.5 * dt)
@@ -143,7 +142,8 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
             u = draws(rng.REINSERT_SAMPLE)
         else:
             if exits.size == n:
-                raise TotalExtinction(float(stamps[0]))
+                failed[0] = TotalExtinction(float(stamps[0]))
+                return
             _reinsert_at_peers(flat, exits, draws(rng.PEER_CHOICE))
         counts[exits] += 1
         # Block j's exits, ascending, are exits[edges[j]:edges[j + 1]].
@@ -153,14 +153,12 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
             if mean_field:
                 flat[mine] = sample_many(blocks.flows[j].node_at(t + dt), u[mine % u.shape[0]])
             over = mine[counts[mine] > reinsertion_cap]
-            if over.size and blown[j] is None:
-                blown[j] = ReinsertionBlowup(t + dt, int(over[0]) - j * n_block,
-                                             reinsertion_cap)
+            if over.size and failed[j] is None:
+                failed[j] = ReinsertionBlowup(t + dt, int(over[0]) - j * n_block,
+                                              reinsertion_cap)
         ev_times.append(stamps)
         ev_particles.append(exits)
         ev_positions.append(flat[exits])
-        if one_run and blown[0] is not None:
-            raise blown[0]
 
     def record_counts(node: int):
         per_block = counts.reshape(n_blocks, n_block)
@@ -168,10 +166,10 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
         f_se[node] = per_block.std(axis=1, ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
 
     # The finite system's drift reads its own current mean.
-    snapshots, _, _ = _pass(model, blocks, replace(config, min_survivors=0), reinsert,
-                            record_counts, live_mean=not mean_field)
+    snapshots, _, failed = _pass(model, blocks, replace(config, min_survivors=0), reinsert,
+                                 record_counts, live_mean=not mean_field)
     event_times = np.concatenate([np.empty(0), *ev_times])
-    trace = FVTrace(
+    return FVTrace(
         model=model,
         times=grid.copy(),
         snapshots=snapshots,
@@ -184,9 +182,8 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, one_run: bool, config: SimCon
         event_positions=np.concatenate([np.empty((0, d)), *ev_positions]),
         event_sources=np.full(event_times.shape[0], source, dtype=np.int64),
         blocks=blocks,
-        blown=tuple(blown),
+        failed=failed,
     )
-    return trace.block(0) if one_run else trace
 
 
 def simulate_fv_finite(model: ModelSpec, policy: FeedbackPolicy, config: SimConfig,
@@ -197,7 +194,8 @@ def simulate_fv_finite(model: ModelSpec, policy: FeedbackPolicy, config: SimConf
     seeing the post-update positions of the ones handled before it.
     """
     blocks, one_run = _as_blocks(model, policy, None, config)
-    return _simulate_fv(model, blocks, one_run, config, "finite", reinsertion_cap)
+    trace = _simulate_fv(model, blocks, config, "finite", reinsertion_cap)
+    return trace.block(0) if one_run else trace
 
 
 def simulate_fv_meanfield(model: ModelSpec, policy, flow: MeasureFlow | None,
@@ -210,7 +208,8 @@ def simulate_fv_meanfield(model: ModelSpec, policy, flow: MeasureFlow | None,
     from another initial law is one such block.
     """
     blocks, one_run = _as_blocks(model, policy, flow, config)
-    return _simulate_fv(model, blocks, one_run, config, "meanfield", reinsertion_cap)
+    trace = _simulate_fv(model, blocks, config, "meanfield", reinsertion_cap)
+    return trace.block(0) if one_run else trace
 
 
 @dataclass

@@ -142,11 +142,10 @@ class KilledEnsemble:
     _controls_at reads either kind at a node.  A pass over Blocks keeps
     its snapshots with a block axis, (n_nodes, B, N, d), its per-particle
     vectors block after block, and its Blocks (policy is then None);
-    block(b) reads block b as its own run, and depleted[b] is the
-    SurvivorDepletion that ended it, or None.  A block that starts after
-    a node holds its initial sample in that node's snapshot.  Survival
-    and alive masks are read per block: an ensemble with blocks itself
-    refuses them.
+    block(b) reads block b as its own run, and failed[b] is the error
+    that ended it, or None.  A block that starts after a node holds its
+    initial sample in that node's snapshot.  Survival and alive masks
+    are read per block: an ensemble with blocks itself refuses them.
     """
 
     model: ModelSpec
@@ -156,20 +155,20 @@ class KilledEnsemble:
     policy: FeedbackPolicy | OpenLoopControl | None
     controls: np.ndarray | None = None
     blocks: Blocks | None = None
-    depleted: tuple = (None,)
+    failed: tuple = (None,)
 
     @property
     def n(self) -> int:
         return self.exit_times.shape[0]
 
     def block(self, b: int) -> "KilledEnsemble":
-        """Block b as a view of this ensemble; raises the depletion that ended it.
+        """Block b as a view of this ensemble; raises the error that ended it.
 
         The block reads as its own run: its times begin at its start, with
         its initial sample as the first snapshot.
         """
-        if self.depleted[b] is not None:
-            raise self.depleted[b]
+        if self.failed[b] is not None:
+            raise self.failed[b]
         size = self.n // len(self.blocks)
         part = slice(b * size, (b + 1) * size)
         start = self.blocks.starts[b]
@@ -395,16 +394,19 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
 
     The killed and the reinsertion dynamics share this loop and differ
     only in their exit rule.  After each step with an exit the pass calls
-    on_exits(clocks, x_new, node_exits, bridge_kills, alive, draws):
-    clocks holds the started blocks' times before the step, x_new their
-    new (B', N, d) positions, which the rule may move, alive the mask it
-    may clear, and draws(purpose) returns the step's shared uniforms.
-    After recording each node it calls on_record(node).  With live_mean
-    the drift reads each block's current mean instead of its flow.
-    Returns the (n_nodes, B, N, d) snapshots, the (n_nodes, 1, N, d_A)
-    controls of an open-loop control (None for feedback policies, which
-    _controls_at reads back) and per block the SurvivorDepletion that
-    ended it, or None.
+    on_exits(clocks, x_new, node_exits, bridge_kills, alive, failed,
+    draws): clocks holds the started blocks' times before the step, x_new
+    their new (B', N, d) positions, which the rule may move, alive the
+    mask it may clear, failed the per-block record (None while a block
+    runs) where it writes the error that ends a block, and draws(purpose)
+    returns the step's shared uniforms.  Each node writes a
+    SurvivorDepletion for a block below config.min_survivors, then calls
+    on_record(node).  Once every block has failed the pass stops, and the
+    later nodes stay unrecorded.  With live_mean the drift reads each
+    block's current mean instead of its flow.  Returns the (n_nodes, B,
+    N, d) snapshots, the (n_nodes, 1, N, d_A) controls of an open-loop
+    control (None for feedback policies, which _controls_at reads back)
+    and the failed record.
     """
     grid = config.grid
     if grid[-1] > model.horizon + _TIME_TOL:
@@ -440,7 +442,7 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     constants = _constant_values(policies)
 
     alive = np.ones(n, dtype=bool)
-    depleted: list = [None] * n_blocks
+    failed: list = [None] * n_blocks
 
     n_nodes = grid.shape[0]
     snapshots = np.empty((n_nodes, *x.shape))
@@ -457,14 +459,8 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
         if config.min_survivors > 0:
             survivors = alive.reshape(n_blocks, n_block).sum(axis=1)
             for j in np.flatnonzero(survivors < config.min_survivors):
-                if depleted[j] is None:
-                    depleted[j] = SurvivorDepletion(t, int(survivors[j]),
-                                                    config.min_survivors)
-            if all(err is not None for err in depleted):
-                if n_blocks == 1:
-                    raise depleted[0]
-                raise SurvivorDepletion(t, int(survivors.max()), config.min_survivors,
-                                        blocks=tuple(depleted))
+                if failed[j] is None:
+                    failed[j] = SurvivorDepletion(t, int(survivors[j]), config.min_survivors)
         if on_record is not None:
             on_record(node)
 
@@ -472,6 +468,8 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     active = 0
     for segment in range(n_nodes - 1):
         for k in range(int(node_steps[segment]), int(node_steps[segment + 1])):
+            if None not in failed:
+                return snapshots, controls, tuple(failed)
             # The started blocks are a prefix; each runs on its own clock
             # and draws from its own seed, keyed by its own step.
             while active < n_blocks and first_steps[active] <= k:
@@ -500,7 +498,7 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
                 domain, x[:active], b, z, dt, noise, alive[:m],
                 (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
             if bridge_kills.size or node_exits.any():
-                on_exits(clocks, x_new, node_exits, bridge_kills, alive, draws)
+                on_exits(clocks, x_new, node_exits, bridge_kills, alive, failed, draws)
             if open_loop:
                 policies[0].advance(state, float(clocks[0]), z, dt)
             if active == n_blocks:
@@ -510,7 +508,7 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
-    return snapshots, controls, tuple(depleted)
+    return snapshots, controls, tuple(failed)
 
 
 def simulate_killed(model: ModelSpec, control, flow_input,
@@ -529,22 +527,22 @@ def simulate_killed(model: ModelSpec, control, flow_input,
     and law share one initial sample, blocks with the same seed and start
     one draw per step, and blocks with the same start one drift call per
     step.  A block whose survivors fall below config.min_survivors is
-    marked depleted, and the run raises once every block is; with several
-    blocks, the error's blocks holds each block's own depletion.
+    marked with its own SurvivorDepletion, which block(b) raises, and the
+    pass stops once every block is; a plain run raises it directly.
     """
     blocks, one_run = _as_blocks(model, control, flow_input, config)
     exit_times = np.full(config.n_particles, np.inf)
     dt = config.dt
 
-    def kill(clocks, x_new, node_exits, bridge_kills, alive, draws):
+    def kill(clocks, x_new, node_exits, bridge_kills, alive, failed, draws):
         for hit, offset in ((np.flatnonzero(node_exits), dt), (bridge_kills, 0.5 * dt)):
             exit_times[hit] = clocks[hit // x_new.shape[1]] + offset
             alive[hit] = False
 
-    snapshots, controls, depleted = _pass(model, blocks, config, kill)
+    snapshots, controls, failed = _pass(model, blocks, config, kill)
     ens = KilledEnsemble(model=model, times=config.grid.copy(), exit_times=exit_times,
                          snapshots=snapshots, policy=None, controls=controls,
-                         blocks=blocks, depleted=depleted)
+                         blocks=blocks, failed=failed)
     # A plain call reads as its one block, without the block axis.
     return ens.block(0) if one_run else ens
 

@@ -162,15 +162,6 @@ class MeasureFlow:
         return self.node_means[self.index_at(t)]
 
 
-def restrict_flow(flow: MeasureFlow, t_max: float) -> MeasureFlow:
-    """The same flow truncated to nodes with time <= t_max."""
-    keep = flow.times <= t_max + _TIME_TOL
-    if not np.any(keep):
-        raise ValueError("t_max precedes the first flow node")
-    k = int(keep.sum())
-    return MeasureFlow(flow.times[:k], flow.nodes[:k], flow.survival[:k])
-
-
 def flow_distance(f1: MeasureFlow, f2: MeasureFlow) -> float:
     """Max over grid nodes of the W1 distance between node measures.
 

@@ -32,17 +32,6 @@ class FixedPointResult:
     ensemble: KilledEnsemble
 
 
-def _block_flows(ens: KilledEnsemble) -> list:
-    """Per block, its conditional flow or the SurvivorDepletion that ended it."""
-    flows = []
-    for b in range(len(ens.blocks)):
-        try:
-            flows.append(conditional_flow(ens.block(b)))
-        except SurvivorDepletion as err:
-            flows.append(err)
-    return flows
-
-
 def flow_update(model: ModelSpec, control, flow_in,
                 config: SimConfig) -> tuple[MeasureFlow | list, KilledEnsemble]:
     """One sweep of the conditional-law map with the input flow frozen.
@@ -52,9 +41,15 @@ def flow_update(model: ModelSpec, control, flow_in,
     block's conditional flow or the SurvivorDepletion that ended it.
     """
     ens = simulate_killed(model, control, flow_in, config)
-    if isinstance(control, Blocks):
-        return _block_flows(ens), ens
-    return conditional_flow(ens), ens
+    if not isinstance(control, Blocks):
+        return conditional_flow(ens), ens
+    flows = []
+    for b in range(len(control)):
+        try:
+            flows.append(conditional_flow(ens.block(b)))
+        except SurvivorDepletion as err:
+            flows.append(err)
+    return flows, ens
 
 
 def solve_fixed_point(model: ModelSpec, control, config: SimConfig,
@@ -104,10 +99,7 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
                         seeds=[config.seed] * n_active, starts=[start] * n_active,
                         laws=[model.initial] * n_active)
         stacked = replace(config, n_particles=config.n_particles * n_active)
-        try:
-            new_flows, ens = flow_update(sweep_model, blocks, None, stacked)
-        except SurvivorDepletion as err:
-            new_flows, ens = list(err.blocks or [err]), None
+        new_flows, ens = flow_update(sweep_model, blocks, None, stacked)
         remaining = []
         for j, (b, new_flow) in enumerate(zip(active, new_flows)):
             if isinstance(new_flow, SurvivorDepletion):

@@ -28,7 +28,7 @@ from .io import write_csv, write_json
 from .killed_sim import (Blocks, SimConfig, analytic_interval_survival,
                          conditional_flow, exit_cdf, girsanov_survival_floor,
                          restrict_ensemble, simulate_killed, uniform_grid)
-from .measures import flow_distance, restrict_flow
+from .measures import flow_distance
 from .mimic import mimic_compare
 from .model import (Cloud, ConstantPolicy, GridPolicy, LinearPolicy, PiecewiseControl,
                     RandomizedSignControl)
@@ -150,8 +150,8 @@ class Verifier:
         ens_a = self.run_a()
         model = driftless_interval(horizon=1.0)
         policy = ConstantPolicy((0.0,), model.control_set)
-        flow_1 = restrict_flow(conditional_flow(ens_a), 1.0)
         killed_1 = restrict_ensemble(ens_a, 1.0)
+        flow_1 = conditional_flow(killed_1)
         grid = uniform_grid(1.0, 0.05)
 
         fv_mf = simulate_fv_meanfield(

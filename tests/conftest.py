@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condiff import cli
+from condiff import cli, killed_sim
 from condiff.killed_sim import SimConfig, conditional_flow, simulate_killed, uniform_grid
 from condiff.model import ConstantPolicy
 from condiff.scenarios import driftless_interval
@@ -28,6 +28,20 @@ def driftless_run():
 def driftless_flow(driftless_run):
     _, _, _, ens = driftless_run
     return conditional_flow(ens)
+
+
+@pytest.fixture
+def euler_steps(monkeypatch):
+    """A list that grows by one entry with every killed_sim.euler_step call."""
+    calls = []
+    step = killed_sim.euler_step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(killed_sim, "euler_step", counted)
+    return calls
 
 
 @pytest.fixture

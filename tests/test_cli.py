@@ -219,6 +219,12 @@ def test_optimize_command(tmp_path, capsys):
                                  '"values": [true]}']),
     ("picard", "picard.max_iters", ["picard.max_iters=1"]),
     ("picard", "sim.grid.stepp", ["sim.grid.stepp=0.5"]),
+    # a typed section refuses a leaf its type does not read
+    ("picard", "model.initial.x", ["model.initial.x=5"]),
+    ("picard", "policy.theta0", ["policy.theta0=true"]),
+    ("picard", "model.domain.center", ["model.domain.center=[0]"]),
+    # an interval takes numbers, not lists, for its bounds
+    ("picard", "model.domain.lo", ["model.domain.lo=[-1]"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)

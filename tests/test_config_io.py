@@ -177,13 +177,12 @@ def test_build_policy_kinds():
     model = build_model(cfg)
     assert isinstance(build_policy(cfg, model), ConstantPolicy)
 
-    lin = apply_overrides(cfg, ["policy.type=linear", "policy.theta0=[0.1]",
-                                "policy.theta1=[[-0.5]]"])
+    lin = apply_overrides(cfg, ['policy={"type": "linear", "theta0": [0.1], '
+                                '"theta1": [[-0.5]]}'])
     assert isinstance(build_policy(lin, model), LinearPolicy)
 
-    grid = apply_overrides(cfg, [
-        "policy.type=grid", "policy.time_bins=2", "policy.space_bins=2",
-        "policy.values=[0.1, 0.2, 0.3, 0.4]"])
+    grid = apply_overrides(cfg, ['policy={"type": "grid", "time_bins": 2, "space_bins": 2, '
+                                 '"values": [0.1, 0.2, 0.3, 0.4]}'])
     assert isinstance(build_policy(grid, model), GridPolicy)
 
     with pytest.raises(ConfigError, match="policy.type"):

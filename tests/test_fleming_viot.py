@@ -262,28 +262,40 @@ def _pushed_interval():
         reward=ZERO_REWARD, initial=PointMass((0.0,)))
 
 
-def test_blown_block_is_marked_while_the_others_run_on():
+def test_blown_block_is_marked_while_the_others_run_on(euler_steps):
     model = _pushed_interval()
     grid = uniform_grid(0.5, 0.1)
     still, pushed = (ConstantPolicy((v,), model.control_set) for v in (0.0, 5.0))
     flow = conditional_flow(simulate_killed(model, still, None, SimConfig(200, 1e-2, 3, grid)))
-    policies, seeds = [still, pushed, still, pushed], [5, 5, 6, 7]
-    trace = simulate_fv_meanfield(
-        model, Blocks(policies, [flow] * 4, seeds, [0.0] * 4, [model.initial] * 4),
-        None, SimConfig(400, 1e-2, 5, grid), reinsertion_cap=1)
-    assert [err is None for err in trace.blown] == [True, False, True, False]
-    for b, (policy, seed) in enumerate(zip(policies, seeds)):
-        config = SimConfig(100, 1e-2, seed, grid)
-        if policy is still:
-            _assert_same_run(trace.block(b), simulate_fv_meanfield(
-                model, policy, flow, config, reinsertion_cap=1))
-            continue
-        with pytest.raises(ReinsertionBlowup) as own:
-            simulate_fv_meanfield(model, policy, flow, config, reinsertion_cap=1)
-        with pytest.raises(ReinsertionBlowup) as marked:
-            trace.block(b)
-        assert (marked.value.time, marked.value.particle) == (own.value.time,
-                                                              own.value.particle)
+    seeds = [5, 5, 6, 7]
+    # Two of four blocks pushed out, then all four.
+    for policies in ([still, pushed, still, pushed], [pushed] * 4):
+        euler_steps.clear()
+        trace = simulate_fv_meanfield(
+            model, Blocks(policies, [flow] * 4, seeds, [0.0] * 4, [model.initial] * 4),
+            None, SimConfig(400, 1e-2, 5, grid), reinsertion_cap=1)
+        steps = len(euler_steps)
+        assert [err is None for err in trace.failed] == [p is still for p in policies]
+        times = []
+        for b, (policy, seed) in enumerate(zip(policies, seeds)):
+            config = SimConfig(100, 1e-2, seed, grid)
+            if policy is still:
+                _assert_same_run(trace.block(b), simulate_fv_meanfield(
+                    model, policy, flow, config, reinsertion_cap=1))
+                continue
+            with pytest.raises(ReinsertionBlowup) as own:
+                simulate_fv_meanfield(model, policy, flow, config, reinsertion_cap=1)
+            with pytest.raises(ReinsertionBlowup) as marked:
+                trace.block(b)
+            assert (marked.value.time, marked.value.particle) == (own.value.time,
+                                                                  own.value.particle)
+            times.append(marked.value.time)
+        # The pass runs all 50 steps unless every block blew up; it then
+        # stops in the step of the last blowup.
+        if len(times) == len(policies):
+            assert steps == round(max(times) / 1e-2) < 50
+        else:
+            assert steps == 50
 
 
 def test_finite_variant_and_open_loop_controls_run_alone():

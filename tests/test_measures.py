@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from condiff.measures import (EmpiricalMeasure, MeasureFlow, flow_distance, restrict_flow,
-                              sample_many, sliced_w1, w1_distance_1d)
+from condiff.measures import (EmpiricalMeasure, MeasureFlow, flow_distance, sample_many,
+                              sliced_w1, w1_distance_1d)
 
 
 def test_w1_1d_examples():
@@ -109,13 +109,3 @@ def test_flow_distance_is_max_over_nodes():
     f1 = _flow([0.0, 1.0], [[0.0], [0.0]], [1.0, 0.5])
     f2 = _flow([0.0, 1.0], [[0.2], [1.0]], [1.0, 0.5])
     assert flow_distance(f1, f2) == pytest.approx(1.0)
-
-
-def test_restrict_flow():
-    flow = _flow([0.0, 0.5, 1.0], [[0.0], [0.1], [0.2]], [1.0, 0.6, 0.3])
-    short = restrict_flow(flow, 0.5)
-    assert short.times.tolist() == [0.0, 0.5]
-    assert short.survival.tolist() == [1.0, 0.6]
-    assert restrict_flow(flow, 0.7).times.tolist() == [0.0, 0.5]
-    with pytest.raises(ValueError):
-        restrict_flow(flow, -0.1)

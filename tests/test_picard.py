@@ -7,7 +7,7 @@ from condiff import picard
 from condiff.errors import SurvivorDepletion
 from condiff.geometry import Box, Interval
 from condiff.killed_sim import (Blocks, SimConfig, _controls_at, conditional_flow,
-                                exit_cdf, simulate_killed, uniform_grid)
+                                exit_cdf, simulate_killed, uniform_grid, without_mean_field)
 from condiff.measures import flow_distance
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
                            ModelSpec, UniformBox)
@@ -161,7 +161,7 @@ def test_stacked_solves_match_with_two_controls(dim, kind):
         _assert_same_solve(result, solve_fixed_point(model, policy, config))
 
 
-def test_depleted_stack_reports_each_block_its_own_error():
+def test_depleted_stack_reports_each_block_its_own_error(euler_steps):
     # Every block depletes in the first sweep, at its own time and count.
     model = attractive_interval(kappa=1.0, reward=rich_reward(0.0))
     config = SimConfig(300, 0.01, 17, uniform_grid(1.0, 0.1), min_survivors=150)
@@ -174,6 +174,18 @@ def test_depleted_stack_reports_each_block_its_own_error():
         assert (err.time, err.survivors) == (single.value.time, single.value.survivors)
         seen.add((err.time, err.survivors))
     assert len(seen) == len(policies)
+    # That first sweep as a pass: it returns, each block raises its own
+    # depletion, and the pass stops in the step of the last one.
+    k = len(policies)
+    euler_steps.clear()
+    ens = simulate_killed(without_mean_field(model),
+                          Blocks(policies, [None] * k, [17] * k, [0.0] * k, [model.initial] * k),
+                          None, replace(config, n_particles=300 * k))
+    for b, err in enumerate(stacked):
+        with pytest.raises(SurvivorDepletion) as marked:
+            ens.block(b)
+        assert (marked.value.time, marked.value.survivors) == (err.time, err.survivors)
+    assert len(euler_steps) == round(max(err.time for err in stacked) / 0.01) < 100
 
 
 def test_stacked_ensemble_is_read_per_block():
