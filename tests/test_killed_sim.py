@@ -113,17 +113,6 @@ def test_restrict_ensemble(driftless_run):
     assert short.times[-1] == pytest.approx(0.5)
     assert short.snapshots.shape[0] == short.times.shape[0]
     assert np.array_equal(short.exit_times, ens.exit_times)
-    # its conditional flow is the whole run's flow cut at the same node
-    full, flow = conditional_flow(ens), conditional_flow(short)
-    k = short.times.shape[0]
-    assert flow.times.tobytes() == full.times[:k].tobytes()
-    assert flow.survival.tobytes() == full.survival[:k].tobytes()
-    for a, b in zip(flow.nodes, full.nodes[:k], strict=True):
-        assert a.points.tobytes() == b.points.tobytes()
-    # a cut between nodes keeps the nodes before it
-    assert restrict_ensemble(ens, 0.52).times.tobytes() == short.times.tobytes()
-    with pytest.raises(ValueError):
-        restrict_ensemble(ens, -0.1)
 
 
 def test_boundary_start_bridge_detects_certainly():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
+from condiff.killed_sim import conditional_flow, restrict_ensemble
 from condiff.measures import (EmpiricalMeasure, MeasureFlow, flow_distance, sample_many,
                               sliced_w1, w1_distance_1d)
 
@@ -109,3 +110,23 @@ def test_flow_distance_is_max_over_nodes():
     f1 = _flow([0.0, 1.0], [[0.0], [0.0]], [1.0, 0.5])
     f2 = _flow([0.0, 1.0], [[0.2], [1.0]], [1.0, 0.5])
     assert flow_distance(f1, f2) == pytest.approx(1.0)
+
+
+def test_restrict_flow(driftless_run, driftless_flow):
+    # a flow cut at t_max is the conditional flow of the ensemble cut there
+    _, _, _, ens = driftless_run
+    full = driftless_flow
+    short = conditional_flow(restrict_ensemble(ens, 0.5))
+    k = short.times.shape[0]
+    assert short.times[-1] == pytest.approx(0.5)
+    assert short.times.tobytes() == full.times[:k].tobytes()
+    assert short.survival.tobytes() == full.survival[:k].tobytes()
+    for a, b in zip(short.nodes, full.nodes[:k], strict=True):
+        assert a.points.tobytes() == b.points.tobytes()
+    # a cut between nodes keeps the nodes before it
+    between = conditional_flow(restrict_ensemble(ens, 0.52))
+    assert between.times.tobytes() == short.times.tobytes()
+    assert between.survival.tobytes() == short.survival.tobytes()
+    # a cut before the first node is refused
+    with pytest.raises(ValueError):
+        restrict_ensemble(ens, -0.1)
