@@ -14,9 +14,10 @@ Both variants run the killed dynamics' own pass (killed_sim._pass) and
 give it a reinsertion rule where the killed run gives its kill rule.  So
 between exits they take the same step with the same draws, and a
 particle's first reinsertion happens exactly when the killed run of the
-same seed kills it; only what follows an exit differs.  Reinsertion
-takes only feedback policies, so a trace stores no controls: it carries
-its policy, from which a node's controls are read back.
+same seed kills it; only what follows an exit differs.  Both record a
+killed_sim.Run; a trace adds its reinsertion counts and events.
+Reinsertion takes only feedback policies, so a trace's controls are
+read back from its policy (Run.controls_at).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .errors import ReinsertionBlowup, TotalExtinction
-from .killed_sim import (Blocks, KilledEnsemble, SimConfig, _as_blocks, _pass,
+from .killed_sim import (Blocks, KilledEnsemble, Run, SimConfig, _as_blocks, _pass,
                          conditional_flow)
 from .measures import (_TIME_TOL, EmpiricalMeasure, MeasureFlow, sample_many,
                        sliced_w1, w1_distance_1d)
@@ -39,22 +40,17 @@ _SOURCE_NAMES = {SOURCE_UNIFORM_PEER: "uniform-peer", SOURCE_FLOW_SAMPLE: "flow-
 DEFAULT_REINSERTION_CAP = 10_000
 
 
-@dataclass
-class FVTrace:
-    """Snapshots, reinsertion events, and the mean reinsertion curve.
+@dataclass(kw_only=True)
+class FVTrace(Run):
+    """A run under the reinsertion rule.
 
-    policy is the feedback policy that drove the run; its controls at a
-    node are read back from it (killed_sim._controls_at).  A pass over
-    Blocks adds a block axis after the node axis, numbers its particles
-    block after block and has no policy of its own; block(b) reads block
-    b as its own run, and failed[b] is the ReinsertionBlowup or
-    TotalExtinction that ended it, or None.
+    f_curve and f_se hold the mean reinsertion count per particle at each
+    node and its standard error (a column per block in a pass over
+    Blocks), final_counts each particle's count at the horizon, and the
+    event_* arrays each reinsertion's stamp, particle, new position and
+    source.
     """
 
-    model: ModelSpec
-    times: np.ndarray
-    snapshots: np.ndarray
-    policy: FeedbackPolicy | None
     f_curve: np.ndarray
     f_se: np.ndarray
     final_counts: np.ndarray
@@ -62,27 +58,15 @@ class FVTrace:
     event_particles: np.ndarray
     event_positions: np.ndarray
     event_sources: np.ndarray
-    blocks: Blocks | None = None
-    failed: tuple = (None,)
 
-    @property
-    def n(self) -> int:
-        return self.final_counts.shape[0]
-
-    def block(self, b: int) -> "FVTrace":
-        """Block b as its own run; raises the error that ended it."""
-        if self.failed[b] is not None:
-            raise self.failed[b]
-        size = self.n // len(self.blocks)
-        mine = self.event_particles // size == b
-        return replace(
-            self, snapshots=self.snapshots[:, b], policy=self.blocks.policies[b],
-            f_curve=self.f_curve[:, b], f_se=self.f_se[:, b],
-            final_counts=self.final_counts[b * size:(b + 1) * size],
-            event_times=self.event_times[mine],
-            event_particles=self.event_particles[mine] - b * size,
-            event_positions=self.event_positions[mine], event_sources=self.event_sources[mine],
-            blocks=None, failed=(None,))
+    def _record_of(self, b: int, part: slice, first: int) -> dict:
+        mine = self.event_particles // (part.stop - part.start) == b
+        return dict(f_curve=self.f_curve[first:, b], f_se=self.f_se[first:, b],
+                    final_counts=self.final_counts[part],
+                    event_times=self.event_times[mine],
+                    event_particles=self.event_particles[mine] - part.start,
+                    event_positions=self.event_positions[mine],
+                    event_sources=self.event_sources[mine])
 
     def source_names(self) -> list[str]:
         return [_SOURCE_NAMES[int(s)] for s in self.event_sources]
@@ -166,14 +150,11 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: s
         f_se[node] = per_block.std(axis=1, ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
 
     # The finite system's drift reads its own current mean.
-    snapshots, _, failed = _pass(model, blocks, replace(config, min_survivors=0), reinsert,
-                                 record_counts, live_mean=not mean_field)
+    shared = _pass(model, blocks, replace(config, min_survivors=0), reinsert,
+                   record_counts, live_mean=not mean_field)
     event_times = np.concatenate([np.empty(0), *ev_times])
     return FVTrace(
-        model=model,
-        times=grid.copy(),
-        snapshots=snapshots,
-        policy=None,
+        **shared,
         f_curve=f_curve,
         f_se=f_se,
         final_counts=counts.astype(float),
@@ -181,8 +162,6 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: s
         event_particles=np.concatenate([np.empty(0, dtype=np.int64), *ev_particles]),
         event_positions=np.concatenate([np.empty((0, d)), *ev_positions]),
         event_sources=np.full(event_times.shape[0], source, dtype=np.int64),
-        blocks=blocks,
-        failed=failed,
     )
 
 
@@ -229,6 +208,7 @@ def fv_correspondence_report(fv: FVTrace, killed: KilledEnsemble) -> FVCorrespon
         raise ValueError("first argument must be the FVTrace")
     if not isinstance(killed, KilledEnsemble):
         raise ValueError("second argument must be the KilledEnsemble")
+    fv._require_one_block()
     if fv.times.shape != killed.times.shape or np.any(np.abs(fv.times - killed.times) > _TIME_TOL):
         raise ValueError("the two runs must share their output grid")
     flow = conditional_flow(killed)

@@ -15,11 +15,12 @@ near enough to the boundary for it to be nonzero in float64; every other
 particle's is exactly 0.0, so the band changes no kill.  Killed paths
 keep moving: each step advances the whole array instead of gathering the
 survivors, and paths.bin records their motion after the exit.  They are
-simply excluded from conditional statistics.  A run records positions;
-a feedback policy's controls are a function of a node's time and
-positions and are read back from the policy (_controls_at), so only an
-open-loop control, whose values depend on the noise path, has them
-recorded.
+simply excluded from conditional statistics.  Both dynamics record one
+Run, to which each exit rule adds its own fields.  A run records
+positions; a feedback policy's controls are a function of a node's time
+and positions and are read back from the policy (Run.controls_at), so
+only an open-loop control, whose values depend on the noise path, has
+them recorded.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A pass
@@ -32,6 +33,7 @@ shares whatever work the blocks' data allow.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,27 +132,25 @@ class Blocks:
         return len(self.starts)
 
 
-@dataclass
-class KilledEnsemble:
-    """Outcome of one killed simulation.
+@dataclass(kw_only=True)
+class Run:
+    """What a pass records under either exit rule.
 
-    exit_times holds the first detected exit per particle (inf when the
-    particle survives the horizon).  Snapshots are stored at the output
-    grid nodes only.  policy is the run's FeedbackPolicy or
-    OpenLoopControl.  Only an open-loop control's values depend on the
-    noise path, so only they are recorded, in controls (None otherwise);
-    _controls_at reads either kind at a node.  A pass over Blocks keeps
-    its snapshots with a block axis, (n_nodes, B, N, d), its per-particle
-    vectors block after block, and its Blocks (policy is then None);
-    block(b) reads block b as its own run, and failed[b] is the error
-    that ended it, or None.  A block that starts after a node holds its
-    initial sample in that node's snapshot.  Survival and alive masks
-    are read per block: an ensemble with blocks itself refuses them.
+    Snapshots are stored at the output grid nodes only.  policy is the
+    run's FeedbackPolicy or OpenLoopControl.  Only an open-loop control's
+    values depend on the noise path, so only they are recorded, in
+    controls (None otherwise); controls_at reads either kind at a node.
+    A pass over Blocks keeps its snapshots with a block axis, (n_nodes,
+    B, N, d), its per-particle vectors block after block, and its Blocks
+    (policy is then None); block(b) reads block b as its own run, and
+    failed[b] is the error that ended it, or None.  A block that starts
+    after a node holds its initial sample in that node's snapshot.  Each
+    exit rule adds its own fields and slices them for a block in
+    _record_of.  Node readers refuse a run of blocks.
     """
 
     model: ModelSpec
     times: np.ndarray
-    exit_times: np.ndarray
     snapshots: np.ndarray
     policy: FeedbackPolicy | OpenLoopControl | None
     controls: np.ndarray | None = None
@@ -159,33 +159,60 @@ class KilledEnsemble:
 
     @property
     def n(self) -> int:
-        return self.exit_times.shape[0]
+        return math.prod(self.snapshots.shape[1:-1])
 
-    def block(self, b: int) -> "KilledEnsemble":
-        """Block b as a view of this ensemble; raises the error that ended it.
+    def block(self, b: int) -> Run:
+        """Block b as its own run; raises the error that ended it.
 
-        The block reads as its own run: its times begin at its start, with
-        its initial sample as the first snapshot.
+        The block's times begin at its start, with its initial sample as
+        the first snapshot.  A run without blocks is its own block 0, and
+        its one-entry failed record refuses any other b.
         """
         if self.failed[b] is not None:
             raise self.failed[b]
+        if self.blocks is None:
+            return self
         size = self.n // len(self.blocks)
-        part = slice(b * size, (b + 1) * size)
         start = self.blocks.starts[b]
         first = int(np.searchsorted(self.times, start + _TIME_TOL, side="right")) - 1
-        return KilledEnsemble(
-            model=self.model,
-            times=np.concatenate([[start], self.times[first + 1:]]),
-            exit_times=self.exit_times[part],
-            snapshots=self.snapshots[first:, b],
-            policy=self.blocks.policies[b],
+        return type(self)(
+            model=self.model, times=np.concatenate([[start], self.times[first + 1:]]),
+            snapshots=self.snapshots[first:, b], policy=self.blocks.policies[b],
             controls=None if self.controls is None else self.controls[first:, b],
-        )
+            **self._record_of(b, slice(b * size, (b + 1) * size), first))
+
+    def _record_of(self, b: int, part: slice, first: int) -> dict:
+        """The exit rule's fields of block b, whose particles are part and
+        whose nodes begin at first."""
+        return {}
 
     def _require_one_block(self):
         if self.blocks is not None:
             raise ValueError("an ensemble of blocks is read one block at a time, "
                              "through block(b)")
+
+    def controls_at(self, m: int) -> np.ndarray:
+        """The (N, d_A) controls at node m: an open-loop control's recorded
+        values, or the feedback policy's values at the node's time and
+        positions, which are what the pass applied there."""
+        self._require_one_block()
+        if isinstance(self.policy, OpenLoopControl):
+            return self.controls[m]
+        return self.policy.values_at(float(self.times[m]), self.snapshots[m])
+
+
+@dataclass(kw_only=True)
+class KilledEnsemble(Run):
+    """A run under the kill rule.
+
+    exit_times holds the first detected exit per particle (inf when the
+    particle survives the horizon).
+    """
+
+    exit_times: np.ndarray
+
+    def _record_of(self, b: int, part: slice, first: int) -> dict:
+        return {"exit_times": self.exit_times[part]}
 
     def alive_at(self, node: int) -> np.ndarray:
         self._require_one_block()
@@ -214,16 +241,6 @@ def conditional_flow(ens: KilledEnsemble) -> MeasureFlow:
             raise SurvivorDepletion(float(ens.times[m]), 0, 1)
         nodes.append(EmpiricalMeasure(ens.snapshots[m][alive]))
     return MeasureFlow(ens.times, tuple(nodes), ens.survival)
-
-
-def _controls_at(run, m: int) -> np.ndarray:
-    """The (N, d_A) controls of a one-block run (a KilledEnsemble or an
-    FVTrace) at node m: an open-loop control's recorded values, or the
-    feedback policy's values at the node's time and positions, which are
-    what the pass applied there."""
-    if isinstance(run.policy, OpenLoopControl):
-        return run.controls[m]
-    return run.policy.values_at(float(run.times[m]), run.snapshots[m])
 
 
 def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
@@ -403,10 +420,10 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     SurvivorDepletion for a block below config.min_survivors, then calls
     on_record(node).  Once every block has failed the pass stops, and the
     later nodes stay unrecorded.  With live_mean the drift reads each
-    block's current mean instead of its flow.  Returns the (n_nodes, B,
-    N, d) snapshots, the (n_nodes, 1, N, d_A) controls of an open-loop
-    control (None for feedback policies, which _controls_at reads back)
-    and the failed record.
+    block's current mean instead of its flow.  Returns the fields of the
+    pass's Run: the model, the grid's times, the (n_nodes, B, N, d)
+    snapshots, the (n_nodes, 1, N, d_A) controls of an open-loop control
+    (None for feedback policies), the blocks and the failed record.
     """
     grid = config.grid
     if grid[-1] > model.horizon + _TIME_TOL:
@@ -449,6 +466,8 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     # An open-loop control depends on the noise path, so only its values
     # are recorded; it always runs as one block.
     controls = np.empty((n_nodes, *x.shape[:2], model.control_dim)) if open_loop else None
+    shared = dict(model=model, times=grid.copy(), snapshots=snapshots, policy=None,
+                  controls=controls, blocks=blocks)
 
     def record(node: int, t: float):
         # A block that has not started yet holds its initial sample, which
@@ -469,7 +488,7 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     for segment in range(n_nodes - 1):
         for k in range(int(node_steps[segment]), int(node_steps[segment + 1])):
             if None not in failed:
-                return snapshots, controls, tuple(failed)
+                return dict(shared, failed=tuple(failed))
             # The started blocks are a prefix; each runs on its own clock
             # and draws from its own seed, keyed by its own step.
             while active < n_blocks and first_steps[active] <= k:
@@ -508,7 +527,7 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
-    return snapshots, controls, tuple(failed)
+    return dict(shared, failed=tuple(failed))
 
 
 def simulate_killed(model: ModelSpec, control, flow_input,
@@ -539,10 +558,7 @@ def simulate_killed(model: ModelSpec, control, flow_input,
             exit_times[hit] = clocks[hit // x_new.shape[1]] + offset
             alive[hit] = False
 
-    snapshots, controls, failed = _pass(model, blocks, config, kill)
-    ens = KilledEnsemble(model=model, times=config.grid.copy(), exit_times=exit_times,
-                         snapshots=snapshots, policy=None, controls=controls,
-                         blocks=blocks, failed=failed)
+    ens = KilledEnsemble(**_pass(model, blocks, config, kill), exit_times=exit_times)
     # A plain call reads as its one block, without the block axis.
     return ens.block(0) if one_run else ens
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .errors import SurvivorDepletion
-from .killed_sim import KilledEnsemble, SimConfig, _controls_at, simulate_killed
+from .killed_sim import KilledEnsemble, SimConfig, simulate_killed
 from .model import GridPolicy, ModelSpec, OpenLoopControl
 from .picard import FixedPointResult, solve_fixed_point
 from .reward_opt import RewardReport, _batch_se, eval_reward_conditional
@@ -61,7 +61,7 @@ def build_regression_grid(ens: KilledEnsemble, time_bins: int,
             continue  # the slab coverage check below reports the gap
         t = float(ens.times[m])
         tb, spatial = template.cell_index(t, ens.snapshots[m][alive])
-        np.add.at(sums, (tb, *spatial), _controls_at(ens, m)[alive])
+        np.add.at(sums, (tb, *spatial), ens.controls_at(m)[alive])
         np.add.at(counts, (tb, *spatial), 1)
 
     slab_counts = counts.reshape(shape[0], -1).sum(axis=1)

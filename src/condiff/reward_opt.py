@@ -26,7 +26,7 @@ from scipy.optimize import Bounds, minimize
 from . import rng
 from .errors import ReinsertionBlowup, SurvivorDepletion
 from .fleming_viot import DEFAULT_REINSERTION_CAP, FVTrace, simulate_fv_meanfield
-from .killed_sim import Blocks, KilledEnsemble, SimConfig, _controls_at
+from .killed_sim import Blocks, KilledEnsemble, SimConfig
 from .measures import EmpiricalMeasure, MeasureFlow
 from .model import (ConstantPolicy, FeedbackPolicy, GridPolicy, LinearPolicy,
                     ModelSpec, RewardSpec)
@@ -81,7 +81,7 @@ def _running_values(reward: RewardSpec, flow: MeasureFlow, run) -> list[np.ndarr
     out = []
     for m in range(run.times.shape[0] - 1):
         t = float(run.times[m])
-        out.append(reward.running(t, run.snapshots[m], flow.mean_at(t), _controls_at(run, m)))
+        out.append(reward.running(t, run.snapshots[m], flow.mean_at(t), run.controls_at(m)))
     return out
 
 
@@ -178,30 +178,6 @@ class PolicyFamily:
         if self.dim < 1 or self.dim > self.MAX_DIM:
             raise ValueError(f"parameter dimension must lie in [1, {self.MAX_DIM}]")
 
-    @staticmethod
-    def constant(model: ModelSpec) -> "PolicyFamily":
-        box = model.control_set
-        return PolicyFamily("constant", box.dim, (0.0,) * box.dim, box.lo, box.hi)
-
-    @staticmethod
-    def linear(model: ModelSpec) -> "PolicyFamily":
-        box = model.control_set
-        d_a, d = box.dim, model.dim
-        widths = np.asarray(box.hi) - np.asarray(box.lo)
-        slope = np.repeat(widths, d)
-        lo = tuple(np.concatenate([np.asarray(box.lo), -slope]).tolist())
-        hi = tuple(np.concatenate([np.asarray(box.hi), slope]).tolist())
-        return PolicyFamily("linear", d_a + d_a * d, (0.0,) * (d_a + d_a * d), lo, hi)
-
-    @staticmethod
-    def grid(model: ModelSpec, time_bins: int, space_bins: int) -> "PolicyFamily":
-        box = model.control_set
-        cells = time_bins * space_bins ** model.dim * box.dim
-        lo = tuple(np.tile(box.lo, cells // box.dim).tolist())
-        hi = tuple(np.tile(box.hi, cells // box.dim).tolist())
-        return PolicyFamily("grid", cells, (0.0,) * cells, lo, hi,
-                            time_bins=time_bins, space_bins=space_bins)
-
     def build(self, model: ModelSpec, params) -> FeedbackPolicy:
         params = np.asarray(params, dtype=float).reshape(-1)
         if params.shape != (self.dim,):
@@ -221,12 +197,22 @@ class PolicyFamily:
 
 def policy_family(model: ModelSpec, kind: str, time_bins: int = 2,
                   space_bins: int = 2) -> PolicyFamily:
+    box = model.control_set
     if kind == "constant":
-        return PolicyFamily.constant(model)
+        return PolicyFamily("constant", box.dim, (0.0,) * box.dim, box.lo, box.hi)
     if kind == "linear":
-        return PolicyFamily.linear(model)
+        d_a, d = box.dim, model.dim
+        widths = np.asarray(box.hi) - np.asarray(box.lo)
+        slope = np.repeat(widths, d)
+        lo = tuple(np.concatenate([np.asarray(box.lo), -slope]).tolist())
+        hi = tuple(np.concatenate([np.asarray(box.hi), slope]).tolist())
+        return PolicyFamily("linear", d_a + d_a * d, (0.0,) * (d_a + d_a * d), lo, hi)
     if kind == "grid":
-        return PolicyFamily.grid(model, time_bins, space_bins)
+        cells = time_bins * space_bins ** model.dim * box.dim
+        lo = tuple(np.tile(box.lo, cells // box.dim).tolist())
+        hi = tuple(np.tile(box.hi, cells // box.dim).tolist())
+        return PolicyFamily("grid", cells, (0.0,) * cells, lo, hi,
+                            time_bins=time_bins, space_bins=space_bins)
     raise ValueError(f"unknown policy family {kind!r}")
 
 

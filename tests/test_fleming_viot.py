@@ -5,7 +5,7 @@ from condiff.errors import ReinsertionBlowup, TotalExtinction
 from condiff.fleming_viot import (fv_correspondence_report, simulate_fv_finite,
                                   simulate_fv_meanfield)
 from condiff import killed_sim
-from condiff.killed_sim import (Blocks, SimConfig, _controls_at, conditional_flow,
+from condiff.killed_sim import (Blocks, SimConfig, conditional_flow,
                                 simulate_killed, uniform_grid)
 from condiff.measures import EmpiricalMeasure, MeasureFlow
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, GridPolicy, LinearPolicy,
@@ -13,6 +13,7 @@ from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, GridPolicy, Li
                            drift_given_mean)
 from condiff.geometry import Box, Interval
 from condiff.picard import solve_fixed_point
+from condiff.reward_opt import eval_reward_conditional, eval_reward_fv
 from condiff.rng import GAUSS_STEP, REINSERT_SAMPLE, normals, uniforms
 from condiff.scenarios import attractive_interval, boundary_start, driftless_interval
 from condiff.scenarios import ZERO_REWARD
@@ -223,7 +224,7 @@ def _assert_same_run(block, alone):
     for name in _FIELDS:
         assert getattr(block, name).tobytes() == getattr(alone, name).tobytes(), name
     for m in range(alone.times.shape[0]):
-        assert _controls_at(block, m).tobytes() == _controls_at(alone, m).tobytes(), m
+        assert block.controls_at(m).tobytes() == alone.controls_at(m).tobytes(), m
     assert block.n == alone.n
 
 
@@ -252,6 +253,32 @@ def test_meanfield_blocks_read_as_their_own_runs():
                           (blocks.laws[b],)), None, SimConfig(300, 1e-2, 41, grid)).block(0)
         assert alone.event_times.shape[0] > 20
         _assert_same_run(stacked.block(b), alone)
+    # A plain run is block 0 of its pass, and has no other.
+    plain = simulate_fv_meanfield(model, policies[0], flows[0], config)
+    assert plain.block(0) is plain
+    with pytest.raises(IndexError):
+        plain.block(1)
+
+
+def test_stacked_runs_are_read_one_block_at_a_time():
+    model = driftless_interval(horizon=0.2)
+    grid = uniform_grid(0.2, 0.1)
+    policy = ConstantPolicy((0.3,), model.control_set)
+    flow = conditional_flow(simulate_killed(model, policy, None, SimConfig(200, 1e-2, 3, grid)))
+    blocks = Blocks([policy] * 2, [flow] * 2, [5, 6], [0.0] * 2, [model.initial] * 2)
+    config = SimConfig(2 * 100, 1e-2, 5, grid, min_survivors=0)
+    trace = simulate_fv_meanfield(model, blocks, None, config)
+    killed = simulate_killed(model, blocks, None, config)
+    for read in (lambda: eval_reward_fv(trace, flow),
+                 lambda: fv_correspondence_report(trace, killed.block(0)),
+                 lambda: eval_reward_conditional(killed, flow),
+                 lambda: conditional_flow(killed),
+                 lambda: trace.controls_at(0)):
+        with pytest.raises(ValueError, match="one block at a time, through block"):
+            read()
+    # Each block reads on its own.
+    assert fv_correspondence_report(trace.block(1), killed.block(1)).max_w1 >= 0.0
+    assert np.isfinite(eval_reward_fv(trace.block(0), flow).total)
 
 
 def _pushed_interval():

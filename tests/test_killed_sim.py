@@ -7,10 +7,9 @@ from condiff import geometry
 from condiff.errors import NumericalError, SurvivorDepletion
 from condiff.fleming_viot import simulate_fv_finite, simulate_fv_meanfield
 from condiff.geometry import Ball, Box
-from condiff.killed_sim import (Blocks, SimConfig, _controls_at,
-                                analytic_interval_survival, conditional_flow, exit_cdf,
-                                girsanov_survival_floor, restrict_ensemble,
-                                simulate_killed, uniform_grid,
+from condiff.killed_sim import (Blocks, SimConfig, analytic_interval_survival,
+                                conditional_flow, exit_cdf, girsanov_survival_floor,
+                                restrict_ensemble, simulate_killed, uniform_grid,
                                 without_mean_field)
 from condiff.model import (Cloud, ConstantPolicy, ControlBox, DriftSpec, GridPolicy,
                           LinearPolicy, ModelSpec, PointMass, RandomizedSignControl,
@@ -284,7 +283,7 @@ def test_restarted_blocks_read_as_their_own_runs():
 
 
 def test_controls_are_read_back_from_the_policy():
-    # A feedback run stores no controls: _controls_at reads the policy at a
+    # A feedback run stores no controls: controls_at reads the policy at a
     # node's time and positions.  On a block view that must be what the
     # stacked pass applied there: the block's policy at its own clock (its
     # start before it starts) and the stacked node's positions.  An
@@ -305,7 +304,7 @@ def test_controls_are_read_back_from_the_policy():
             for m in range(views[b].times.shape[0]):
                 t = max(start, grid[first + m])
                 want = policy.values_at(t, run.snapshots[first + m, b])
-                assert _controls_at(views[b], m).tobytes() == want.tobytes(), (b, m)
+                assert views[b].controls_at(m).tobytes() == want.tobytes(), (b, m)
 
     starts = (0.0, 0.13, 0.2)
     ens = simulate_killed(model, Blocks(policies, (flow,) * 3, (5, 6, 7), starts,
@@ -315,11 +314,15 @@ def test_controls_are_read_back_from_the_policy():
     assert_views_read_the_pass(ens, starts, [ens.block(b) for b in range(3)])
     plain = simulate_killed(model, policies[2], flow, SimConfig(100, 0.01, 5, grid))
     assert plain.controls is None and plain.policy is policies[2]
+    # A plain run is block 0 of its pass, and has no other.
+    assert plain.block(0) is plain
+    with pytest.raises(IndexError):
+        plain.block(1)
 
     trace = simulate_fv_meanfield(model, Blocks(policies, (flow,) * 3, (5, 6, 7), (0.0,) * 3,
                                                 (model.initial,) * 3), None,
                                   SimConfig(3 * 100, 0.01, 5, grid))
-    assert trace.event_times.shape[0] > 0 and not hasattr(trace, "controls")
+    assert trace.event_times.shape[0] > 0 and trace.controls is None
     assert_views_read_the_pass(trace, (0.0,) * 3, [trace.block(b) for b in range(3)])
 
     sign = RandomizedSignControl((0.3,), (1.0,), box)
@@ -328,7 +331,7 @@ def test_controls_are_read_back_from_the_policy():
     assert open_loop.controls.shape == (grid.shape[0], 100, 1)
     want = box.clamp(np.sign(open_loop.snapshots[0] @ np.array([1.0]))[:, None] * 0.3)
     for m in range(grid.shape[0]):
-        assert _controls_at(open_loop, m).tobytes() == want.tobytes()
+        assert open_loop.controls_at(m).tobytes() == want.tobytes()
 
 
 def test_restarts_are_validated():

@@ -6,7 +6,7 @@ import pytest
 from condiff import picard
 from condiff.errors import SurvivorDepletion
 from condiff.geometry import Box, Interval
-from condiff.killed_sim import (Blocks, SimConfig, _controls_at, conditional_flow,
+from condiff.killed_sim import (Blocks, SimConfig, conditional_flow,
                                 exit_cdf, simulate_killed, uniform_grid, without_mean_field)
 from condiff.measures import flow_distance
 from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, LinearPolicy,
@@ -100,8 +100,8 @@ def _assert_same_solve(stacked, single):
         assert getattr(stacked.ensemble, name).tobytes() == \
             getattr(single.ensemble, name).tobytes()
     for m in range(single.ensemble.times.shape[0]):
-        assert _controls_at(stacked.ensemble, m).tobytes() == \
-            _controls_at(single.ensemble, m).tobytes()
+        assert stacked.ensemble.controls_at(m).tobytes() == \
+            single.ensemble.controls_at(m).tobytes()
     # The flow a fixed point returns, and the reward reads, is its own
     # ensemble's output flow, not the input flow the last sweep's drift saw.
     for fp in (stacked, single):

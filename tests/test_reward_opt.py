@@ -176,7 +176,7 @@ def test_depleting_candidates_score_minus_inf():
         reward=RewardSpec(r_a=1.0),
         initial=PointMass((0.0,)),
     )
-    family = PolicyFamily.constant(model)
+    family = policy_family(model, "constant")
     config = SimConfig(30, 1e-3, 36, uniform_grid(1.0, 0.25),
                        min_survivors=25)
     res = optimize_policy(model, family, config, method="cross-entropy",
