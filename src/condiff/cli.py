@@ -121,7 +121,13 @@ def _cmd_picard(cfg, model, sim, out):
             "final_distance": float(fp.distance_trace[-1])}
 
 
+def _require_grid_from_zero(sim, command: str):
+    if sim.grid[0] != 0.0:
+        raise ConfigError(f"invalid 'sim.grid': {command} needs a grid starting at 0")
+
+
 def _cmd_fv(cfg, model, sim, out):
+    _require_grid_from_zero(sim, "fv")
     policy = build_policy(cfg, model)
     variant = read(cfg, "fv.variant")
     cap = read(cfg, "fv.reinsertion_cap")
@@ -150,8 +156,7 @@ def _cmd_fv(cfg, model, sim, out):
 
 
 def _cmd_renewal(cfg, model, sim, out):
-    if sim.grid[0] != 0.0:
-        raise ConfigError("invalid 'sim.grid': renewal needs a grid starting at 0")
+    _require_grid_from_zero(sim, "renewal")
     policy = build_policy(cfg, model)
     # Restart columns start on output-grid nodes, so dt_r defaults to the grid step.
     dt_r = read(cfg, "renewal.dt_r")
@@ -167,13 +172,7 @@ def _cmd_renewal(cfg, model, sim, out):
     cdf1 = exit_cdf(fp.ensemble, grid_r)
     f = volterra_solve(cdf1, kernel, grid_r)
     check = log_survival_check(grid_r, f, fp.ensemble.survival_at(grid_r))
-    rows = []
-    for i in range(kernel.s_grid.shape[0]):
-        for j in range(kernel.u_grid.shape[0]):
-            if np.isfinite(kernel.cdf[i, j]):
-                rows.append((kernel.s_grid[i], kernel.u_grid[j],
-                             kernel.cdf[i, j], kernel.se[i, j]))
-    write_csv(out / "kernel.csv", ["s", "u", "K", "K_se"], rows)
+    write_csv(out / "kernel.csv", ["s", "u", "K", "K_se"], kernel.rows())
     write_csv(out / "f_volterra.csv",
               ["time", "F", "residual_vs_log_survival"],
               [(grid_r[m], f[m], check.residuals[m])

@@ -315,7 +315,8 @@ def build_model(cfg: dict) -> ModelSpec:
         elif kind == "uniform":
             initial = UniformBox(read(cfg, "model.initial.lo"), read(cfg, "model.initial.hi"))
         else:
-            initial = Cloud(read(cfg, "model.initial.values"))
+            with _building("model.initial.values"):
+                initial = Cloud(read(cfg, "model.initial.values"))
         # Every domain is convex: the law lies in its closure when these do.
         if np.any(domain.boundary_distance(_hull_points(initial)) < -BOUNDARY_TOL):
             raise ValueError("initial points must lie in the closed 'model.domain'")
@@ -362,7 +363,11 @@ def build_policy(cfg: dict, model: ModelSpec):
         if kind == "constant":
             return ConstantPolicy(read(cfg, "policy.value"), box)
         if kind == "linear":
-            return LinearPolicy(read(cfg, "policy.theta0"), read(cfg, "policy.theta1"), box)
+            theta1 = read(cfg, "policy.theta1")
+            if any(len(row) != model.dim for row in theta1):
+                raise ConfigError(f"invalid 'policy.theta1': a linear policy on a "
+                                  f"{model.dim}-d model needs rows of length {model.dim}")
+            return LinearPolicy(read(cfg, "policy.theta0"), theta1, box)
         return GridPolicy.build(model, read(cfg, "policy.time_bins"),
                                 read(cfg, "policy.space_bins"), read(cfg, "policy.values"))
 

@@ -1,13 +1,13 @@
 """Bounded convex domains with within-step exit probabilities.
 
-Three shapes are supported: an interval, an axis-aligned box, and a
-Euclidean ball.  All are convex with smooth-enough boundaries, so a
-path started on the boundary leaves immediately and the half-space
-crossing formula used by bridge_exit_probability is well behaved.
+Two shapes are supported: an axis-aligned box, whose one-dimensional
+case is the interval, and a Euclidean ball.  Both are convex with
+smooth-enough boundaries, so a path started on the boundary leaves
+immediately and the half-space crossing formula used by
+bridge_exit_probability is well behaved.
 
-Positions are float arrays of shape (d,) for a single point or (n, d)
-for a batch.  For d = 1 plain scalars and flat arrays of samples are
-accepted as well.
+Positions are float arrays of shape (n, d), a batch of n points; every
+reader returns one value per point, shape (n,).
 """
 from __future__ import annotations
 
@@ -51,45 +51,27 @@ class Domain:
 
     dim: int
 
-    def _batch(self, x) -> tuple[np.ndarray, bool]:
-        """Normalize input to shape (n, d); report whether it was a single point."""
+    def _batch(self, x) -> np.ndarray:
+        """x as a float (n, dim) array of positions; any other shape is refused."""
         arr = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            if arr.ndim == 0:
-                return arr.reshape(1, 1), True
-            if arr.ndim == 1:
-                return arr.reshape(-1, 1), arr.shape[0] == 1 and np.ndim(x) == 0
-            if arr.ndim == 2 and arr.shape[1] == 1:
-                return arr, False
-            raise ValueError(f"expected scalar, (n,), or (n, 1) positions, got shape {arr.shape}")
-        if arr.ndim == 1:
-            if arr.shape[0] != self.dim:
-                raise ValueError(f"expected a point of dimension {self.dim}, got {arr.shape}")
-            return arr.reshape(1, -1), True
-        if arr.ndim == 2 and arr.shape[1] == self.dim:
-            return arr, False
-        raise ValueError(f"expected (n, {self.dim}) positions, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
+            raise ValueError(f"expected (n, {self.dim}) positions, got shape {arr.shape}")
+        return arr
 
-    @staticmethod
-    def _unbatch(values: np.ndarray, single: bool):
-        return values[0] if single else values
-
-    def contains_open(self, x):
+    def contains_open(self, x) -> np.ndarray:
         """True for points strictly inside, beyond the boundary tolerance."""
-        pts, single = self._batch(x)
-        return self._unbatch(self._distance(pts) > BOUNDARY_TOL, single)
+        return self._distance(self._batch(x)) > BOUNDARY_TOL
 
-    def boundary_distance(self, x):
+    def boundary_distance(self, x) -> np.ndarray:
         """Signed Euclidean distance to the boundary: positive inside, zero on it."""
-        pts, single = self._batch(x)
-        return self._unbatch(self._distance(pts), single)
+        return self._distance(self._batch(x))
 
     def bridge_exit_probability(self, x_from, x_to, dt: float, sigma) -> np.ndarray:
         """Probability that the diffusion bridge between two in-closure
         endpoints touches the boundary within a step of length dt.
 
-        Uses the reflection formula for each face (box, interval) or for
-        the tangent half-space at the nearest boundary point (ball), with
+        Uses the reflection formula for each face (box) or for the
+        tangent half-space at the nearest boundary point (ball), with
         the per-direction variance taken from sigma sigma^T.  An endpoint
         on the boundary gives probability one.  The inputs are checked
         here; the formula runs in banded_bridge, the Euler step's kernel.
@@ -97,8 +79,7 @@ class Domain:
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError("dt must be positive and finite")
         sigma = check_sigma(sigma, self.dim)
-        a, single_a = self._batch(x_from)
-        b, single_b = self._batch(x_to)
+        a, b = self._batch(x_from), self._batch(x_to)
         if a.shape != b.shape:
             raise ValueError("x_from and x_to must have matching shapes")
         dist_a, dist_b = self._distance(a), self._distance(b)
@@ -106,7 +87,7 @@ class Domain:
             raise ValueError("bridge endpoints must lie in the closed domain")
         cov = sigma @ sigma.T
         p = self.banded_bridge(a, b, dist_a, dist_b, float(dt), cov, top_variance(cov))
-        return self._unbatch(np.clip(p, 0.0, 1.0), single_a and single_b)
+        return np.clip(p, 0.0, 1.0)
 
     def banded_bridge(self, a: np.ndarray, b: np.ndarray, dist_a: np.ndarray,
                       dist_b: np.ndarray, dt: float, cov: np.ndarray,
@@ -119,11 +100,11 @@ class Domain:
         the step's kernel, and bridge_exit_probability its checked form.
 
         The band.  Every term of _bridge is exp(-2 f0 f1 / (v dt)), where
-        f0, f1 are the endpoints' distances to one face (interval, box) or
-        to the tangent half-space at one boundary point (ball), and
-        v = n^T cov n for that face's unit normal n.  A face distance is at
-        least the distance to the boundary: the box's depth is the least
-        face distance, and the ball's half-space distance R - <r, n> is at
+        f0, f1 are the endpoints' distances to one face (box) or to the
+        tangent half-space at one boundary point (ball), and v = n^T cov n
+        for that face's unit normal n.  A face distance is at least the
+        distance to the boundary: the box's depth is the least face
+        distance, and the ball's half-space distance R - <r, n> is at
         least R - |r|.  And v <= var_max, by the Rayleigh quotient.  So a
         pair with dist_a > 0 and dist_a dist_b > _BRIDGE_BAND var_max dt
         has both distances positive and every exponent below
@@ -180,35 +161,6 @@ def _combine_faces(probs) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Interval(Domain):
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError("interval requires finite lo < hi")
-        object.__setattr__(self, "dim", 1)
-
-    @property
-    def _inradius(self):
-        return 0.5 * (self.hi - self.lo)
-
-    def _distance(self, pts):
-        x = pts[:, 0]
-        return np.minimum(x - self.lo, self.hi - x)
-
-    def _bridge(self, a, b, dt, cov):
-        var = cov[0, 0]
-        x, y = a[:, 0], b[:, 0]
-        p_lo = _face_crossing(x - self.lo, y - self.lo, var, dt)
-        p_hi = _face_crossing(self.hi - x, self.hi - y, var, dt)
-        return _combine_faces((p_lo, p_hi))
-
-    def bounding_box(self):
-        return np.array([self.lo]), np.array([self.hi])
-
-
-@dataclass(frozen=True)
 class Box(Domain):
     lo: tuple
     hi: tuple
@@ -234,17 +186,21 @@ class Box(Domain):
 
     @property
     def _inradius(self):
-        return 0.5 * float(np.min(self._hi - self._lo))
+        return 0.5 * min(h - l for l, h in zip(self.lo, self.hi))
 
     def _distance(self, pts):
-        lo, hi = self._lo, self._hi
-        depth = np.min(np.minimum(pts - lo, hi - pts), axis=1)
+        lo, hi = self.lo, self.hi
+        depth = np.minimum(pts[:, 0] - lo[0], hi[0] - pts[:, 0])
+        for i in range(1, self.dim):
+            depth = np.minimum(depth, np.minimum(pts[:, i] - lo[i], hi[i] - pts[:, i]))
+        if self.dim == 1:
+            return depth  # with one coordinate, the signed distance
         # A point outside is at minus the Euclidean norm of its gap beyond the
         # faces it exceeds; the gap is nonzero exactly where depth < 0.
         outside = np.flatnonzero(depth < 0.0)
         if outside.size:
             out = pts[outside]
-            gap = np.maximum(np.maximum(lo - out, out - hi), 0.0)
+            gap = np.maximum(np.maximum(self._lo - out, out - self._hi), 0.0)
             depth[outside] = -np.linalg.norm(gap, axis=1)
         return depth
 
@@ -259,6 +215,13 @@ class Box(Domain):
 
     def bounding_box(self):
         return self._lo.copy(), self._hi.copy()
+
+
+class Interval(Box):
+    """The one-dimensional box (lo, hi); its lo and hi are 1-tuples."""
+
+    def __init__(self, lo: float, hi: float):
+        super().__init__((lo,), (hi,))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ block has its own policy, input flow, seed, start and initial law, and
 is bit for bit the run of those alone.  A plain run is the one-block
 case.  Picard candidates share a seed and a start, restart-kernel
 columns differ in both, and policy sweeps share a start only; the pass
-shares whatever work the blocks' data allow.
+shares whatever work the blocks' data allow, and takes one drift call
+per step for all the started blocks.
 """
 from __future__ import annotations
 
@@ -326,14 +327,16 @@ def _constant_values(policies) -> np.ndarray | None:
     return None
 
 
-def _step_controls(policies, constants, t: float, x: np.ndarray, state: dict) -> np.ndarray:
-    """(B, N, d_A) controls at positions x (B, N, d); constants (_constant_values)
-    are repeated into contiguous memory, as a matrix product over a broadcast
-    view can round differently."""
+def _step_controls(policies, constants, clocks: np.ndarray, x: np.ndarray,
+                   state: dict) -> np.ndarray:
+    """(B, N, d_A) controls at positions x (B, N, d), block b's policy read at
+    its own clock clocks[b]; constants (_constant_values) are repeated into
+    contiguous memory, as a matrix product over a broadcast view can round
+    differently."""
     if constants is not None:
         return np.repeat(constants, x.shape[1], axis=1)
-    values = [p.values_at(t, state if isinstance(p, OpenLoopControl) else xb)
-              for p, xb in zip(policies, x)]
+    values = [p.values_at(float(t), state if isinstance(p, OpenLoopControl) else xb)
+              for p, t, xb in zip(policies, clocks, x)]
     return values[0][None] if len(values) == 1 else np.stack(values)
 
 
@@ -446,13 +449,10 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
                                 needed=coupled and not live_mean)
 
     # Positions are (B, N, d).  Blocks that share a seed and a law share one
-    # initial sample, blocks that share a seed and a start the draws of
-    # every step (those of the first such block, a stream), and blocks
-    # that share a start, so a clock, one drift call per step.
+    # initial sample, and blocks that share a seed and a start the draws of
+    # every step (those of the first such block, a stream).
     x = _initial_positions(model, blocks, n_block)
     draws_of = _first_alike(seeds, blocks.starts)
-    clock_edges = np.flatnonzero(np.diff(starts)) + 1
-    clock_groups = list(zip([0, *clock_edges], [*clock_edges, n_blocks]))
 
     open_loop = isinstance(policies[0], OpenLoopControl)
     state = policies[0].init_state(x[0]) if open_loop else {}
@@ -496,19 +496,19 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
             m = active * n_block
             local = k - first_steps[:active]
             clocks = starts[:active] + local * dt
-            drifts = []
-            for lo, hi in clock_groups:
-                if lo < active:
-                    t = float(clocks[lo])
-                    mean = None if means is None else means[k, lo:hi]
-                    if live_mean and coupled:
-                        mean = x[lo:hi].mean(axis=1, keepdims=True)
-                    drifts.append(drift_given_mean(
-                        model, t, x[lo:hi], mean,
-                        _step_controls(policies[lo:hi],
-                                       None if constants is None else constants[lo:hi],
-                                       t, x[lo:hi], state)))
-            b = drifts[0] if len(drifts) == 1 else np.concatenate(drifts)
+            mean = None if means is None else means[k, :active]
+            if live_mean and coupled:
+                mean = x[:active].mean(axis=1, keepdims=True)
+            # One drift call for every started block: inside a pass the drift
+            # reads its time only to cut at the horizon, which no step
+            # reaches (DriftSpec.base ignores it), so the first block's
+            # clock, the latest, stands for all.  The per-block clocks still
+            # feed the policies, the step keys of the draws and the exit
+            # stamps.
+            a = _step_controls(policies[:active],
+                               None if constants is None else constants[:active],
+                               clocks, x[:active], state)
+            b = drift_given_mean(model, float(clocks[0]), x[:active], mean, a)
             z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
                             seeds, draws_of, local)
             draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,),
@@ -544,8 +544,8 @@ def simulate_killed(model: ModelSpec, control, flow_input,
     block(0).  The grid starts at the first start.
     Work is shared where the blocks allow it: blocks with the same seed
     and law share one initial sample, blocks with the same seed and start
-    one draw per step, and blocks with the same start one drift call per
-    step.  A block whose survivors fall below config.min_survivors is
+    one draw per step, and all started blocks one drift call per step.
+    A block whose survivors fall below config.min_survivors is
     marked with its own SurvivorDepletion, which block(b) raises, and the
     pass stops once every block is; a plain run raises it directly.
     """

@@ -214,6 +214,9 @@ class Cloud(InitialLaw):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise ValueError(f"a cloud needs a nonempty (n, d) set of points, got shape "
+                             f"{pts.shape}")
         object.__setattr__(self, "points", pts)
 
     def sample(self, n, seed):

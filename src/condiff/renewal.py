@@ -59,6 +59,12 @@ class RestartKernel:
         vals = [self.cdf[j, m - j] for j in range(min(m + 1, self.s_grid.shape[0]))]
         return float(np.nanmax(vals)) if vals else 0.0
 
+    def rows(self) -> list[tuple]:
+        """(s, u, K, K_se) for every finite entry, s-major: a kernel CSV's rows."""
+        return [(s, u, self.cdf[i, j], self.se[i, j])
+                for i, s in enumerate(self.s_grid) for j, u in enumerate(self.u_grid)
+                if np.isfinite(self.cdf[i, j])]
+
 
 def restart_times(times: np.ndarray, dt_r: float, dt: float) -> np.ndarray:
     """Restart times 0, dt_r, ... before the last of times, checked against it.

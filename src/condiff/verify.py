@@ -203,12 +203,7 @@ class Verifier:
              "p_hat_horizon": float(p_end),
              "isotonic_correction": kernel.isotonic_correction}))
 
-        rows = []
-        for i, s in enumerate(kernel.s_grid):
-            for j, u in enumerate(kernel.u_grid):
-                if np.isfinite(kernel.cdf[i, j]):
-                    rows.append((s, u, kernel.cdf[i, j], kernel.se[i, j]))
-        write_csv(self.out_dir / "c05_kernel.csv", ["s", "u", "K", "K_se"], rows)
+        write_csv(self.out_dir / "c05_kernel.csv", ["s", "u", "K", "K_se"], kernel.rows())
         write_csv(self.out_dir / "c05_f_volterra.csv",
                   ["time", "cdf_tau1", "f_volterra", "neg_log_survival",
                    "residual"],

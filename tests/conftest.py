@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from condiff import cli, killed_sim
 from condiff.killed_sim import SimConfig, conditional_flow, simulate_killed, uniform_grid
 from condiff.model import ConstantPolicy
 from condiff.scenarios import driftless_interval
+
+# Property modules are deterministic: examples come from a fixed derivation,
+# none are replayed from a database, and none is timed out.
+settings.register_profile("condiff", derandomize=True, database=None, deadline=None)
+settings.load_profile("condiff")
 
 
 @pytest.fixture(scope="session")

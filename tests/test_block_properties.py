@@ -20,7 +20,7 @@ from test_fleming_viot import _assert_same_run
 from test_killed_sim import _assert_blocks_are_their_own_runs
 
 DT = 0.01
-PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+PROPERTY = settings(max_examples=150)
 
 
 @st.composite

@@ -225,6 +225,14 @@ def test_optimize_command(tmp_path, capsys):
     ("picard", "model.domain.center", ["model.domain.center=[0]"]),
     # an interval takes numbers, not lists, for its bounds
     ("picard", "model.domain.lo", ["model.domain.lo=[-1]"]),
+    # a cloud needs points, a linear policy one column per coordinate, and
+    # the reinsertion dynamics a grid from 0
+    ("simulate", "model.initial.values",
+     ["model.drift.mf_gain=0", 'model.initial={"type": "points", "values": []}']),
+    ("simulate", "policy.theta1",
+     ["model.drift.mf_gain=0",
+      'policy={"type": "linear", "theta0": [0.1], "theta1": [[1.0, 2.0]]}']),
+    ("fv", "sim.grid", ["sim.grid.times=[0.1, 0.5]"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)

@@ -10,10 +10,25 @@ SIGMA1 = ((1.0,),)
 
 def test_interval_signed_distance():
     dom = Interval(-1.0, 1.0)
-    assert dom.boundary_distance(0.0) == 1.0
-    assert dom.boundary_distance(0.6) == pytest.approx(0.4)
-    assert dom.boundary_distance(-1.0) == 0.0
-    assert dom.boundary_distance(1.3) == pytest.approx(-0.3)
+    got = dom.boundary_distance([[0.0], [0.6], [-1.0], [1.3]])
+    assert got.shape == (4,)
+    assert got[0] == 1.0 and got[2] == 0.0
+    assert got[[1, 3]] == pytest.approx([0.4, -0.3])
+
+
+@pytest.mark.parametrize("dom, x", [
+    (Interval(-1.0, 1.0), 0.0),
+    (Interval(-1.0, 1.0), [0.0, 0.5]),
+    (Box((-1.0, -1.0), (1.0, 1.0)), [0.0, 0.5]),
+    (Box((-1.0, -1.0), (1.0, 1.0)), [[0.0, 0.5, 0.1]]),
+    (Ball((0.0, 0.0), 1.0), [[[0.0, 0.5]]]),
+])
+def test_positions_other_than_n_by_d_are_refused(dom, x):
+    for read in (dom.contains_open, dom.boundary_distance):
+        with pytest.raises(ValueError, match=rf"expected \(n, {dom.dim}\) positions"):
+            read(x)
+    with pytest.raises(ValueError, match=rf"expected \(n, {dom.dim}\) positions"):
+        dom.bridge_exit_probability(x, x, 0.01, np.eye(dom.dim))
 
 
 def test_contains_open_matches_distance():
@@ -27,11 +42,12 @@ def test_contains_open_matches_distance():
 def test_box_reduces_to_interval_in_1d():
     interval = Interval(-1.0, 1.0)
     box = Box((-1.0,), (1.0,))
+    assert isinstance(interval, Box) and (interval.lo, interval.hi) == (box.lo, box.hi)
     xs = np.linspace(-0.99, 0.99, 23).reshape(-1, 1)
-    assert np.allclose(interval.boundary_distance(xs), box.boundary_distance(xs))
+    assert interval.boundary_distance(xs).tobytes() == box.boundary_distance(xs).tobytes()
     p_int = interval.bridge_exit_probability(xs[:-1], xs[1:], 0.01, SIGMA1)
     p_box = box.bridge_exit_probability(xs[:-1], xs[1:], 0.01, SIGMA1)
-    assert np.allclose(p_int, p_box)
+    assert p_int.tobytes() == p_box.tobytes()
 
 
 def test_large_ball_locally_flat():
@@ -54,7 +70,7 @@ def test_bridge_formula_against_sequential_bridge_sampler():
     the continuous crossing probability without discretization bias."""
     dom = Interval(-50.0, 1.0)  # far face is unreachable: single face at x = 1
     x_from, x_to, dt, var = 0.3, 0.5, 0.5, 1.0
-    p_formula = dom.bridge_exit_probability(x_from, x_to, dt, SIGMA1)
+    p_formula = dom.bridge_exit_probability([[x_from]], [[x_to]], dt, SIGMA1)[0]
 
     rng = np.random.default_rng(11)
     n = 200_000
@@ -86,25 +102,25 @@ def test_bridge_formula_against_sequential_bridge_sampler():
 
 def test_bridge_boundary_endpoint_is_certain():
     dom = Interval(-1.0, 1.0)
-    assert dom.bridge_exit_probability(1.0, 0.2, 0.01, SIGMA1) == 1.0
-    assert dom.bridge_exit_probability(0.2, -1.0, 0.01, SIGMA1) == 1.0
+    p = dom.bridge_exit_probability([[1.0], [0.2]], [[0.2], [-1.0]], 0.01, SIGMA1)
+    assert np.array_equal(p, [1.0, 1.0])
 
 
 def test_bridge_monotone_in_distance():
     dom = Interval(-1.0, 1.0)
-    probs = [float(dom.bridge_exit_probability(x, x, 0.01, SIGMA1))
-             for x in (0.95, 0.8, 0.5, 0.0)]
-    assert all(a > b for a, b in zip(probs, probs[1:]))
+    xs = np.array([[0.95], [0.8], [0.5], [0.0]])
+    probs = dom.bridge_exit_probability(xs, xs, 0.01, SIGMA1)
+    assert np.all(probs[:-1] > probs[1:])
 
 
 def test_bridge_input_validation():
     dom = Interval(-1.0, 1.0)
     with pytest.raises(ValueError):
-        dom.bridge_exit_probability(1.5, 0.0, 0.01, SIGMA1)
+        dom.bridge_exit_probability([[1.5]], [[0.0]], 0.01, SIGMA1)
     with pytest.raises(ValueError):
-        dom.bridge_exit_probability(0.0, 0.5, -0.01, SIGMA1)
+        dom.bridge_exit_probability([[0.0]], [[0.5]], -0.01, SIGMA1)
     with pytest.raises(ValueError):
-        dom.bridge_exit_probability(0.0, 0.5, 0.01, ((1.0, 0.0),))
+        dom.bridge_exit_probability([[0.0]], [[0.5]], 0.01, ((1.0, 0.0),))
 
 
 def test_check_sigma_rejects_singular():
@@ -117,7 +133,7 @@ def test_check_sigma_rejects_singular():
 def test_domains_build_from_their_json_forms():
     for spec, kind, fields, box in (
             ({"type": "interval", "lo": -2, "hi": 3.0}, Interval,
-             {"lo": -2.0, "hi": 3.0}, ([-2.0], [3.0])),
+             {"lo": (-2.0,), "hi": (3.0,)}, ([-2.0], [3.0])),
             ({"type": "box", "lo": [-1, 0], "hi": [1.0, 2]}, Box,
              {"lo": (-1.0, 0.0), "hi": (1.0, 2.0)}, ([-1.0, 0.0], [1.0, 2.0])),
             ({"type": "ball", "center": [0.5, -0.5], "radius": 1.5}, Ball,

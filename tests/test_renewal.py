@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from condiff import rng
+from condiff import killed_sim, rng
 from condiff.errors import ContractionViolation, SurvivorDepletion
 from condiff.geometry import Box
 from condiff.killed_sim import (Blocks, SimConfig, conditional_flow, exit_cdf,
@@ -213,6 +213,27 @@ def test_stacked_kernel_matches_columns_run_alone(case):
     kernel = estimate_restart_kernel(model, policy, flow, config, dt_r=0.05, n_paths=300)
     assert kernel.cdf.shape == (8, 9)
     _assert_columns_run_alone(model, policy, flow, config, kernel)
+
+
+def test_restart_pass_takes_one_drift_call_per_step(monkeypatch, euler_steps):
+    # Eight columns restart at eight distinct times, so the pass runs blocks
+    # on eight clocks; each Euler step still evaluates the drift once.
+    model = _coupled_box()
+    policy = LinearPolicy((0.3, -0.2), ((-0.5, 0.1), (0.0, -0.5)), model.control_set)
+    config = SimConfig(200, 5e-3, 405, uniform_grid(0.4, 0.05), min_survivors=0)
+    flow = solve_fixed_point(model, policy, config, max_iter=1).flow
+    drift_calls = []
+    drift = killed_sim.drift_given_mean
+
+    def counted(*args, **kwargs):
+        drift_calls.append(None)
+        return drift(*args, **kwargs)
+
+    monkeypatch.setattr(killed_sim, "drift_given_mean", counted)
+    euler_steps.clear()
+    kernel = estimate_restart_kernel(model, policy, flow, config, dt_r=0.05, n_paths=50)
+    assert len(set(kernel.s_grid)) == 8
+    assert len(drift_calls) == len(euler_steps) == 80
 
 
 def test_estimate_requires_compatible_steps():
