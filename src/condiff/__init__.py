@@ -30,8 +30,7 @@ from .fleming_viot import (FVCorrespondence, FVTrace, fv_correspondence_report,
                            simulate_fv_finite, simulate_fv_meanfield)
 from .renewal import (RestartKernel, estimate_restart_kernel, log_survival_check,
                       volterra_solve)
-from .mimic import (MimicReport, RegressionGrid, build_regression_grid,
-                    mimic_compare, regress_feedback)
+from .mimic import MimicReport, mimic_compare, regress_feedback
 from .reward_opt import (OptResult, PolicyFamily, RewardReport,
                          eval_reward_conditional, eval_reward_fv,
                          optimize_policy, policy_family)

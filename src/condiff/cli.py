@@ -33,7 +33,7 @@ from .errors import ConfigError, ModelRuntimeError
 from .fleming_viot import simulate_fv_finite, simulate_fv_meanfield
 from .io import write_csv, write_json
 from .killed_sim import exit_cdf, simulate_killed
-from .mimic import mimic_compare
+from .mimic import mimic_compare, regression_lattice
 from .picard import solve_fixed_point
 from .renewal import (estimate_restart_kernel, log_survival_check, restart_times,
                       volterra_solve)
@@ -185,16 +185,19 @@ def _cmd_renewal(cfg, model, sim, out):
 def _cmd_mimic(cfg, model, sim, out):
     open_control = build_open_control(cfg, model)
     tol, max_iter = read(cfg, "picard.tol"), read(cfg, "picard.max_iter")
-    rep = mimic_compare(model, open_control, sim, time_bins=read(cfg, "mimic.time_bins"),
-                        space_bins=read(cfg, "mimic.space_bins"), tol=tol, max_iter=max_iter)
-    grid = rep.regression
-    d = len(grid.space_edges)
-    d_a = grid.values.shape[-1]
+    time_bins, space_bins = read(cfg, "mimic.time_bins"), read(cfg, "mimic.space_bins")
+    with _building("mimic.time_bins"):
+        regression_lattice(model, sim.grid, time_bins, space_bins)
+    rep = mimic_compare(model, open_control, sim, time_bins=time_bins,
+                        space_bins=space_bins, tol=tol, max_iter=max_iter)
+    policy, counts = rep.policy, rep.counts
+    d = len(policy.space_edges)
+    d_a = policy.values.shape[-1]
     header = (["t_bin"] + [f"x_bin{k + 1}" for k in range(d)]
               + ([f"value{j + 1}" for j in range(d_a)] if d_a > 1 else ["value"])
               + ["count"])
-    rows = [(*idx, *grid.values[idx], int(grid.counts[idx]))
-            for idx in np.ndindex(grid.counts.shape)]
+    rows = [(*idx, *policy.values[idx], int(counts[idx]))
+            for idx in np.ndindex(counts.shape)]
     write_csv(out / "policy_grid.csv", header, rows)
     write_csv(out / "compare.csv", ["J_open", "J_closed", "delta", "se"],
               [(rep.j_open.total, rep.j_closed.total, rep.delta, rep.delta_se)])
@@ -213,8 +216,7 @@ def _cmd_optimize(cfg, model, sim, out):
         method=read(cfg, "optimize.method"),
         budget=read(cfg, "optimize.budget"),
         picard_tol=read(cfg, "picard.tol"), picard_max_iter=read(cfg, "picard.max_iter"),
-        reinsertion_cost=read(cfg, "optimize.reinsertion_cost"),
-        reinsertion_cap=read(cfg, "optimize.reinsertion_cap"))
+        reinsertion_cap=read(cfg, "fv.reinsertion_cap"))
     k = res.trace_params.shape[1]
     write_csv(out / "trace.csv",
               ["eval_id"] + [f"p{j + 1}" for j in range(k)] + ["J", "J_se"],

@@ -97,8 +97,7 @@ _TYPE_LEAVES = {
 # rule is its tuple of choices, a number's is (">", bound), (">=", bound)
 # or None, and a list field has none.  A default of None is worked out by
 # the caller: sim.grid.t_end is the model horizon, renewal.dt_r the
-# output-grid step, optimize.reinsertion_cost the model's, and an unset
-# reward weight vector is zeros.
+# output-grid step, and an unset reward weight vector is zeros.
 FIELDS = {
     "model.domain.type": (str, _REQUIRED, tuple(_TYPE_LEAVES["model.domain"])),
     "model.domain.lo": (_NUMBERS, _REQUIRED, None),  # a number for an interval
@@ -167,8 +166,6 @@ FIELDS = {
     "optimize.budget": (int, 100, (">=", 1)),
     "optimize.time_bins": (int, 2, (">=", 1)),
     "optimize.space_bins": (int, 2, (">=", 1)),
-    "optimize.reinsertion_cost": (float, None, (">=", 0.0)),
-    "optimize.reinsertion_cap": (int, DEFAULT_REINSERTION_CAP, (">=", 0)),
 }
 _KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number",
                _VECTOR: "a list of numbers", _MATRIX: "a list of lists of numbers",

@@ -12,12 +12,16 @@ class ModelRuntimeError(RuntimeError):
 
 
 class SurvivorDepletion(ModelRuntimeError):
-    """Too few alive paths remain to form a conditional estimate."""
+    """Too few alive paths remain to form a conditional estimate.
 
-    def __init__(self, time: float, survivors: int, required: int):
+    where, when given, ends the message with the part of the run that
+    fell short, such as one batch of a reward estimate.
+    """
+
+    def __init__(self, time: float, survivors: int, required: int, where: str = ""):
         super().__init__(
             f"survivor count at t={time:g} fell to {survivors}, "
-            f"below the required minimum {required}"
+            f"below the required minimum {required}{where}"
         )
         self.time = time
         self.survivors = survivors

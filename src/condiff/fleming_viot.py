@@ -12,12 +12,13 @@ corresponding killed process.
 
 Both variants run the killed dynamics' own pass (killed_sim._pass) and
 give it a reinsertion rule where the killed run gives its kill rule.  So
-between exits they take the same step with the same draws, and a
-particle's first reinsertion happens exactly when the killed run of the
-same seed kills it; only what follows an exit differs.  Both record a
-killed_sim.Run; a trace adds its reinsertion counts and events.
-Reinsertion takes only feedback policies, so a trace's controls are
-read back from its policy (Run.controls_at).
+between exits they take the same step with the same draws, the pass
+stamps each exit as it does for the killed run, and a particle's first
+reinsertion happens exactly when the killed run of the same seed kills
+it; only what follows an exit differs.  Both record a killed_sim.Run; a
+trace adds its reinsertion counts and events.  Reinsertion takes only
+feedback policies, so a trace's controls are read back from its policy
+(Run.controls_at).
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ import numpy as np
 
 from . import rng
 from .errors import ReinsertionBlowup, TotalExtinction
-from .killed_sim import (Blocks, KilledEnsemble, Run, SimConfig, _as_blocks, _pass,
-                         conditional_flow)
+from .killed_sim import Blocks, Run, SimConfig, _as_blocks, _pass
 from .measures import (_TIME_TOL, EmpiricalMeasure, MeasureFlow, sample_many,
                        sliced_w1, w1_distance_1d)
 from .model import FeedbackPolicy, ModelSpec
@@ -117,10 +117,8 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: s
     f_curve = np.empty((grid.shape[0], n_blocks))
     f_se = np.empty((grid.shape[0], n_blocks))
 
-    def reinsert(clocks, x_new, node_exits, bridge_kills, alive, failed, draws):
+    def reinsert(clocks, x_new, exits, stamps, alive, failed, draws):
         t = float(clocks[0])
-        exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
-        stamps = np.where(node_exits[exits], t + dt, t + 0.5 * dt)
         flat = x_new.reshape(n, d)
         if mean_field:
             u = draws(rng.REINSERT_SAMPLE)
@@ -201,17 +199,17 @@ class FVCorrespondence:
     max_f_log_residual: float
 
 
-def fv_correspondence_report(fv: FVTrace, killed: KilledEnsemble) -> FVCorrespondence:
-    """W1 of FV marginals against the killed conditional flow, and the
-    residual between the reinsertion curve and minus log survival."""
+def fv_correspondence_report(fv: FVTrace, flow: MeasureFlow) -> FVCorrespondence:
+    """W1 of FV marginals against the conditional flow of a killed run
+    (killed_sim.conditional_flow), and the residual between the
+    reinsertion curve and minus the log of the flow's survival."""
     if not isinstance(fv, FVTrace):
         raise ValueError("first argument must be the FVTrace")
-    if not isinstance(killed, KilledEnsemble):
-        raise ValueError("second argument must be the KilledEnsemble")
+    if not isinstance(flow, MeasureFlow):
+        raise ValueError("second argument must be the killed run's MeasureFlow")
     fv._require_one_block()
-    if fv.times.shape != killed.times.shape or np.any(np.abs(fv.times - killed.times) > _TIME_TOL):
-        raise ValueError("the two runs must share their output grid")
-    flow = conditional_flow(killed)
+    if fv.times.shape != flow.times.shape or np.any(np.abs(fv.times - flow.times) > _TIME_TOL):
+        raise ValueError("the trace and the flow must share their output grid")
     w1 = np.empty(fv.times.shape[0])
     resid = np.empty(fv.times.shape[0])
     for m in range(fv.times.shape[0]):

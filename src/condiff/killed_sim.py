@@ -7,20 +7,20 @@ crossing probability of the pinned bridge between consecutive
 positions; bridge kills are stamped at the midpoint of their step.
 One step function, euler_step, moves the particles and finds both kinds
 of exit, and one pass, _pass, runs it over the grid and records the
-nodes.  The killed and the Fleming-Viot dynamics both run that pass and
-differ only in the exit rule it calls: here an exit is stamped and the
-particle stops counting as alive.  The step evaluates the bridge
-probability only on the band of geometry's banded_bridge, the particles
-near enough to the boundary for it to be nonzero in float64; every other
-particle's is exactly 0.0, so the band changes no kill.  Killed paths
-keep moving: each step advances the whole array instead of gathering the
-survivors, and paths.bin records their motion after the exit.  They are
-simply excluded from conditional statistics.  Both dynamics record one
-Run, to which each exit rule adds its own fields.  A run records
-positions; a feedback policy's controls are a function of a node's time
-and positions and are read back from the policy (Run.controls_at), so
-only an open-loop control, whose values depend on the noise path, has
-them recorded.
+nodes.  The pass stamps every exit, and the killed and the Fleming-Viot
+dynamics differ only in the exit rule it then calls: here the stamp is
+recorded and the particle stops counting as alive.  The step evaluates
+the bridge probability only on the band of geometry's banded_bridge, the
+particles near enough to the boundary for it to be nonzero in float64;
+every other particle's is exactly 0.0, so the band changes no kill.
+Killed paths keep moving: each step advances the whole array instead of
+gathering the survivors, and paths.bin records their motion after the
+exit.  They are simply excluded from conditional statistics.  Both
+dynamics record one Run, to which each exit rule adds its own fields.  A
+run records positions; a feedback policy's controls are a function of a
+node's time and positions and are read back from the policy
+(Run.controls_at), so only an open-loop control, whose values depend on
+the noise path, has them recorded.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A pass
@@ -414,12 +414,14 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
 
     The killed and the reinsertion dynamics share this loop and differ
     only in their exit rule.  After each step with an exit the pass calls
-    on_exits(clocks, x_new, node_exits, bridge_kills, alive, failed,
-    draws): clocks holds the started blocks' times before the step, x_new
-    their new (B', N, d) positions, which the rule may move, alive the
-    mask it may clear, failed the per-block record (None while a block
-    runs) where it writes the error that ends a block, and draws(purpose)
-    returns the step's shared uniforms.  Each node writes a
+    on_exits(clocks, x_new, exits, stamps, alive, failed, draws): clocks
+    holds the started blocks' times before the step, x_new their new
+    (B', N, d) positions, which the rule may move, exits the ascending
+    indices of the step's node exits and bridge kills, stamps their exit
+    times (the block's clock plus dt at a node, plus dt/2 for a bridge
+    kill), alive the mask the rule may clear, failed the per-block record
+    (None while a block runs) where it writes the error that ends a block,
+    and draws(purpose) returns the step's shared uniforms.  Each node writes a
     SurvivorDepletion for a block below config.min_survivors, then calls
     on_record(node).  Once every block has failed the pass stops, and the
     later nodes stay unrecorded.  With live_mean the drift reads each
@@ -517,7 +519,9 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
                 domain, x[:active], b, z, dt, noise, alive[:m],
                 (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
             if bridge_kills.size or node_exits.any():
-                on_exits(clocks, x_new, node_exits, bridge_kills, alive, failed, draws)
+                exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
+                stamps = clocks[exits // n_block] + np.where(node_exits[exits], dt, 0.5 * dt)
+                on_exits(clocks, x_new, exits, stamps, alive, failed, draws)
             if open_loop:
                 policies[0].advance(state, float(clocks[0]), z, dt)
             if active == n_blocks:
@@ -551,12 +555,10 @@ def simulate_killed(model: ModelSpec, control, flow_input,
     """
     blocks, one_run = _as_blocks(model, control, flow_input, config)
     exit_times = np.full(config.n_particles, np.inf)
-    dt = config.dt
 
-    def kill(clocks, x_new, node_exits, bridge_kills, alive, failed, draws):
-        for hit, offset in ((np.flatnonzero(node_exits), dt), (bridge_kills, 0.5 * dt)):
-            exit_times[hit] = clocks[hit // x_new.shape[1]] + offset
-            alive[hit] = False
+    def kill(clocks, x_new, exits, stamps, alive, failed, draws):
+        exit_times[exits] = stamps
+        alive[exits] = False
 
     ens = KilledEnsemble(**_pass(model, blocks, config, kill), exit_times=exit_times)
     # A plain call reads as its one block, without the block axis.

@@ -83,17 +83,16 @@ def w1_distance_1d(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
 
 
 def sliced_w1(m1: EmpiricalMeasure, m2: EmpiricalMeasure, n_directions: int = 32,
-              rng: int | np.random.Generator = 0) -> float:
+              seed: int = 0) -> float:
     """Average one-dimensional W1 over random unit directions.
 
-    The direction set is a deterministic function of the rng seed, so the
+    The direction set is a deterministic function of the seed, so the
     distance is symmetric in its arguments and reproducible.
     """
     if m1.dim != m2.dim:
         raise ValueError("measures must share a dimension")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(rng))))
-    dirs = rng.standard_normal((int(n_directions), m1.dim))
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    dirs = gen.standard_normal((int(n_directions), m1.dim))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms

@@ -9,6 +9,11 @@ drift is affine and the running reward concave in the control, which
 gives a one-sided comparison to verify; when the open-loop control is
 already Markovian and constant on the lattice cells, the reconstruction
 reproduces it and the rewards match to simulation noise.
+
+The regressed policy is its own record: regress_feedback returns it with
+the per-cell sample counts, and a cell with count 0 was filled from its
+neighbours.  A lattice with a time slab that holds no output-grid node
+is refused before anything is simulated.
 """
 from __future__ import annotations
 
@@ -25,59 +30,59 @@ from .picard import FixedPointResult, solve_fixed_point
 from .reward_opt import RewardReport, _batch_se, eval_reward_conditional
 
 
-@dataclass
-class RegressionGrid:
-    """Cell means of the controls among survivors.
+def regression_lattice(model: ModelSpec, times: np.ndarray, time_bins: int,
+                       space_bins: int) -> GridPolicy:
+    """The zero policy on the time_bins by space_bins lattice.
 
-    filled marks cells that held no samples; their values were copied
-    from the nearest populated cell (Manhattan distance, breadth-first,
-    deterministic tie-breaking), so the resulting policy is total.
+    Every time slab must hold a node of times, since a slab's controls
+    are read at the nodes; a slab that holds none raises ValueError
+    naming it.
     """
-
-    time_edges: np.ndarray
-    space_edges: tuple
-    values: np.ndarray
-    counts: np.ndarray
-    filled: np.ndarray
-
-    @property
-    def fill_fraction(self) -> float:
-        return float(self.filled.mean())
-
-
-def build_regression_grid(ens: KilledEnsemble, time_bins: int,
-                          space_bins: int) -> RegressionGrid:
-    """Average the controls of alive particles per lattice cell."""
-    model = ens.model
     d_a = model.control_dim
     shape = (int(time_bins),) + (int(space_bins),) * model.dim
-    template = GridPolicy.build(model, time_bins, space_bins,
-                                np.zeros(shape + (d_a,)))
-    sums = np.zeros(shape + (d_a,))
+    lattice = GridPolicy.build(model, time_bins, space_bins, np.zeros(shape + (d_a,)))
+    none = np.empty((0, model.dim))
+    held = {lattice.cell_index(float(t), none)[0] for t in times}
+    edges = lattice.time_edges
+    for b in range(shape[0]):
+        if b not in held:
+            raise ValueError(f"time slab {b} [{edges[b]:g}, {edges[b + 1]:g}) of the "
+                             f"{shape[0]}-slab regression lattice holds no output-grid "
+                             f"node; use fewer time bins or a finer grid")
+    return lattice
+
+
+def regress_feedback(ens: KilledEnsemble, time_bins: int,
+                     space_bins: int) -> tuple[GridPolicy, np.ndarray]:
+    """The mimicking policy, and the per-cell counts of the samples behind it.
+
+    Each cell's value is the mean control of the particles alive in it at
+    the nodes.  A cell with count 0 takes the value of the nearest
+    populated cell (Manhattan distance, breadth-first, deterministic
+    tie-breaking), so the policy is total, and the policy clamps every
+    value to the control box.  A node with no survivor raises
+    SurvivorDepletion at its time.
+    """
+    model = ens.model
+    lattice = regression_lattice(model, ens.times, time_bins, space_bins)
+    shape = lattice.values.shape[:-1]
+    sums = np.zeros_like(lattice.values)
     counts = np.zeros(shape, dtype=np.int64)
     for m in range(ens.times.shape[0]):
         alive = ens.alive_at(m)
-        if not alive.any():
-            continue  # the slab coverage check below reports the gap
         t = float(ens.times[m])
-        tb, spatial = template.cell_index(t, ens.snapshots[m][alive])
+        if not alive.any():
+            raise SurvivorDepletion(t, 0, 1)
+        tb, spatial = lattice.cell_index(t, ens.snapshots[m][alive])
         np.add.at(sums, (tb, *spatial), ens.controls_at(m)[alive])
         np.add.at(counts, (tb, *spatial), 1)
 
-    slab_counts = counts.reshape(shape[0], -1).sum(axis=1)
-    if np.any(slab_counts == 0):
-        b = int(np.argmax(slab_counts == 0))
-        raise SurvivorDepletion(float(template.time_edges[b]), 0, 1)
-
-    filled = counts == 0
+    empty = counts == 0
     values = np.zeros_like(sums)
-    np.divide(sums, counts[..., None], out=values, where=~filled[..., None])
-    values = np.clip(values, np.asarray(model.control_set.lo),
-                     np.asarray(model.control_set.hi))
-
-    if filled.any():
-        dist = np.where(filled, -1, 0)
-        queue = deque(tuple(idx) for idx in np.argwhere(~filled))
+    np.divide(sums, counts[..., None], out=values, where=~empty[..., None])
+    if empty.any():
+        dist = np.where(empty, -1, 0)
+        queue = deque(tuple(idx) for idx in np.argwhere(~empty))
         while queue:
             cur = queue.popleft()
             for axis in range(len(shape)):
@@ -90,19 +95,7 @@ def build_regression_grid(ens: KilledEnsemble, time_bins: int,
                             dist[key] = dist[cur] + 1
                             values[key] = values[cur]
                             queue.append(key)
-
-    return RegressionGrid(time_edges=template.time_edges,
-                          space_edges=template.space_edges,
-                          values=values, counts=counts, filled=filled)
-
-
-def regress_feedback(ens: KilledEnsemble, time_bins: int,
-                     space_bins: int) -> tuple[GridPolicy, RegressionGrid]:
-    """The mimicking policy and the regression diagnostics behind it."""
-    grid = build_regression_grid(ens, time_bins, space_bins)
-    policy = GridPolicy(grid.time_edges, grid.space_edges, grid.values,
-                        ens.model.control_set)
-    return policy, grid
+    return replace(lattice, values=values), counts
 
 
 @dataclass
@@ -113,7 +106,8 @@ class MimicReport:
     j_closed: RewardReport
     delta: float
     delta_se: float
-    regression: RegressionGrid
+    policy: GridPolicy
+    counts: np.ndarray
     fixed_point: FixedPointResult
     closed_seed: int
 
@@ -123,7 +117,7 @@ class MimicReport:
             "j_closed": self.j_closed.to_dict(),
             "delta": self.delta,
             "delta_se": self.delta_se,
-            "fill_fraction": self.regression.fill_fraction,
+            "fill_fraction": float((self.counts == 0).mean()),
             "picard_iterations": self.fixed_point.iterations,
             "picard_converged": self.fixed_point.converged,
             "closed_seed": self.closed_seed,
@@ -135,16 +129,19 @@ def mimic_compare(model: ModelSpec, open_control: OpenLoopControl,
                   tol: float = 1e-2, max_iter: int = 10) -> MimicReport:
     """Reward comparison under one frozen flow.
 
-    The open-loop run first solves its own fixed point; the regressed
-    policy then re-simulates against that very flow (fresh seed, since
-    the point is an out-of-sample comparison), and both rewards
-    condition on survival.  delta > 0 means feedback did better.
+    The lattice is checked against the output grid before anything runs
+    (regression_lattice).  The open-loop run first solves its own fixed
+    point; the regressed policy then re-simulates against that very flow
+    (fresh seed, since the point is an out-of-sample comparison), and
+    both rewards condition on survival.  delta > 0 means feedback did
+    better.
     """
     if not isinstance(open_control, OpenLoopControl):
         raise ValueError("mimic_compare expects an open-loop control")
+    regression_lattice(model, config.grid, time_bins, space_bins)
     fp = solve_fixed_point(model, open_control, config, tol=tol, max_iter=max_iter)
     j_open = eval_reward_conditional(fp.ensemble, fp.flow)
-    policy, grid = regress_feedback(fp.ensemble, time_bins, space_bins)
+    policy, counts = regress_feedback(fp.ensemble, time_bins, space_bins)
     closed_seed = rng.derive_seed(config.seed, rng.MIMIC_CLOSED, 0)
     ens_closed = simulate_killed(model, policy, fp.flow,
                                  replace(config, seed=closed_seed))
@@ -152,5 +149,5 @@ def mimic_compare(model: ModelSpec, open_control: OpenLoopControl,
     return MimicReport(
         j_open=j_open, j_closed=j_closed, delta=j_closed.total - j_open.total,
         delta_se=_batch_se(j_closed.batch_totals - j_open.batch_totals),
-        regression=grid, fixed_point=fp, closed_seed=closed_seed,
+        policy=policy, counts=counts, fixed_point=fp, closed_seed=closed_seed,
     )

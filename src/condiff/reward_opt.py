@@ -28,8 +28,7 @@ from .errors import ReinsertionBlowup, SurvivorDepletion
 from .fleming_viot import DEFAULT_REINSERTION_CAP, FVTrace, simulate_fv_meanfield
 from .killed_sim import Blocks, KilledEnsemble, SimConfig
 from .measures import EmpiricalMeasure, MeasureFlow
-from .model import (ConstantPolicy, FeedbackPolicy, GridPolicy, LinearPolicy,
-                    ModelSpec, RewardSpec)
+from .model import ConstantPolicy, FeedbackPolicy, GridPolicy, LinearPolicy, ModelSpec
 from .picard import solve_fixed_points
 
 BATCHES = 20
@@ -76,44 +75,45 @@ def _batch_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
 
 
-def _running_values(reward: RewardSpec, flow: MeasureFlow, run) -> list[np.ndarray]:
-    """Per-particle running integrand at every node except the last."""
-    out = []
-    for m in range(run.times.shape[0] - 1):
-        t = float(run.times[m])
-        out.append(reward.running(t, run.snapshots[m], flow.mean_at(t), run.controls_at(m)))
-    return out
-
-
-def _estimate(run, flow: MeasureFlow, reward: RewardSpec, alive: list[np.ndarray] | None,
+def _estimate(run, flow: MeasureFlow, alive: list[np.ndarray] | None,
               counts: np.ndarray | None = None, cost: float = 0.0) -> RewardReport:
-    """The reward of a run over the particles alive at each node.
+    """The reward of a run under its model's reward, over the particles
+    alive at each node.
 
     alive[m] masks the particles alive at node m; None keeps every
     particle.  The running term integrates the survivors' mean integrand
     on the output grid, the terminal term reads the last node's
     survivors, and with reinsertion counts the reinsertion term is -cost
     times their mean.  Every term is recomputed on contiguous particle
-    batches.
+    batches; a batch with no survivor at some node raises
+    SurvivorDepletion naming the batch.
     """
     times = run.times
+    reward = run.model.reward
     deltas = np.diff(times)
-    # Each node's integrand, then the last node's positions, over its
-    # survivors in particle order.  ends[m][i] counts node m's survivors
-    # among the first i particles, so a batch is one slice of each.
-    nodes = [*_running_values(reward, flow, run), run.snapshots[-1]]
+    # Each node's running integrand per particle, then the last node's
+    # positions, over its survivors in particle order.  ends[m][i] counts
+    # node m's survivors among the first i particles, so a batch is one
+    # slice of each.
+    nodes = [reward.running(t, run.snapshots[m], flow.mean_at(t), run.controls_at(m))
+             for m, t in enumerate(times[:-1].tolist())]
+    nodes.append(run.snapshots[-1])
     if alive is None:
         ends = [np.arange(run.n + 1)] * len(nodes)
     else:
         nodes = [v[mask] for v, mask in zip(nodes, alive)]
         ends = [np.concatenate(([0], np.cumsum(mask))) for mask in alive]
 
-    def totals(lo: int, hi: int) -> tuple[float, float, float]:
+    batches = _batch_bounds(run.n)
+
+    def totals(lo: int, hi: int, batch: int | None = None) -> tuple[float, float, float]:
         kept = [v[e[lo]:e[hi]] for v, e in zip(nodes, ends)]
         running = 0.0
         for m, v in enumerate(kept):
             if v.shape[0] == 0:
-                raise SurvivorDepletion(float(times[m]), 0, 1)
+                raise SurvivorDepletion(float(times[m]), 0, 1, "" if batch is None else (
+                    f", in reward batch {batch} of {len(batches)} (particles {lo}-{hi - 1}),"
+                    f" while the run keeps {nodes[m].shape[0]} survivors at that node"))
             if m < deltas.shape[0]:
                 running += float(deltas[m]) * float(v.mean())
         reinsertion = 0.0 if counts is None else -cost * float(counts[lo:hi].mean())
@@ -121,7 +121,7 @@ def _estimate(run, flow: MeasureFlow, reward: RewardSpec, alive: list[np.ndarray
 
     running, terminal, reinsertion = totals(0, run.n)
     runs, terms, extra = (np.array(column) for column in
-                          zip(*(totals(lo, hi) for lo, hi in _batch_bounds(run.n))))
+                          zip(*(totals(lo, hi, b) for b, (lo, hi) in enumerate(batches))))
     batch_totals = runs + terms + extra
     return RewardReport(
         running=running, terminal=terminal, reinsertion=reinsertion,
@@ -131,9 +131,9 @@ def _estimate(run, flow: MeasureFlow, reward: RewardSpec, alive: list[np.ndarray
     )
 
 
-def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
-                            reward: RewardSpec | None = None) -> RewardReport:
-    """Reward of a killed run, conditioning every term on survival.
+def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow) -> RewardReport:
+    """Reward of a killed run under its model's reward, conditioning every
+    term on survival.
 
     The measure argument of the running reward is the mean of flow at
     each node.  Callers of solve_fixed_point pass FixedPointResult.flow,
@@ -141,23 +141,23 @@ def eval_reward_conditional(ens: KilledEnsemble, flow: MeasureFlow,
     last sweep), not the input flow its drift read; the two lie the last
     entry of distance_trace apart.
     """
-    reward = ens.model.reward if reward is None else reward
-    return _estimate(ens, flow, reward, [ens.alive_at(m) for m in range(ens.times.shape[0])])
+    return _estimate(ens, flow, [ens.alive_at(m) for m in range(ens.times.shape[0])])
 
 
-def eval_reward_fv(fv: FVTrace, flow: MeasureFlow, reward: RewardSpec | None = None,
+def eval_reward_fv(fv: FVTrace, flow: MeasureFlow,
                    reinsertion_cost: float | None = None) -> RewardReport:
     """Reward of a reinsertion run, charging a cost per reinsertion.
 
     This is the conditional estimate with every particle alive, plus the
     reinsertion term -cost times the mean final count, which makes the
-    dependence on the cost exactly linear.
+    dependence on the cost exactly linear.  The cost is the model's
+    reward.reinsertion_cost unless reinsertion_cost is given.
     """
-    reward = fv.model.reward if reward is None else reward
-    cost = reward.reinsertion_cost if reinsertion_cost is None else float(reinsertion_cost)
+    cost = (fv.model.reward.reinsertion_cost if reinsertion_cost is None
+            else float(reinsertion_cost))
     if cost < 0:
         raise ValueError("reinsertion_cost must be nonnegative")
-    return _estimate(fv, flow, reward, None, fv.final_counts, cost)
+    return _estimate(fv, flow, None, fv.final_counts, cost)
 
 
 @dataclass(frozen=True)
@@ -235,14 +235,14 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
                     objective: str = "conditional", method: str = "nelder-mead",
                     budget: int = 100, picard_tol: float = 1e-2,
                     picard_max_iter: int = 10,
-                    reinsertion_cost: float | None = None,
                     reinsertion_cap: int = DEFAULT_REINSERTION_CAP) -> OptResult:
     """Maximize the reward over a policy family under common random numbers.
 
     objective "conditional" scores candidates on the killed ensemble of
     their own fixed point; "fv" rescores via mean-field reinsertion
-    dynamics driven by that fixed point, including the reinsertion
-    penalty.  Candidates whose ensemble depletes (or whose reinsertion
+    dynamics driven by that fixed point, including the model's
+    reinsertion penalty, with reinsertion_cap capping each particle's
+    reinsertions.  Candidates whose ensemble depletes (or whose reinsertion
     run blows up) score -inf and stay in the trace.
 
     method "nelder-mead" is sequential; "cross-entropy" draws generations
@@ -284,8 +284,7 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
                 if objective == "conditional":
                     report = eval_reward_conditional(fp.ensemble, fp.flow)
                 else:
-                    report = eval_reward_fv(fv.block(b), fp.flow,
-                                            reinsertion_cost=reinsertion_cost)
+                    report = eval_reward_fv(fv.block(b), fp.flow)
             except (SurvivorDepletion, ReinsertionBlowup):
                 continue
             scores[j] = (report.total, report.total_se)

@@ -157,7 +157,7 @@ class Verifier:
         fv_mf = simulate_fv_meanfield(
             model, policy, flow_1,
             SimConfig(10_000, 1e-3, _seed(3), grid))
-        report = fv_correspondence_report(fv_mf, killed_1)
+        report = fv_correspondence_report(fv_mf, flow_1)
         self._emit(CriterionResult(
             "C3", "mean-field reinsertion marginals match the conditional flow",
             report.max_w1 <= 0.02,

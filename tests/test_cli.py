@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condiff import cli
+from condiff import cli, mimic
 from condiff.config import apply_overrides, load_config
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
@@ -158,6 +158,33 @@ def test_mimic_command(tmp_path):
     assert len(grid_lines) == 1 + 4 * 8
 
 
+def test_mimic_lattice_is_refused_before_any_simulation(tmp_path, capsys, monkeypatch):
+    """A time slab of the mimic lattice with no output-grid node is a config
+    error, found before any pass runs."""
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(mimic, "solve_fixed_point", no_pass)
+    for grid in ("sim.grid.step=0.25", "sim.grid.times=[0.1, 0.5]"):
+        rc = run("mimic", tmp_path, "sim.n_particles=4000", "sim.dt=0.005", grid)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "mimic.time_bins" in err and "time slab 1 [0.125, 0.25)" in err
+
+
+def test_reward_batch_depletion_names_the_batch(tmp_path, capsys):
+    """77 of the 200 open-loop particles survive at t = 1, but none of batch 1
+    (particles 10-19) does: the failure names that batch, not the run."""
+    rc = cli.main(["mimic", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path),
+                   "--override", "sim.n_particles=200", "--override", "sim.dt=0.01",
+                   "--override", "sim.grid.step=0.1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("SurvivorDepletion: survivor count at t=1 fell to 0")
+    assert "reward batch 1 of 20 (particles 10-19)" in err
+    assert "the run keeps 77 survivors at that node" in err
+
+
 def test_optimize_command(tmp_path, capsys):
     rc = run("optimize", tmp_path, "optimize.method=nelder-mead",
              "optimize.budget=5")
@@ -168,12 +195,18 @@ def test_optimize_command(tmp_path, capsys):
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + best["n_evals"]
 
-    # a negative cap is refused up front, not scored -inf for every candidate
-    rc = run("optimize", tmp_path / "cap", "optimize.reinsertion_cap=-1",
+    # the fv objective is capped by fv.reinsertion_cap, and a negative cap is
+    # refused up front, not scored -inf for every candidate
+    rc = run("optimize", tmp_path / "cap", "fv.reinsertion_cap=-1",
              "optimize.objective=fv", "sim.n_particles=200", "sim.dt=0.01",
              "optimize.budget=4")
     assert rc == 2
-    assert "optimize.reinsertion_cap" in capsys.readouterr().err
+    assert "fv.reinsertion_cap" in capsys.readouterr().err
+    # the optimizer has no cost or cap of its own: the model prices reinsertion
+    for field in ("optimize.reinsertion_cost=0.5", "optimize.reinsertion_cap=5"):
+        rc = run("optimize", tmp_path / "gone", field, "optimize.objective=fv")
+        assert rc == 2
+        assert f"unknown field '{field.split('=')[0]}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd, field, overrides", [
@@ -183,8 +216,9 @@ def test_optimize_command(tmp_path, capsys):
     ("optimize", "optimize.budget", ["optimize.budget=0"]),
     ("optimize", "optimize.time_bins", ["optimize.family=grid", "optimize.time_bins=0"]),
     ("optimize", "optimize.space_bins", ["optimize.family=grid", "optimize.space_bins=0"]),
+    # the model prices reinsertion: the optimizer's own cost field is gone
     ("optimize", "optimize.reinsertion_cost",
-     ["optimize.objective=fv", "optimize.reinsertion_cost=-1"]),
+     ["optimize.objective=fv", "optimize.reinsertion_cost=0.5"]),
     *[(cmd, "picard.max_iter", ["picard.max_iter=0"])
       for cmd in ("picard", "fv", "renewal", "mimic", "optimize")],
     ("renewal", "renewal.n_paths", ["renewal.n_paths=0"]),

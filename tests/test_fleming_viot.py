@@ -178,18 +178,18 @@ def test_meanfield_marginals_track_conditional_flow(driftless_run, driftless_flo
     model, policy, _, killed = driftless_run
     config = SimConfig(4000, 1e-3, 13, uniform_grid(1.0, 0.05))
     fv = simulate_fv_meanfield(model, policy, driftless_flow, config)
-    report = fv_correspondence_report(fv, killed)
+    report = fv_correspondence_report(fv, driftless_flow)
     assert report.max_w1 <= 0.03
     assert report.max_f_log_residual <= 0.1
     assert report.times.shape == killed.times.shape
 
 
 def test_correspondence_rejects_swapped_arguments(driftless_run, driftless_flow):
-    model, policy, _, killed = driftless_run
+    model, policy, _, _ = driftless_run
     config = SimConfig(200, 1e-3, 13, uniform_grid(1.0, 0.05))
     fv = simulate_fv_meanfield(model, policy, driftless_flow, config)
     with pytest.raises(ValueError):
-        fv_correspondence_report(killed, fv)
+        fv_correspondence_report(driftless_flow, fv)
     with pytest.raises(ValueError):
         fv_correspondence_report(fv, fv)
 
@@ -270,14 +270,15 @@ def test_stacked_runs_are_read_one_block_at_a_time():
     trace = simulate_fv_meanfield(model, blocks, None, config)
     killed = simulate_killed(model, blocks, None, config)
     for read in (lambda: eval_reward_fv(trace, flow),
-                 lambda: fv_correspondence_report(trace, killed.block(0)),
+                 lambda: fv_correspondence_report(trace, conditional_flow(killed.block(0))),
                  lambda: eval_reward_conditional(killed, flow),
                  lambda: conditional_flow(killed),
                  lambda: trace.controls_at(0)):
         with pytest.raises(ValueError, match="one block at a time, through block"):
             read()
     # Each block reads on its own.
-    assert fv_correspondence_report(trace.block(1), killed.block(1)).max_w1 >= 0.0
+    assert fv_correspondence_report(trace.block(1),
+                                    conditional_flow(killed.block(1))).max_w1 >= 0.0
     assert np.isfinite(eval_reward_fv(trace.block(0), flow).total)
 
 

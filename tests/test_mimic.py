@@ -4,7 +4,7 @@ import pytest
 from condiff import rng
 from condiff.errors import SurvivorDepletion
 from condiff.killed_sim import SimConfig, simulate_killed, uniform_grid
-from condiff.mimic import build_regression_grid, mimic_compare, regress_feedback
+from condiff.mimic import mimic_compare, regress_feedback
 from condiff.model import (ConstantPolicy, GridPolicy, PiecewiseControl,
                            RandomizedSignControl)
 from condiff.scenarios import driftless_interval, mimic_interval
@@ -18,11 +18,11 @@ def test_regression_recovers_grid_policy_exactly():
     config = SimConfig(2000, 2.5e-3, 11, uniform_grid(0.5, 0.05))
     ens = simulate_killed(model, target, None, config)
 
-    policy, grid = regress_feedback(ens, 2, 2)
-    assert not grid.filled.any()
-    assert np.allclose(grid.values, target.values, atol=1e-12)
-    assert np.array_equal(policy.values, grid.values)
-    assert np.array_equal(grid.time_edges, target.time_edges)
+    policy, counts = regress_feedback(ens, 2, 2)
+    assert not (counts == 0).any()
+    assert np.allclose(policy.values, target.values, atol=1e-12)
+    assert counts.sum() == sum(ens.alive_at(m).sum() for m in range(ens.times.shape[0]))
+    assert np.array_equal(policy.time_edges, target.time_edges)
 
 
 def test_markov_open_loop_is_a_fixed_point():
@@ -61,11 +61,11 @@ def test_empty_cells_are_filled_from_neighbors():
     target = ConstantPolicy((0.25,), model.control_set)
     config = SimConfig(200, 2.5e-3, 14, uniform_grid(0.25, 0.025))
     ens = simulate_killed(model, target, None, config)
-    policy, grid = regress_feedback(ens, 5, 25)
+    policy, counts = regress_feedback(ens, 5, 25)
     # outer space cells see no survivors but still get usable values
-    assert grid.fill_fraction > 0.0
-    assert np.all(np.isfinite(grid.values))
-    assert np.all(grid.values >= -1.0) and np.all(grid.values <= 1.0)
+    assert (counts == 0).any()
+    assert np.all(np.isfinite(policy.values))
+    assert np.all(policy.values >= -1.0) and np.all(policy.values <= 1.0)
     far = policy.values_at(0.1, np.array([[0.999]]))
     assert np.isfinite(far).all()
 
@@ -73,11 +73,15 @@ def test_empty_cells_are_filled_from_neighbors():
 def test_empty_time_slab_raises_depletion():
     model = driftless_interval(halfwidth=0.3, horizon=1.0)
     policy = ConstantPolicy((0.0,), model.control_set)
-    config = SimConfig(50, 1e-3, 15, uniform_grid(1.0, 0.125),
-                       min_survivors=0)
-    ens = simulate_killed(model, policy, None, config)
-    with pytest.raises(SurvivorDepletion):
-        build_regression_grid(ens, 8, 4)
+    # On the finer grid the first node with no survivor (t = 0.3) lies inside
+    # the slab [0.25, 0.375), and the error is stamped with the node's time.
+    for step in (0.125, 0.025):
+        config = SimConfig(50, 1e-3, 15, uniform_grid(1.0, step), min_survivors=0)
+        ens = simulate_killed(model, policy, None, config)
+        with pytest.raises(SurvivorDepletion) as raised:
+            regress_feedback(ens, 8, 4)
+        first = next(m for m in range(ens.times.shape[0]) if not ens.alive_at(m).any())
+        assert raised.value.time == float(ens.times[first])
 
 
 def test_input_validation():
@@ -86,3 +90,7 @@ def test_input_validation():
     grid = uniform_grid(0.25, 0.025)
     with pytest.raises(ValueError):
         mimic_compare(model, feedback, SimConfig(100, 2.5e-3, 16, grid))
+    # a lattice with a time slab between grid nodes is refused before any run
+    control = PiecewiseControl(0.1, (0.2,), (-0.1,), model.control_set)
+    with pytest.raises(ValueError, match=r"time slab 1 \[0.03125, 0.0625\)"):
+        mimic_compare(model, control, SimConfig(100, 2.5e-3, 16, uniform_grid(0.25, 0.125)))

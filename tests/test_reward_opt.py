@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,12 +33,12 @@ def cost_only_model(horizon=0.25):
 
 def test_unit_running_reward_integrates_to_horizon():
     # binary-exact grid spacing, so the left-endpoint sum telescopes exactly
-    model = driftless_interval(horizon=1.0)
+    model = replace(driftless_interval(horizon=1.0), reward=RewardSpec(r_x=1.0))
     policy = ConstantPolicy((0.0,), model.control_set)
     config = SimConfig(400, 0.0625, 31, uniform_grid(1.0, 0.25))
     ens = simulate_killed(model, policy, None, config)
     flow = conditional_flow(ens)
-    rep = eval_reward_conditional(ens, flow, reward=RewardSpec(r_x=1.0))
+    rep = eval_reward_conditional(ens, flow)
     assert rep.running == 1.0
     assert rep.terminal == 0.0
     assert rep.reinsertion == 0.0
@@ -46,12 +48,12 @@ def test_unit_running_reward_integrates_to_horizon():
 
 
 def test_batches_are_the_survivors_of_contiguous_particles():
-    model = driftless_interval(horizon=1.0)
+    reward = rich_reward(1.0)
+    model = replace(driftless_interval(horizon=1.0), reward=reward)
     policy = ConstantPolicy((0.0,), model.control_set)
     ens = simulate_killed(model, policy, None, SimConfig(400, 0.01, 33, uniform_grid(1.0, 0.25)))
     flow = conditional_flow(ens)
-    reward = rich_reward(1.0)
-    rep = eval_reward_conditional(ens, flow, reward=reward)
+    rep = eval_reward_conditional(ens, flow)
     bounds = np.linspace(0, 400, 21).astype(int)
     for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         running = 0.0
@@ -64,23 +66,22 @@ def test_batches_are_the_survivors_of_contiguous_particles():
     # batches of two particles: one of them has no survivor left to average
     few = simulate_killed(model, policy, None, SimConfig(40, 0.01, 33, uniform_grid(1.0, 0.25)))
     with pytest.raises(SurvivorDepletion):
-        eval_reward_conditional(few, conditional_flow(few), reward=reward)
+        eval_reward_conditional(few, conditional_flow(few))
 
 
 def test_fv_reward_decomposition_and_cost_linearity():
-    model = driftless_interval(horizon=1.0)
+    model = replace(driftless_interval(horizon=1.0), reward=rich_reward(1.0))
     policy = ConstantPolicy((0.0,), model.control_set)
     config = SimConfig(1000, 2e-3, 32, uniform_grid(1.0, 0.05))
     ens = simulate_killed(model, policy, None, config)
     flow = conditional_flow(ens)
     fv = simulate_fv_meanfield(model, policy, flow, config)
 
-    reward = rich_reward(1.0)
-    rep = eval_reward_fv(fv, flow, reward=reward, reinsertion_cost=0.7)
+    rep = eval_reward_fv(fv, flow, reinsertion_cost=0.7)
     assert rep.total == rep.running + rep.terminal + rep.reinsertion
     assert rep.reinsertion == -0.7 * float(fv.final_counts.mean())
 
-    doubled = eval_reward_fv(fv, flow, reward=reward, reinsertion_cost=1.4)
+    doubled = eval_reward_fv(fv, flow, reinsertion_cost=1.4)
     assert doubled.running == rep.running
     assert doubled.terminal == rep.terminal
     assert doubled.reinsertion == 2.0 * rep.reinsertion
@@ -90,7 +91,7 @@ def test_fv_reward_decomposition_and_cost_linearity():
                       rep.running + rep.terminal + rep.reinsertion, atol=1e-12)
 
     with pytest.raises(ValueError):
-        eval_reward_fv(fv, flow, reward=reward, reinsertion_cost=-1.0)
+        eval_reward_fv(fv, flow, reinsertion_cost=-1.0)
 
 
 def test_nelder_mead_finds_zero_control():
