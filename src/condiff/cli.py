@@ -206,6 +206,7 @@ def _cmd_mimic(cfg, model, sim, out):
 
 def _cmd_optimize(cfg, model, sim, out):
     kind = read(cfg, "optimize.family")
+    method = read(cfg, "optimize.method")
     time_bins = read(cfg, "optimize.time_bins")
     space_bins = read(cfg, "optimize.space_bins")
     with _building("optimize.time_bins and optimize.space_bins"):
@@ -213,7 +214,6 @@ def _cmd_optimize(cfg, model, sim, out):
     res = optimize_policy(
         model, family, sim,
         objective=read(cfg, "optimize.objective"),
-        method=read(cfg, "optimize.method"),
         budget=read(cfg, "optimize.budget"),
         picard_tol=read(cfg, "picard.tol"), picard_max_iter=read(cfg, "picard.max_iter"),
         reinsertion_cap=read(cfg, "fv.reinsertion_cap"))
@@ -222,11 +222,15 @@ def _cmd_optimize(cfg, model, sim, out):
               ["eval_id"] + [f"p{j + 1}" for j in range(k)] + ["J", "J_se"],
               [(e, *res.trace_params[e], res.trace_values[e], res.trace_ses[e])
                for e in range(res.n_evals)])
+    if res.best_value == -np.inf:
+        raise ModelRuntimeError(
+            f"none of the {res.n_evals} candidates scored: each one depleted its "
+            "survivors or passed fv.reinsertion_cap (see trace.csv)")
     write_json(out / "best.json", {
         "best_params": res.best_params.tolist(),
         "best_value": res.best_value,
         "n_evals": res.n_evals,
-        "method": res.method,
+        "method": method,
         "seed": res.seed,
         "metadata": res.metadata,
     })

@@ -161,7 +161,7 @@ FIELDS = {
     "mimic.time_bins": (int, 8, (">=", 1)),
     "mimic.space_bins": (int, 16, (">=", 1)),
     "optimize.family": (str, _REQUIRED, ("constant", "linear", "grid")),
-    "optimize.method": (str, "nelder-mead", ("nelder-mead", "cross-entropy")),
+    "optimize.method": (str, "cross-entropy", ("cross-entropy",)),
     "optimize.objective": (str, "conditional", ("conditional", "fv")),
     "optimize.budget": (int, 100, (">=", 1)),
     "optimize.time_bins": (int, 2, (">=", 1)),

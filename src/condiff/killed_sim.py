@@ -501,16 +501,10 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
             mean = None if means is None else means[k, :active]
             if live_mean and coupled:
                 mean = x[:active].mean(axis=1, keepdims=True)
-            # One drift call for every started block: inside a pass the drift
-            # reads its time only to cut at the horizon, which no step
-            # reaches (DriftSpec.base ignores it), so the first block's
-            # clock, the latest, stands for all.  The per-block clocks still
-            # feed the policies, the step keys of the draws and the exit
-            # stamps.
             a = _step_controls(policies[:active],
                                None if constants is None else constants[:active],
                                clocks, x[:active], state)
-            b = drift_given_mean(model, float(clocks[0]), x[:active], mean, a)
+            b = drift_given_mean(model, x[:active], mean, a)
             z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
                             seeds, draws_of, local)
             draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,),

@@ -1,6 +1,6 @@
 """Model data: drift and reward structure, control laws, initial laws.
 
-The drift is clip(base(t, x) + gain * (mean(m) - x) + B a, +-clip_bound)
+The drift is clip(base(x) + gain * (mean(m) - x) + B a, +-clip_bound)
 componentwise, which makes it bounded and Lipschitz in the measure
 argument with constant gain * diameter(closure of D) in total variation.
 The measure enters only through its mean, so simulations can precompute
@@ -98,7 +98,7 @@ class DriftSpec:
     def control_dim(self) -> int:
         return len(self.control_matrix[0])
 
-    def base(self, t: float, x: np.ndarray) -> np.ndarray:
+    def base(self, x: np.ndarray) -> np.ndarray:
         """Base drift term at positions x of shape (n, d)."""
         if self.base_kind == "zero":
             return np.zeros_like(x)
@@ -266,17 +266,11 @@ class ModelSpec:
         return np.asarray(self.sigma, dtype=float)
 
 
-def drift_given_mean(model: ModelSpec, t: float, x: np.ndarray,
-                     mean_m: np.ndarray | None, a: np.ndarray) -> np.ndarray:
-    """Clipped drift at batched positions, with the measure reduced to its mean.
-
-    Beyond the horizon the drift is zero by convention; the simulators
-    never evaluate it there, but the contract keeps b globally bounded.
-    """
-    if t > model.horizon:
-        return np.zeros_like(x)
+def drift_given_mean(model: ModelSpec, x: np.ndarray, mean_m: np.ndarray | None,
+                     a: np.ndarray) -> np.ndarray:
+    """Clipped drift at batched positions, with the measure reduced to its mean."""
     spec = model.drift
-    out = spec.base(t, x).astype(float, copy=True)
+    out = spec.base(x).astype(float, copy=True)
     if spec.mf_gain != 0.0:
         if mean_m is None:
             raise ValueError("drift has a mean-field term but no measure was supplied")

@@ -12,7 +12,8 @@ identically equal to one integrates to the horizon exactly.
 Optimization evaluates candidate policies under common random numbers:
 every candidate re-solves the fixed point and re-simulates with the
 same seed, so objective differences between candidates are not buried
-in Monte Carlo noise.  A cross-entropy generation solves all its
+in Monte Carlo noise.  The search is the cross-entropy method started
+at the centre of the family's bounds; a generation solves all its
 candidates' fixed points as one stacked ensemble, and the "fv"
 objective rescores them as one stacked reinsertion pass.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from . import rng
 from .errors import ReinsertionBlowup, SurvivorDepletion
@@ -162,7 +162,11 @@ def eval_reward_fv(fv: FVTrace, flow: MeasureFlow,
 
 @dataclass(frozen=True)
 class PolicyFamily:
-    """Finite-dimensional parametrization of a feedback policy."""
+    """Finite-dimensional parametrization of a feedback policy.
+
+    init is where the search starts; policy_family puts it at the centre
+    of the box [lo, hi].
+    """
 
     kind: str
     dim: int
@@ -197,23 +201,23 @@ class PolicyFamily:
 
 def policy_family(model: ModelSpec, kind: str, time_bins: int = 2,
                   space_bins: int = 2) -> PolicyFamily:
+    """The family's parameter box, with the search starting at its centre."""
     box = model.control_set
+    bins = {}
     if kind == "constant":
-        return PolicyFamily("constant", box.dim, (0.0,) * box.dim, box.lo, box.hi)
-    if kind == "linear":
-        d_a, d = box.dim, model.dim
-        widths = np.asarray(box.hi) - np.asarray(box.lo)
-        slope = np.repeat(widths, d)
-        lo = tuple(np.concatenate([np.asarray(box.lo), -slope]).tolist())
-        hi = tuple(np.concatenate([np.asarray(box.hi), slope]).tolist())
-        return PolicyFamily("linear", d_a + d_a * d, (0.0,) * (d_a + d_a * d), lo, hi)
-    if kind == "grid":
-        cells = time_bins * space_bins ** model.dim * box.dim
-        lo = tuple(np.tile(box.lo, cells // box.dim).tolist())
-        hi = tuple(np.tile(box.hi, cells // box.dim).tolist())
-        return PolicyFamily("grid", cells, (0.0,) * cells, lo, hi,
-                            time_bins=time_bins, space_bins=space_bins)
-    raise ValueError(f"unknown policy family {kind!r}")
+        lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    elif kind == "linear":
+        slope = np.repeat(np.asarray(box.hi) - np.asarray(box.lo), model.dim)
+        lo = np.concatenate([np.asarray(box.lo), -slope])
+        hi = np.concatenate([np.asarray(box.hi), slope])
+    elif kind == "grid":
+        cells = time_bins * space_bins ** model.dim
+        lo, hi = np.tile(box.lo, cells), np.tile(box.hi, cells)
+        bins = {"time_bins": time_bins, "space_bins": space_bins}
+    else:
+        raise ValueError(f"unknown policy family {kind!r}")
+    return PolicyFamily(kind, lo.shape[0], tuple(((lo + hi) / 2).tolist()),
+                        tuple(lo.tolist()), tuple(hi.tolist()), **bins)
 
 
 @dataclass
@@ -226,15 +230,13 @@ class OptResult:
     trace_values: np.ndarray
     trace_ses: np.ndarray
     n_evals: int
-    method: str
     seed: int
     metadata: dict = field(default_factory=dict)
 
 
 def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
-                    objective: str = "conditional", method: str = "nelder-mead",
-                    budget: int = 100, picard_tol: float = 1e-2,
-                    picard_max_iter: int = 10,
+                    objective: str = "conditional", budget: int = 100,
+                    picard_tol: float = 1e-2, picard_max_iter: int = 10,
                     reinsertion_cap: int = DEFAULT_REINSERTION_CAP) -> OptResult:
     """Maximize the reward over a policy family under common random numbers.
 
@@ -245,31 +247,28 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
     reinsertions.  Candidates whose ensemble depletes (or whose reinsertion
     run blows up) score -inf and stay in the trace.
 
-    method "nelder-mead" is sequential; "cross-entropy" draws generations
-    of 16 and evaluates the first budget samples.  A generation solves
-    its candidates' fixed points in one stacked pass, and "fv" rescores
-    the candidates that did not deplete in one more, one block each.
-    Every score equals the candidate's own solve and rescoring, bit for
-    bit.
+    The search is the cross-entropy method from family.init: generations
+    of 16 samples, of which the first budget are evaluated.  A generation
+    solves its candidates' fixed points in one stacked pass, and "fv"
+    rescores the candidates that did not deplete in one more, one block
+    each.  Every score equals the candidate's own solve and rescoring,
+    bit for bit.
     """
     if objective not in ("conditional", "fv"):
         raise ValueError("objective must be 'conditional' or 'fv'")
-    if method not in ("nelder-mead", "cross-entropy"):
-        raise ValueError("method must be 'nelder-mead' or 'cross-entropy'")
     if budget < 1:
         raise ValueError("budget must be positive")
     if reinsertion_cap < 0:
         raise ValueError("reinsertion_cap must be nonnegative")
 
-    lo = np.asarray(family.lo, dtype=float)
-    hi = np.asarray(family.hi, dtype=float)
-
-    def evaluate(samples) -> list[tuple[float, float]]:
+    def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each candidate's score and its standard error, -inf and nan
+        where it fails."""
         policies = [family.build(model, params) for params in samples]
         solves = solve_fixed_points(model, policies, config, tol=picard_tol,
                                     max_iter=picard_max_iter)
         solved = [j for j, fp in enumerate(solves) if not isinstance(fp, SurvivorDepletion)]
-        scores = [(-np.inf, np.nan)] * len(policies)
+        values, ses = np.full(len(policies), -np.inf), np.full(len(policies), np.nan)
         if objective == "fv" and solved:
             # Every solved candidate is a block of one reinsertion pass.
             k = len(solved)
@@ -287,62 +286,40 @@ def optimize_policy(model: ModelSpec, family: PolicyFamily, config: SimConfig,
                     report = eval_reward_fv(fv.block(b), fp.flow)
             except (SurvivorDepletion, ReinsertionBlowup):
                 continue
-            scores[j] = (report.total, report.total_se)
-        return scores
+            values[j], ses[j] = report.total, report.total_se
+        return values, ses
 
-    trace_params: list[np.ndarray] = []
-    trace_values: list[float] = []
-    trace_ses: list[float] = []
+    lo = np.asarray(family.lo, dtype=float)
+    hi = np.asarray(family.hi, dtype=float)
+    pop, elite_count, smoothing = 16, 4, 0.7
+    gen = rng.generator(config.seed, rng.OPTIMIZER, 0)
+    mean = np.asarray(family.init, dtype=float)
+    std = (hi - lo) / 4.0
+    std_floor = 1e-6 * (hi - lo)
+    generations = []
+    for start in range(0, budget, pop):
+        # Every generation draws pop samples, so the stream does not
+        # depend on the budget; the last evaluates only the remainder.
+        samples = np.clip(mean + std * gen.standard_normal((pop, family.dim)),
+                          lo, hi)[: budget - start]
+        values, ses = evaluate(samples)
+        generations.append((samples, values, ses))
+        top = np.argsort(-values, kind="stable")[:elite_count]
+        elites = samples[top[np.isfinite(values[top])]]
+        if elites.shape[0]:
+            mean = smoothing * elites.mean(axis=0) + (1 - smoothing) * mean
+            spread = elites.std(axis=0) if elites.shape[0] > 1 else std
+            std = np.maximum(smoothing * spread + (1 - smoothing) * std, std_floor)
 
-    def record(params: np.ndarray, value: float, se: float) -> None:
-        trace_params.append(np.array(params, dtype=float))
-        trace_values.append(float(value))
-        trace_ses.append(float(se))
-
-    if method == "nelder-mead":
-        def neg(params):
-            [(value, se)] = evaluate([params])
-            record(params, value, se)
-            return np.inf if value == -np.inf else -value
-
-        minimize(neg, np.asarray(family.init, dtype=float), method="Nelder-Mead",
-                 bounds=Bounds(lo, hi), options={"maxfev": budget, "xatol": 1e-4,
-                                                 "fatol": 1e-6})
-    else:
-        pop, elite_count, smoothing = 16, 4, 0.7
-        gen = rng.generator(config.seed, rng.OPTIMIZER, 0)
-        mean = np.asarray(family.init, dtype=float)
-        std = (hi - lo) / 4.0
-        std_floor = 1e-6 * (hi - lo)
-        for start in range(0, budget, pop):
-            # Every generation draws pop samples, so the stream does not
-            # depend on the budget; the last evaluates only the remainder.
-            samples = np.clip(mean + std * gen.standard_normal((pop, family.dim)),
-                              lo, hi)[: budget - start]
-            results = evaluate(samples)
-            values = [v for v, _ in results]
-            for params, (value, se) in zip(samples, results):
-                record(params, value, se)
-            order = np.argsort(-np.asarray(values), kind="stable")
-            elites = samples[order[:elite_count]]
-            finite = np.isfinite(np.asarray(values)[order[:elite_count]])
-            if finite.any():
-                elites = elites[finite]
-                mean = smoothing * elites.mean(axis=0) + (1 - smoothing) * mean
-                spread = elites.std(axis=0) if elites.shape[0] > 1 else std
-                std = np.maximum(smoothing * spread + (1 - smoothing) * std, std_floor)
-
-    values_arr = np.asarray(trace_values)
-    params_arr = np.asarray(trace_params)
-    best_idx = int(np.argmax(values_arr))
+    params, values, ses = (np.concatenate(column) for column in zip(*generations))
+    best = int(np.argmax(values))
     return OptResult(
-        best_params=params_arr[best_idx].copy(),
-        best_value=float(values_arr[best_idx]),
-        trace_params=params_arr,
-        trace_values=values_arr,
-        trace_ses=np.asarray(trace_ses),
-        n_evals=values_arr.shape[0],
-        method=method,
+        best_params=params[best].copy(),
+        best_value=float(values[best]),
+        trace_params=params,
+        trace_values=values,
+        trace_ses=ses,
+        n_evals=values.shape[0],
         seed=config.seed,
         metadata={"objective": objective, "budget": budget,
                   "family": family.kind, "picard_tol": picard_tol,

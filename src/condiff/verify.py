@@ -405,8 +405,7 @@ class Verifier:
         opt_model = attractive_interval(horizon=0.2, reward=rich_reward(0.0))
         opt_config = SimConfig(500, 1e-2, _seed(112), uniform_grid(0.2, 0.05))
         family = policy_family(opt_model, "constant")
-        res = optimize_policy(opt_model, family, opt_config, objective="fv",
-                              method="cross-entropy", budget=16)
+        res = optimize_policy(opt_model, family, opt_config, objective="fv", budget=16)
         optimizer_equal = True
         for params, value, se in zip(res.trace_params, res.trace_values, res.trace_ses):
             candidate = family.build(opt_model, params)

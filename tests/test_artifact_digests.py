@@ -12,7 +12,8 @@ A change that alters numbers on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_artifact_digests.py
 
-and names each changed file and the reason in its description.
+which first prints each key it changes, adds or drops; a change names
+each of those files and the reason in its description.
 """
 import hashlib
 import json
@@ -43,8 +44,7 @@ RUNS = {
     "renewal": ("renewal", [UNCOUPLED, "renewal.n_paths=200", "renewal.dt_r=0.1"]),
     "mimic": ("mimic", ["mimic.time_bins=4", "mimic.space_bins=8"]),
     "optimize": ("optimize", ["optimize.budget=16"]),
-    "optimize_fv": ("optimize", [UNCOUPLED, "optimize.objective=fv",
-                                 "optimize.method=nelder-mead", "optimize.budget=6"]),
+    "optimize_fv": ("optimize", [UNCOUPLED, "optimize.objective=fv", "optimize.budget=6"]),
 }
 
 
@@ -74,6 +74,13 @@ def run_digests(tmp: Path) -> dict:
     return digests
 
 
+def changes(pinned: dict, digests: dict) -> list[str]:
+    """One line for each key whose digest differs from, or is missing in, either."""
+    return [f"{key}: pinned {pinned.get(key)}, now {digests.get(key)}"
+            for key in sorted(pinned.keys() | digests.keys())
+            if pinned.get(key) != digests.get(key)]
+
+
 def test_artifacts_match_pinned_digests(verify_run, tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     here = platform_record()
@@ -86,9 +93,7 @@ def test_artifacts_match_pinned_digests(verify_run, tmp_path):
     out, rc = verify_run
     assert rc == 0
     digests = {**tree_digests(out, "verify"), **run_digests(tmp_path)}
-    changed = [f"{key}: pinned {pinned['digests'].get(key)}, now {digests.get(key)}"
-               for key in sorted(pinned["digests"].keys() | digests.keys())
-               if pinned["digests"].get(key) != digests.get(key)]
+    changed = changes(pinned["digests"], digests)
     assert not changed, "artifacts differ from their pinned digests:\n" + "\n".join(changed)
 
 
@@ -98,6 +103,9 @@ if __name__ == "__main__":
         if cli.main(["verify", "--out", str(verify_out)]) != 0:
             sys.exit("verify failed; digests not written")
         digests = {**tree_digests(verify_out, "verify"), **run_digests(Path(tmp))}
+    pinned = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
+    for line in changes(pinned, digests):
+        print(line)
     DIGESTS.write_text(json.dumps({"platform": platform_record(), "digests": digests},
                                   indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}")

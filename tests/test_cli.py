@@ -186,11 +186,10 @@ def test_reward_batch_depletion_names_the_batch(tmp_path, capsys):
 
 
 def test_optimize_command(tmp_path, capsys):
-    rc = run("optimize", tmp_path, "optimize.method=nelder-mead",
-             "optimize.budget=5")
+    rc = run("optimize", tmp_path, "optimize.budget=5")
     assert rc == 0
     best = json.loads((tmp_path / "best.json").read_text())
-    assert best["method"] == "nelder-mead"
+    assert best["method"] == "cross-entropy"
     assert np.isfinite(best["best_value"])
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(trace) == 1 + best["n_evals"]
@@ -207,6 +206,22 @@ def test_optimize_command(tmp_path, capsys):
         rc = run("optimize", tmp_path / "gone", field, "optimize.objective=fv")
         assert rc == 2
         assert f"unknown field '{field.split('=')[0]}'" in capsys.readouterr().err
+
+
+def test_optimize_with_no_scoring_candidate_fails(tmp_path, capsys):
+    """With no reinsertion allowed every candidate of the fv objective fails:
+    the command exits 3 with the trace written and no best.json."""
+    argv = ["optimize", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path)]
+    for item in ("sim.n_particles=200", "sim.dt=0.01", "sim.grid.step=0.1",
+                 "optimize.objective=fv", "fv.reinsertion_cap=0", "optimize.budget=4"):
+        argv += ["--override", item]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "none of the 4 candidates scored" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(rows) == 5 and all(row.endswith(",-inf,nan") for row in rows[1:])
 
 
 @pytest.mark.parametrize("cmd, field, overrides", [
@@ -267,6 +282,8 @@ def test_optimize_command(tmp_path, capsys):
      ["model.drift.mf_gain=0",
       'policy={"type": "linear", "theta0": [0.1], "theta1": [[1.0, 2.0]]}']),
     ("fv", "sim.grid", ["sim.grid.times=[0.1, 0.5]"]),
+    # cross-entropy is the one search
+    ("optimize", "optimize.method", ["optimize.method=nelder-mead"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)

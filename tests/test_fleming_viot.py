@@ -110,7 +110,7 @@ def test_drift_reads_the_variants_mean():
                         (simulate_fv_meanfield(model, policy, flow, config),
                          lambda x0: flow.node_means[0])):
         x0 = fv.snapshots[0]
-        b = drift_given_mean(model, 0.0, x0, mean_of(x0), policy.values_at(0.0, x0))
+        b = drift_given_mean(model, x0, mean_of(x0), policy.values_at(0.0, x0))
         assert fv.event_times.shape == (0,)
         assert np.array_equal(fv.snapshots[1], x0 + b * dt + (z @ sigma_t) * np.sqrt(dt))
 

@@ -24,7 +24,7 @@ def test_control_box():
 def test_drift_mean_field_and_control():
     model = attractive_interval(kappa=0.5, clip_bound=3.0)
     # b = 0.5 (m - x) + a
-    b = drift_given_mean(model, 0.2, np.array([[0.4]]), np.array([0.2]),
+    b = drift_given_mean(model, np.array([[0.4]]), np.array([0.2]),
                          np.array([[0.3]]))
     assert b.shape == (1, 1)
     assert b[0, 0] == pytest.approx(0.5 * (0.2 - 0.4) + 0.3)
@@ -32,24 +32,17 @@ def test_drift_mean_field_and_control():
 
 def test_drift_clip_activates():
     model = attractive_interval(kappa=0.5, clip_bound=0.25)
-    b = drift_given_mean(model, 0.0, np.array([[-0.9]]), np.array([0.9]),
+    b = drift_given_mean(model, np.array([[-0.9]]), np.array([0.9]),
                          np.array([[1.0]]))
     assert b[0, 0] == 0.25
-
-
-def test_drift_zero_beyond_horizon():
-    model = attractive_interval()
-    b = drift_given_mean(model, model.horizon + 0.5, np.array([[0.0]]),
-                         np.array([0.5]), np.array([[1.0]]))
-    assert b[0, 0] == 0.0
 
 
 def test_drift_lipschitz_in_mean():
     model = attractive_interval(kappa=0.5)
     x = np.array([[0.1], [-0.2]])
     a = np.array([[0.0], [0.0]])
-    b1 = drift_given_mean(model, 0.1, x, np.array([0.3]), a)
-    b2 = drift_given_mean(model, 0.1, x, np.array([0.1]), a)
+    b1 = drift_given_mean(model, x, np.array([0.3]), a)
+    b2 = drift_given_mean(model, x, np.array([0.1]), a)
     assert np.max(np.abs(b1 - b2)) <= 0.5 * 0.2 + 1e-12
 
 

@@ -1,8 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from condiff.config import apply_overrides, build_model, build_sim_config, load_config
 from condiff.errors import SurvivorDepletion
 from condiff.fleming_viot import simulate_fv_meanfield
 from condiff.geometry import Interval
@@ -15,6 +17,8 @@ from condiff.picard import solve_fixed_point
 from condiff.reward_opt import (PolicyFamily, eval_reward_conditional,
                                 eval_reward_fv, optimize_policy, policy_family)
 from condiff.scenarios import attractive_interval, driftless_interval, rich_reward
+
+DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
 
 def cost_only_model(horizon=0.25):
@@ -94,29 +98,14 @@ def test_fv_reward_decomposition_and_cost_linearity():
         eval_reward_fv(fv, flow, reinsertion_cost=-1.0)
 
 
-def test_nelder_mead_finds_zero_control():
-    model = cost_only_model()
-    family = PolicyFamily("constant", 1, (0.7,), (-1.0,), (1.0,))
-    config = SimConfig(200, 0.01, 34, uniform_grid(0.25, 0.05))
-    res = optimize_policy(model, family, config, method="nelder-mead",
-                          budget=40)
-    assert res.method == "nelder-mead"
-    assert res.n_evals <= 40
-    assert abs(res.best_params[0]) < 0.05
-    assert res.best_value == float(np.max(res.trace_values))
-    # zero noise in this objective: each score is exactly -a^2 * T
-    expected = -res.trace_params[:, 0] ** 2 * 0.25
-    assert np.allclose(res.trace_values, expected, atol=1e-12)
-
-
 def test_fv_objective_generation_matches_single_scores():
     # The fv objective rescores each generation in one stacked reinsertion
     # pass; every score must equal the candidate solved and rescored alone.
     model = attractive_interval(horizon=0.5, reward=rich_reward(1.0))
     config = SimConfig(200, 0.01, 35, uniform_grid(0.5, 0.05))
     family = policy_family(model, "linear")
-    res = optimize_policy(model, family, config, objective="fv", method="cross-entropy",
-                          budget=20, picard_tol=5e-3)
+    res = optimize_policy(model, family, config, objective="fv", budget=20,
+                          picard_tol=5e-3)
     assert res.n_evals == 20
     assert res.metadata["objective"] == "fv"
     for params, value, se in zip(res.trace_params, res.trace_values, res.trace_ses):
@@ -130,7 +119,7 @@ def test_fv_objective_generation_matches_single_scores():
     # Nothing exits the cost-only model, so the search closes in on zero control.
     res = optimize_policy(cost_only_model(), PolicyFamily("constant", 1, (0.6,), (-1.0,), (1.0,)),
                           SimConfig(200, 0.01, 35, uniform_grid(0.25, 0.05)), objective="fv",
-                          method="cross-entropy", budget=48)
+                          budget=48)
     assert res.n_evals == 48
     assert abs(res.best_params[0]) < 0.1
 
@@ -142,8 +131,7 @@ def test_cross_entropy_generation_matches_single_solves(kind):
     model = attractive_interval(horizon=0.5, reward=rich_reward(0.0))
     config = SimConfig(200, 0.01, 38, uniform_grid(0.5, 0.05))
     family = policy_family(model, kind)
-    res = optimize_policy(model, family, config, method="cross-entropy", budget=16,
-                          picard_tol=5e-3)
+    res = optimize_policy(model, family, config, budget=16, picard_tol=5e-3)
     for params, value, se in zip(res.trace_params, res.trace_values, res.trace_ses):
         fp = solve_fixed_point(model, family.build(model, params), config, tol=5e-3)
         report = eval_reward_conditional(fp.ensemble, fp.flow)
@@ -154,17 +142,43 @@ def test_cross_entropy_honours_the_budget():
     model = cost_only_model()
     family = PolicyFamily("constant", 1, (0.6,), (-1.0,), (1.0,))
     config = SimConfig(100, 0.01, 39, uniform_grid(0.25, 0.05))
-    runs = {budget: optimize_policy(model, family, config, method="cross-entropy",
-                                    budget=budget)
+    runs = {budget: optimize_policy(model, family, config, budget=budget)
             for budget in (8, 16, 20)}
     for budget, res in runs.items():
         assert res.n_evals == budget == res.trace_values.shape[0]
+        assert res.best_value == float(np.max(res.trace_values))
+        # zero noise in this objective: each score is exactly -a^2 * T
+        expected = -res.trace_params[:, 0] ** 2 * 0.25
+        assert np.allclose(res.trace_values, expected, atol=1e-12)
     # every generation draws its full population, so a shorter budget is a
     # prefix of a longer one
     full = runs[20].trace_params
     assert np.array_equal(runs[16].trace_params, full[:16])
     assert np.array_equal(runs[8].trace_params, full[:8])
     assert np.array_equal(runs[8].trace_values, runs[20].trace_values[:8])
+
+
+def test_search_starts_at_the_centre_of_an_asymmetric_box():
+    # A start outside the box clips most of the first generation onto a
+    # bound, where the candidates repeat one policy and one score.
+    model = replace(cost_only_model(), control_set=ControlBox((0.2,), (0.8,)))
+    family = policy_family(model, "constant")
+    assert family.init == (0.5,)
+    assert policy_family(model, "linear").init == (0.5, 0.0)
+    config = SimConfig(100, 0.01, 1234, uniform_grid(0.25, 0.05))
+    res = optimize_policy(model, family, config, budget=16)
+    assert np.unique(res.trace_params[:, 0]).shape[0] >= 14
+
+
+def test_cross_entropy_leaves_its_start_on_the_default_model():
+    # The optimum of configs/default.json's model lies near a = 0.46; a
+    # search that never leaves its start would return a = 0.
+    cfg = apply_overrides(load_config(DEFAULT_CONFIG),
+                          ["sim.n_particles=1000", "sim.dt=0.01", "sim.seed=3"])
+    model = build_model(cfg)
+    res = optimize_policy(model, policy_family(model, "constant"),
+                          build_sim_config(cfg, model), budget=32)
+    assert 0.25 <= res.best_params[0] <= 0.75
 
 
 def test_depleting_candidates_score_minus_inf():
@@ -180,8 +194,7 @@ def test_depleting_candidates_score_minus_inf():
     family = policy_family(model, "constant")
     config = SimConfig(30, 1e-3, 36, uniform_grid(1.0, 0.25),
                        min_survivors=25)
-    res = optimize_policy(model, family, config, method="cross-entropy",
-                          budget=16)
+    res = optimize_policy(model, family, config, budget=16)
     assert np.all(res.trace_values == -np.inf)
     assert np.all(np.isnan(res.trace_ses))
     assert res.best_value == -np.inf
@@ -204,8 +217,6 @@ def test_policy_families_and_validation():
     config = SimConfig(10, 0.01, 37, uniform_grid(0.25, 0.05))
     with pytest.raises(ValueError):
         optimize_policy(model, lin, config, objective="marginal")
-    with pytest.raises(ValueError):
-        optimize_policy(model, lin, config, method="bfgs")
     with pytest.raises(ValueError):
         optimize_policy(model, lin, config, budget=0)
     with pytest.raises(ValueError, match="reinsertion_cap"):
