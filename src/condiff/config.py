@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .fleming_viot import DEFAULT_REINSERTION_CAP
 from .geometry import BOUNDARY_TOL, Ball, Box, Interval
-from .killed_sim import SimConfig, uniform_grid
+from .killed_sim import SimConfig, grid_steps, uniform_grid
 from .measures import _TIME_TOL
 from .model import (_BASE_KINDS, _PHI_KINDS, Cloud, ControlBox, DriftSpec, GridPolicy,
                     LinearPolicy, ModelSpec, ConstantPolicy, NoisePeekControl,
@@ -342,10 +342,13 @@ def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
         if np.any(grid > model.horizon + _TIME_TOL):
             raise ValueError(f"ends at {grid.max():g}, beyond 'model.horizon' "
                              f"{model.horizon:g}")
+    dt = read(cfg, "sim.dt")
+    with _building("sim.dt"):
+        grid_steps(grid, dt)
     with _building("sim"):
         return SimConfig(
             n_particles=read(cfg, "sim.n_particles"),
-            dt=read(cfg, "sim.dt"),
+            dt=dt,
             seed=read(cfg, "sim.seed"),
             grid=grid,
             bridge_correction=read(cfg, "sim.bridge_correction"),

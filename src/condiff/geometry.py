@@ -7,7 +7,11 @@ immediately and the half-space crossing formula used by
 bridge_exit_probability is well behaved.
 
 Positions are float arrays of shape (n, d), a batch of n points; every
-reader returns one value per point, shape (n,).
+reader returns one value per point, shape (n,).  The readers the Euler
+step calls each step (boundary_distance and bridge_band) can write into
+arrays the caller made once: out for the result, and scratch, a float
+array of at least n * d elements (n for bridge_band), for their
+temporaries.
 """
 from __future__ import annotations
 
@@ -60,11 +64,14 @@ class Domain:
 
     def contains_open(self, x) -> np.ndarray:
         """True for points strictly inside, beyond the boundary tolerance."""
-        return self._distance(self._batch(x)) > BOUNDARY_TOL
+        return self.boundary_distance(x) > BOUNDARY_TOL
 
-    def boundary_distance(self, x) -> np.ndarray:
+    def boundary_distance(self, x, out=None, scratch=None) -> np.ndarray:
         """Signed Euclidean distance to the boundary: positive inside, zero on it."""
-        return self._distance(self._batch(x))
+        pts = self._batch(x)
+        n = pts.shape[0]
+        return self._distance(pts, np.empty(n) if out is None else out,
+                              np.empty(pts.size) if scratch is None else scratch)
 
     def bridge_exit_probability(self, x_from, x_to, dt: float, sigma) -> np.ndarray:
         """Probability that the diffusion bridge between two in-closure
@@ -74,7 +81,7 @@ class Domain:
         tangent half-space at the nearest boundary point (ball), with
         the per-direction variance taken from sigma sigma^T.  An endpoint
         on the boundary gives probability one.  The inputs are checked
-        here; the formula runs in banded_bridge, the Euler step's kernel.
+        here; the formula runs in banded_bridge.
         """
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError("dt must be positive and finite")
@@ -82,7 +89,7 @@ class Domain:
         a, b = self._batch(x_from), self._batch(x_to)
         if a.shape != b.shape:
             raise ValueError("x_from and x_to must have matching shapes")
-        dist_a, dist_b = self._distance(a), self._distance(b)
+        dist_a, dist_b = self.boundary_distance(a), self.boundary_distance(b)
         if np.any(dist_a < -BOUNDARY_TOL) or np.any(dist_b < -BOUNDARY_TOL):
             raise ValueError("bridge endpoints must lie in the closed domain")
         cov = sigma @ sigma.T
@@ -95,9 +102,11 @@ class Domain:
         """The bridge crossing probability of (n, d) endpoint pairs, evaluated
         only where it can be nonzero; every other pair gets exactly 0.0.
 
-        dist_a and dist_b are the endpoints' _distance, cov is sigma sigma^T
-        and var_max its largest eigenvalue.  Nothing is validated: this is
-        the step's kernel, and bridge_exit_probability its checked form.
+        dist_a and dist_b are the endpoints' boundary_distance, cov is
+        sigma sigma^T and var_max its largest eigenvalue.  Nothing is
+        validated: bridge_exit_probability is the checked form.  The Euler
+        step runs the two parts itself, bridge_band over all its particles
+        and _bridge on the pairs in the band.
 
         The band.  Every term of _bridge is exp(-2 f0 f1 / (v dt)), where
         f0, f1 are the endpoints' distances to one face (box) or to the
@@ -118,15 +127,34 @@ class Domain:
         the band to hold every pair the domain allows (inradius^2 within
         the bound) skips the test and runs _bridge on all pairs.
         """
-        bound = _BRIDGE_BAND * var_max * dt
-        if bound >= self._inradius ** 2:
-            return self._bridge(a, b, dt, cov)
-        far = (dist_a > 0.0) & (dist_a * dist_b > bound)
         p = np.zeros(a.shape[0])
-        near = np.flatnonzero(~far)
+        near = np.flatnonzero(self.bridge_band(dist_a, dist_b, dt, var_max))
         if near.size:
             p[near] = self._bridge(a[near], b[near], dt, cov)
         return p
+
+    def bridge_band(self, dist_a: np.ndarray, dist_b: np.ndarray, dt: float,
+                    var_max: float, out=None, scratch=None) -> np.ndarray:
+        """True for the pairs of banded_bridge's band, whose crossing
+        probability can be nonzero; False for those it leaves at 0.0.
+
+        out is a bool array of the pairs' count and scratch a float array
+        at least as long (new ones when None).
+        """
+        n = dist_a.shape[0]
+        out = np.empty(n, dtype=bool) if out is None else out
+        bound = _BRIDGE_BAND * var_max * dt
+        if bound >= self._inradius ** 2:
+            out.fill(True)
+            return out
+        # Outside the band: dist_a > 0 and dist_a dist_b > bound, that is
+        # min(dist_a dist_b - bound, dist_a) > 0.  The difference of two
+        # floats has the sign of the exact one, and a NaN in either keeps
+        # the pair in the band, as it does in the two tests.
+        s = np.multiply(dist_a, dist_b, out=None if scratch is None else scratch[:n])
+        np.subtract(s, bound, out=s)
+        np.minimum(s, dist_a, out=s)
+        return np.logical_not(np.greater(s, 0.0, out=out), out=out)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -137,7 +165,9 @@ class Domain:
         """The largest distance to the boundary of any point inside."""
         raise NotImplementedError
 
-    def _distance(self, pts: np.ndarray) -> np.ndarray:
+    def _distance(self, pts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """boundary_distance of (n, d) pts, written into out (n,), with
+        scratch (n * d floats) for the temporaries."""
         raise NotImplementedError
 
     def _bridge(self, a: np.ndarray, b: np.ndarray, dt: float, cov: np.ndarray) -> np.ndarray:
@@ -188,19 +218,26 @@ class Box(Domain):
     def _inradius(self):
         return 0.5 * min(h - l for l, h in zip(self.lo, self.hi))
 
-    def _distance(self, pts):
+    def _distance(self, pts, out, scratch):
         lo, hi = self.lo, self.hi
-        depth = np.minimum(pts[:, 0] - lo[0], hi[0] - pts[:, 0])
+        n = pts.shape[0]
+        upper, lower = scratch[:n], scratch[n:2 * n]  # lower only when d > 1
+        # depth = min(pts[:, 0] - lo[0], hi[0] - pts[:, 0]), then its min with
+        # each further coordinate's min(pts[:, i] - lo[i], hi[i] - pts[:, i]).
+        depth = np.subtract(pts[:, 0], lo[0], out=out)
+        np.minimum(depth, np.subtract(hi[0], pts[:, 0], out=upper), out=depth)
         for i in range(1, self.dim):
-            depth = np.minimum(depth, np.minimum(pts[:, i] - lo[i], hi[i] - pts[:, i]))
+            np.subtract(pts[:, i], lo[i], out=lower)
+            np.minimum(lower, np.subtract(hi[i], pts[:, i], out=upper), out=lower)
+            np.minimum(depth, lower, out=depth)
         if self.dim == 1:
             return depth  # with one coordinate, the signed distance
         # A point outside is at minus the Euclidean norm of its gap beyond the
         # faces it exceeds; the gap is nonzero exactly where depth < 0.
         outside = np.flatnonzero(depth < 0.0)
         if outside.size:
-            out = pts[outside]
-            gap = np.maximum(np.maximum(self._lo - out, out - self._hi), 0.0)
+            beyond = pts[outside]
+            gap = np.maximum(np.maximum(self._lo - beyond, beyond - self._hi), 0.0)
             depth[outside] = -np.linalg.norm(gap, axis=1)
         return depth
 
@@ -246,8 +283,12 @@ class Ball(Domain):
     def _inradius(self):
         return self.radius
 
-    def _distance(self, pts):
-        return self.radius - np.linalg.norm(pts - self._center, axis=1)
+    def _distance(self, pts, out, scratch):
+        # radius - np.linalg.norm(pts - center, axis=1), whose vector norm
+        # is sqrt(add.reduce(r * r, axis=1)) for real r.
+        r = np.subtract(pts, self.center, out=scratch[:pts.size].reshape(pts.shape))
+        np.add.reduce(np.multiply(r, r, out=r), axis=1, out=out)
+        return np.subtract(self.radius, np.sqrt(out, out=out), out=out)
 
     def _bridge(self, a, b, dt, cov):
         c = self._center

@@ -12,11 +12,6 @@ import numpy as np
 
 
 def _format_cell(value) -> str:
-    # Exact Python floats and ints first: flow.csv passes them by the million.
-    if type(value) is float:
-        return f"{value:.17g}"
-    if type(value) is int:
-        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -27,11 +22,19 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows one line at a time, so an iterable of rows is never held."""
+    """Write a header and then rows as they come, so rows are never held.
+
+    rows is an iterable of rows, whose cells _format_cell formats, or an
+    object whose lines() yields its rows already formatted, many lines to
+    a string (cli's flow.csv rows), in _format_cell's formats.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
+        if hasattr(rows, "lines"):
+            f.writelines(rows.lines())
+            return
         for row in rows:
             if len(row) != len(header):
                 raise ValueError("row width does not match the header")

@@ -10,17 +10,23 @@ of exit, and one pass, _pass, runs it over the grid and records the
 nodes.  The pass stamps every exit, and the killed and the Fleming-Viot
 dynamics differ only in the exit rule it then calls: here the stamp is
 recorded and the particle stops counting as alive.  The step evaluates
-the bridge probability only on the band of geometry's banded_bridge, the
+the bridge probability only on the band of geometry's bridge_band, the
 particles near enough to the boundary for it to be nonzero in float64;
 every other particle's is exactly 0.0, so the band changes no kill.
-Killed paths keep moving: each step advances the whole array instead of
-gathering the survivors, and paths.bin records their motion after the
-exit.  They are simply excluded from conditional statistics.  Both
-dynamics record one Run, to which each exit rule adds its own fields.  A
-run records positions; a feedback policy's controls are a function of a
-node's time and positions and are read back from the policy
-(Run.controls_at), so only an open-loop control, whose values depend on
-the noise path, has them recorded.
+The pass makes its arrays once, in a Workspace, and every step writes
+into them: two sets of positions and of their boundary distances that
+swap, the normal and uniform draws, the drift, the masks and one
+scratch array, so no step allocates an array of the ensemble's size.
+A position's boundary distance is computed once, by the step that makes
+it, and the next step reads it back.  Killed paths keep moving: each
+step advances the whole array instead of gathering the survivors, and
+paths.bin records their motion after the exit.  They are simply
+excluded from conditional statistics.  Both dynamics record one Run, to
+which each exit rule adds its own fields.  A run records positions; a
+feedback policy's controls are a function of a node's time and
+positions and are read back from the policy (Run.controls_at), so only
+an open-loop control, whose values depend on the noise path, has them
+recorded.
 
 All randomness is addressed by (seed, purpose, step), which makes runs
 bit-identical regardless of how callers parallelize around them.  A pass
@@ -82,13 +88,20 @@ class SimConfig:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be an increasing vector with >= 2 nodes")
-        steps = (grid - grid[0]) / self.dt
-        if np.any(np.abs(steps - np.round(steps)) > 1e-6):
-            raise ValueError("grid nodes must be multiples of dt")
+        grid_steps(grid, self.dt)
         object.__setattr__(self, "grid", grid)
 
     def node_steps(self) -> np.ndarray:
-        return np.round((self.grid - self.grid[0]) / self.dt).astype(np.int64)
+        return grid_steps(self.grid, self.dt)
+
+
+def grid_steps(grid: np.ndarray, dt: float) -> np.ndarray:
+    """The number of steps of dt from the grid's start to each node, which
+    must be a multiple of dt."""
+    steps = (grid - grid[0]) / dt
+    if np.any(np.abs(steps - np.round(steps)) > 1e-6):
+        raise ValueError("grid nodes must be multiples of dt")
+    return np.round(steps).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -327,26 +340,50 @@ def _constant_values(policies) -> np.ndarray | None:
     return None
 
 
-def _step_controls(policies, constants, clocks: np.ndarray, x: np.ndarray,
-                   state: dict) -> np.ndarray:
-    """(B, N, d_A) controls at positions x (B, N, d), block b's policy read at
-    its own clock clocks[b]; constants (_constant_values) are repeated into
-    contiguous memory, as a matrix product over a broadcast view can round
-    differently."""
+def _view(buffer: np.ndarray, shape) -> np.ndarray:
+    """The start of a flat buffer, as a (contiguous) array of shape."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _step_controls(policies, constants, clocks: np.ndarray, x: np.ndarray, state: dict,
+                   out: np.ndarray | None) -> np.ndarray:
+    """(B', N, d_A) controls of the started blocks at their positions x
+    (B', N, d), block b's policy read at its own clock clocks[b].
+
+    constants, when every block's policy is a constant, holds the (B, N,
+    d_A) values, repeated into contiguous memory once per pass, as a
+    matrix product over a broadcast view can round differently.  Several
+    blocks' policy values are written into the flat buffer out.
+    """
     if constants is not None:
-        return np.repeat(constants, x.shape[1], axis=1)
+        return constants[:len(policies)]
     values = [p.values_at(float(t), state if isinstance(p, OpenLoopControl) else xb)
               for p, t, xb in zip(policies, clocks, x)]
-    return values[0][None] if len(values) == 1 else np.stack(values)
+    if len(values) == 1:
+        return values[0][None]
+    stacked = _view(out, (len(values), *values[0].shape))
+    for b, value in enumerate(values):
+        stacked[b] = value
+    return stacked
 
 
-def _step_draws(sample, purpose: int, shape, join, seeds, draws_of, local) -> np.ndarray:
-    """One step's draws for the first len(local) blocks: block b reads the
-    stream of block j = draws_of[b], keyed by local[j], its own step.  A
-    single stream is shared as it is; several are joined in block order."""
+def _step_draws(sample, purpose: int, shape, seeds, draws_of, local,
+                out: np.ndarray) -> np.ndarray:
+    """One step's draws for the first len(local) blocks, written into the
+    flat buffer out: block b reads the stream of block j = draws_of[b],
+    keyed by local[j], its own step.  A single stream is shared as it is,
+    of the given shape; several fill one part of shape per block, each
+    stream drawn once, into the part of its first block (j itself)."""
     owners = draws_of[:len(local)]
-    drawn = {j: sample(seeds[j], purpose, int(local[j]), shape) for j in set(owners)}
-    return join([drawn[j] for j in owners]) if any(owners) else drawn[0]
+    if not any(owners):
+        return sample(seeds[0], purpose, int(local[0]), shape, out=_view(out, shape))
+    parts = _view(out, (len(owners), *shape))
+    for b, j in enumerate(owners):
+        if j == b:
+            sample(seeds[j], purpose, int(local[j]), shape, out=parts[b])
+        else:
+            parts[b] = parts[j]
+    return parts
 
 
 @dataclass(frozen=True)
@@ -365,46 +402,83 @@ class Noise:
         return cls(sigma.T.copy(), cov, top_variance(cov))
 
 
-def euler_step(domain, x: np.ndarray, b: np.ndarray, z: np.ndarray, dt: float,
-               noise: Noise, alive: np.ndarray, bridge_draws=None):
-    """One Euler step of every particle, and the exits it makes.
+class Workspace:
+    """The arrays a pass steps into, made once for its (B, N, d) positions.
 
-    x and b are (..., d) positions and drifts, and z holds standard
-    normals that may broadcast over the leading axes of x; alive marks
-    the particles of x.reshape(-1, d) that can still exit.  Returns the
-    new positions, the mask of alive particles outside the open domain
-    at the new node, and the indices of alive particles still inside
-    whose pinned bridge crossed the boundary.  bridge_draws, None when
-    the bridge test is off, returns the step's BRIDGE_KILL uniforms;
-    candidate i reads u[i % len(u)], so draws shared by the blocks of a
-    stack repeat.
-
-    The step computes each boundary distance once: the new node's for
-    every particle, the old node's for the candidates only (alive and
-    still inside, so both endpoints are known to lie in the domain and
-    are not checked again).  The bridge test runs on the band of
-    domain.banded_bridge, where the crossing probability can be
-    nonzero; a particle outside it has probability exactly 0.0 and
-    cannot be killed.  The uniforms are drawn only when some candidate
-    has a nonzero probability: draws are keyed by (seed, purpose, step),
-    so a step that skips them moves no stream.
+    x and dist hold two sets of positions and their boundary distances: a
+    step reads x[0] and dist[0], writes x[1] and dist[1], and swap() makes
+    the new set current.  Both sets start as the initial positions, so a
+    block that has not started holds them in either.  The other arrays are
+    flat, over all n = B N particles, and a step with B' blocks started
+    uses the start of each: z and u take the step's normal and uniform
+    draws, drift its drift, scratch (n d floats) the temporaries of the
+    drift, the noise increment, the distances and the bridge band in
+    turn, and inside, exits and band the step's masks.
     """
-    d = x.shape[-1]
-    x_new = x + b * dt + (z @ noise.sigma_t) * np.sqrt(dt)
-    flat, flat_new = x.reshape(-1, d), x_new.reshape(-1, d)
-    dist_new = domain.boundary_distance(flat_new)
-    inside = dist_new > BOUNDARY_TOL  # contains_open
-    node_exits = alive & ~inside
+
+    def __init__(self, x0: np.ndarray, domain):
+        n, d = x0.shape[0] * x0.shape[1], x0.shape[2]
+        dist = domain.boundary_distance(x0.reshape(n, d))
+        self.x = [x0, x0.copy()]
+        self.dist = [dist, dist.copy()]
+        self.z, self.drift, self.scratch = np.empty(n * d), np.empty(n * d), np.empty(n * d)
+        self.u = np.empty(n)
+        self.inside, self.exits, self.band = (np.empty(n, dtype=bool) for _ in range(3))
+
+    def swap(self) -> None:
+        self.x.reverse()
+        self.dist.reverse()
+
+
+def euler_step(domain, work: Workspace, b: np.ndarray, z: np.ndarray, dt: float,
+               noise: Noise, alive: np.ndarray, bridge_draws=None):
+    """One Euler step of the first B' blocks of work, and the exits it makes.
+
+    b holds their (B', N, d) drifts and z standard normals, (B', N, d) or
+    one block's (N, d) shared by all; alive marks which of their B' N
+    particles can still exit.  The step moves work.x[0] into work.x[1] as
+    x + b dt + (z sigma^T) sqrt(dt), and writes the new positions'
+    boundary distances into work.dist[1].  Returns the new positions (a
+    view of work.x[1]), the mask of alive particles outside the open
+    domain at the new node, and the ascending indices of alive particles
+    still inside whose pinned bridge crossed the boundary.  bridge_draws,
+    None when the bridge test is off, returns the step's BRIDGE_KILL
+    uniforms; candidate i reads u[i % len(u)], so draws shared by the
+    blocks of a stack repeat.
+
+    Each position's boundary distance is computed once, by the step that
+    makes it; the next step reads it from work.dist[0] as the old node's.
+    The bridge test runs on domain.bridge_band: over every particle it
+    keeps the alive ones still inside whose crossing probability can be
+    nonzero, and only those pairs are gathered for the formula; any other
+    particle has probability exactly 0.0 and cannot be killed.  The
+    uniforms are drawn only when some candidate has a nonzero probability:
+    draws are keyed by (seed, purpose, step), so a step that skips them
+    moves no stream.
+    """
+    active, m, d = b.shape[0], alive.shape[0], b.shape[-1]
+    x, x_new = work.x[0][:active], work.x[1][:active]
+    dist, dist_new = work.dist[0][:m], work.dist[1][:m]
+    increment = np.matmul(z, noise.sigma_t, out=_view(work.scratch, z.shape))
+    np.multiply(increment, np.sqrt(dt), out=increment)
+    np.add(x, np.multiply(b, dt, out=x_new), out=x_new)
+    np.add(x_new, increment, out=x_new)
+    flat, flat_new = x.reshape(m, d), x_new.reshape(m, d)
+    domain.boundary_distance(flat_new, out=dist_new, scratch=work.scratch)
+    inside = np.greater(dist_new, BOUNDARY_TOL, out=work.inside[:m])  # contains_open
+    node_exits = np.logical_not(inside, out=work.exits[:m])
+    np.logical_and(alive, node_exits, out=node_exits)
     bridge_kills = np.empty(0, dtype=np.int64)
     if bridge_draws is not None:
-        candidates = np.flatnonzero(alive & inside)
-        if candidates.size:
-            old = flat[candidates]
-            p = domain.banded_bridge(old, flat_new[candidates], domain.boundary_distance(old),
-                                     dist_new[candidates], dt, noise.cov, noise.var_max)
+        band = domain.bridge_band(dist, dist_new, dt, noise.var_max, out=work.band[:m],
+                                  scratch=work.scratch)
+        np.logical_and(band, alive, out=band)
+        near = np.flatnonzero(np.logical_and(band, inside, out=band))
+        if near.size:
+            p = domain._bridge(flat[near], flat_new[near], dt, noise.cov)
             if p.any():
                 u = bridge_draws()
-                bridge_kills = candidates[u[candidates % u.shape[0]] < p]
+                bridge_kills = near[u[near % u.shape[0]] < p]
     return x_new, node_exits, bridge_kills
 
 
@@ -416,8 +490,8 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     only in their exit rule.  After each step with an exit the pass calls
     on_exits(clocks, x_new, exits, stamps, alive, failed, draws): clocks
     holds the started blocks' times before the step, x_new their new
-    (B', N, d) positions, which the rule may move, exits the ascending
-    indices of the step's node exits and bridge kills, stamps their exit
+    (B', N, d) positions, where the rule may move the exits, exits the
+    ascending indices of the step's node exits and bridge kills, stamps their exit
     times (the block's clock plus dt at a node, plus dt/2 for a bridge
     kill), alive the mask the rule may clear, failed the per-block record
     (None while a block runs) where it writes the error that ends a block,
@@ -429,6 +503,11 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     pass's Run: the model, the grid's times, the (n_nodes, B, N, d)
     snapshots, the (n_nodes, 1, N, d_A) controls of an open-loop control
     (None for feedback policies), the blocks and the failed record.
+
+    The pass makes one Workspace and steps into it, so no step allocates
+    arrays of the ensemble's size: a step's positions, draws, drift and
+    masks are views of the workspace, valid until the next step writes
+    them.  An exit rule and an open-loop control copy what they keep.
     """
     grid = config.grid
     if grid[-1] > model.horizon + _TIME_TOL:
@@ -453,28 +532,33 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     # Positions are (B, N, d).  Blocks that share a seed and a law share one
     # initial sample, and blocks that share a seed and a start the draws of
     # every step (those of the first such block, a stream).
-    x = _initial_positions(model, blocks, n_block)
+    x0 = _initial_positions(model, blocks, n_block)
     draws_of = _first_alike(seeds, blocks.starts)
 
     open_loop = isinstance(policies[0], OpenLoopControl)
-    state = policies[0].init_state(x[0]) if open_loop else {}
+    state = policies[0].init_state(x0[0]) if open_loop else {}
     constants = _constant_values(policies)
+    if constants is not None:
+        constants = np.repeat(constants, n_block, axis=1)
+    stacked_controls = (np.empty(n * model.control_dim)
+                        if constants is None and n_blocks > 1 else None)
+    work = Workspace(x0, domain)
 
     alive = np.ones(n, dtype=bool)
     failed: list = [None] * n_blocks
 
     n_nodes = grid.shape[0]
-    snapshots = np.empty((n_nodes, *x.shape))
+    snapshots = np.empty((n_nodes, *x0.shape))
     # An open-loop control depends on the noise path, so only its values
     # are recorded; it always runs as one block.
-    controls = np.empty((n_nodes, *x.shape[:2], model.control_dim)) if open_loop else None
+    controls = np.empty((n_nodes, *x0.shape[:2], model.control_dim)) if open_loop else None
     shared = dict(model=model, times=grid.copy(), snapshots=snapshots, policy=None,
                   controls=controls, blocks=blocks)
 
     def record(node: int, t: float):
         # A block that has not started yet holds its initial sample, which
         # its own run records at its start time.
-        snapshots[node] = x
+        snapshots[node] = work.x[0]
         if open_loop:
             controls[node, 0] = policies[0].values_at(t, state)
         if config.min_survivors > 0:
@@ -498,31 +582,30 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
             m = active * n_block
             local = k - first_steps[:active]
             clocks = starts[:active] + local * dt
+            x = work.x[0][:active]
             mean = None if means is None else means[k, :active]
             if live_mean and coupled:
-                mean = x[:active].mean(axis=1, keepdims=True)
-            a = _step_controls(policies[:active],
-                               None if constants is None else constants[:active],
-                               clocks, x[:active], state)
-            b = drift_given_mean(model, x[:active], mean, a)
-            z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), np.stack,
-                            seeds, draws_of, local)
-            draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,),
-                                                np.concatenate, seeds, draws_of, local)
+                mean = x.mean(axis=1, keepdims=True)
+            a = _step_controls(policies[:active], constants, clocks, x, state, stacked_controls)
+            b = drift_given_mean(model, x, mean, a, out=_view(work.drift, x.shape),
+                                 scratch=_view(work.scratch, x.shape))
+            z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), seeds, draws_of, local,
+                            work.z)
+            draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,), seeds,
+                                                draws_of, local, work.u).reshape(-1)
             x_new, node_exits, bridge_kills = euler_step(
-                domain, x[:active], b, z, dt, noise, alive[:m],
+                domain, work, b, z, dt, noise, alive[:m],
                 (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
             if bridge_kills.size or node_exits.any():
                 exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
                 stamps = clocks[exits // n_block] + np.where(node_exits[exits], dt, 0.5 * dt)
                 on_exits(clocks, x_new, exits, stamps, alive, failed, draws)
+                # The rule may have moved its exits: measure them again.
+                work.dist[1][exits] = domain.boundary_distance(x_new.reshape(m, d)[exits])
             if open_loop:
                 policies[0].advance(state, float(clocks[0]), z, dt)
-            if active == n_blocks:
-                x = x_new
-            else:
-                x[:active] = x_new
-        if not np.all(np.isfinite(x)):
+            work.swap()
+        if not np.all(np.isfinite(work.x[0])):
             raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
     return dict(shared, failed=tuple(failed))

@@ -98,15 +98,17 @@ class DriftSpec:
     def control_dim(self) -> int:
         return len(self.control_matrix[0])
 
-    def base(self, x: np.ndarray) -> np.ndarray:
-        """Base drift term at positions x of shape (n, d)."""
+    def base(self, x: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+        """Base drift term at positions x of shape (..., d), written into out
+        (x's shape); None for the zero base, which writes nothing."""
         if self.base_kind == "zero":
-            return np.zeros_like(x)
+            return None
         if self.base_kind == "constant":
-            return np.broadcast_to(np.asarray(self.base_vector), x.shape)
-        out = x @ np.asarray(self.base_matrix).T
+            np.copyto(out, self.base_vector)
+            return out
+        np.matmul(x, np.asarray(self.base_matrix).T, out=out)
         if self.base_vector is not None:
-            out = out + np.asarray(self.base_vector)
+            np.add(out, self.base_vector, out=out)
         return out
 
 
@@ -267,19 +269,31 @@ class ModelSpec:
 
 
 def drift_given_mean(model: ModelSpec, x: np.ndarray, mean_m: np.ndarray | None,
-                     a: np.ndarray) -> np.ndarray:
-    """Clipped drift at batched positions, with the measure reduced to its mean."""
+                     a: np.ndarray, out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """Clipped drift at batched positions, with the measure reduced to its mean.
+
+    out receives the drift and scratch each term added to it, both arrays
+    of x's shape (new ones when None).  The terms are summed in the order
+    base, mean field, control; a zero base adds as 0.0 + term, which turns
+    a term of -0.0 into +0.0 without an array of zeros.
+    """
     spec = model.drift
-    out = spec.base(x).astype(float, copy=True)
+    out = np.empty(x.shape) if out is None else out
+    scratch = np.empty(x.shape) if scratch is None else scratch
+    # Until a term is summed, out itself takes the first one.
+    started = spec.base(x, out) is not None
     if spec.mf_gain != 0.0:
         if mean_m is None:
             raise ValueError("drift has a mean-field term but no measure was supplied")
-        out = out + spec.mf_gain * (np.asarray(mean_m) - x)
-    B = np.asarray(spec.control_matrix)
-    out = out + a @ B.T
+        t = np.subtract(mean_m, x, out=scratch if started else out)
+        np.add(out if started else 0.0, np.multiply(spec.mf_gain, t, out=t), out=out)
+        started = True
+    t = np.matmul(a, np.asarray(spec.control_matrix).T, out=scratch if started else out)
+    np.add(out if started else 0.0, t, out=out)
     bound = spec.clip_bound
     if np.isfinite(bound):
-        out = np.clip(out, -bound, bound)
+        np.clip(out, -bound, bound, out=out)
     return out
 
 
@@ -383,6 +397,8 @@ class OpenLoopControl:
 
     Simulators call init_state once, then values_at before each step and
     advance after it, so the control at time t only sees noise up to t.
+    The initial points and the normals z it is given are the simulator's
+    buffers, which the next step overwrites: a control copies what it keeps.
     """
 
     box: ControlBox

@@ -40,14 +40,16 @@ def generator(seed: int, purpose: int, step: int) -> np.random.Generator:
     return _generator(seed, purpose, step)
 
 
-def normals(seed: int, purpose: int, step: int, shape) -> np.ndarray:
-    """Standard normal draws for one (purpose, step) slot."""
-    return _generator(seed, purpose, step).standard_normal(shape)
+def normals(seed: int, purpose: int, step: int, shape, *, out=None) -> np.ndarray:
+    """Standard normal draws for one (purpose, step) slot, written into out
+    (an array of that shape) when it is given; the bits are the same."""
+    return _generator(seed, purpose, step).standard_normal(shape, out=out)
 
 
-def uniforms(seed: int, purpose: int, step: int, shape) -> np.ndarray:
-    """Uniform [0, 1) draws for one (purpose, step) slot."""
-    return _generator(seed, purpose, step).random(shape)
+def uniforms(seed: int, purpose: int, step: int, shape, *, out=None) -> np.ndarray:
+    """Uniform [0, 1) draws for one (purpose, step) slot, written into out
+    (an array of that shape) when it is given; the bits are the same."""
+    return _generator(seed, purpose, step).random(shape, out=out)
 
 
 def derive_seed(seed: int, purpose: int, index: int) -> int:

@@ -2,14 +2,15 @@
 
 Each block of a pass must be bit for bit its run alone, under the kill
 rule (blocks may start late) and under the mean-field reinsertion rule
-(every block starts at t = 0).  Draws are derandomized and small, so the
-module is deterministic and takes a few seconds.
+(every block starts at t = 0), on intervals, boxes and balls.  Draws are
+derandomized and small, so the module is deterministic and takes a few
+seconds.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from condiff.fleming_viot import simulate_fv_meanfield
-from condiff.geometry import Box, Interval
+from condiff.geometry import Ball, Box, Interval
 from condiff.killed_sim import Blocks, SimConfig, simulate_killed
 from condiff.measures import EmpiricalMeasure, MeasureFlow
 from condiff.model import ControlBox, DriftSpec, ModelSpec, PointMass, UniformBox
@@ -28,8 +29,9 @@ def cases(draw, late_starts: bool):
     """A model, Blocks over it and a config for one pass of them."""
     d = draw(st.sampled_from([1, 2]))
     half = draw(st.sampled_from([0.25, 0.4]))
-    domain = (Interval(-half, half) if d == 1 and draw(st.booleans())
-              else Box((-half,) * d, (half,) * d))
+    shape = draw(st.sampled_from(["box", "ball"] + ["interval"] * (d == 1)))
+    domain = {"interval": lambda: Interval(-half, half), "ball": lambda: Ball((0.0,) * d, half),
+              "box": lambda: Box((-half,) * d, (half,) * d)}[shape]()
     sigma = np.diag(draw(st.lists(st.sampled_from([0.6, 1.0]), min_size=d, max_size=d)))
     if d == 2 and draw(st.booleans()):
         sigma[1, 0] = 0.4  # full
@@ -53,9 +55,12 @@ def cases(draw, late_starts: bool):
         params = np.random.default_rng(draw(st.integers(0, 9))).uniform(family.lo, family.hi)
         return family.build(model, params)
 
+    # Flow samples, where the mean-field rule reinserts, lie inside a ball too.
+    reach = 0.8 * half if shape != "ball" else 0.7 * half
+
     def flow():
         points = np.random.default_rng(draw(st.integers(0, 9))).uniform(
-            -0.8 * half, 0.8 * half, (grid.shape[0], 16, d))
+            -reach, reach, (grid.shape[0], 16, d))
         return MeasureFlow(grid, tuple(map(EmpiricalMeasure, points)), np.ones(grid.shape[0]))
 
     blocks = Blocks(policies=[policy() for _ in range(n_blocks)],

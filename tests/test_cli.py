@@ -8,6 +8,8 @@ import pytest
 
 from condiff import cli, mimic
 from condiff.config import apply_overrides, load_config
+from condiff.io import write_csv
+from condiff.killed_sim import KilledEnsemble
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
@@ -284,6 +286,8 @@ def test_optimize_with_no_scoring_candidate_fails(tmp_path, capsys):
     ("fv", "sim.grid", ["sim.grid.times=[0.1, 0.5]"]),
     # cross-entropy is the one search
     ("optimize", "optimize.method", ["optimize.method=nelder-mead"]),
+    # a step that does not divide the grid names the step
+    ("simulate", "sim.dt", ["model.drift.mf_gain=0", "sim.dt=0.3"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)
@@ -291,6 +295,36 @@ def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, ove
     assert rc == 2
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "paths.bin").exists()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flow_rows_equal_the_per_cell_writer(tmp_path, d):
+    """flow.csv's node-at-a-time template writer gives the bytes of the
+    per-cell _format_cell writer, and its length counts the rows written."""
+    gen = np.random.default_rng(d)
+    times = np.array([0.0, 1.0 / 3.0, 0.5, 0.75, 1.0])
+    n = 2_345  # not a multiple of the thousand-row chunk
+    snapshots = gen.uniform(-1.0, 1.0, (times.shape[0], n, d))
+    special = np.array([-0.0, 5e-324, 1e308, 1.0 / 3.0, -1e308, 0.0])
+    snapshots.reshape(-1)[gen.integers(0, snapshots.size, 600)] = gen.choice(special, 600)
+    # Alive counts 2 345, 1 001, 1 000, 999 and 0 at the five nodes.
+    exit_times = np.full(n, 0.2)
+    exit_times[:1001] = [0.9] * 999 + [0.6, 0.4]
+    exit_times = exit_times[gen.permutation(n)]
+    ens = KilledEnsemble(model=None, times=times, snapshots=snapshots, policy=None,
+                         exit_times=exit_times)
+    cli._write_flow_csv(tmp_path, ens)
+    header = ["time", "particle"] + [f"x{k + 1}" for k in range(d)]
+    write_csv(tmp_path / "reference.csv", header,
+              [(float(times[m]), i, *snapshots[m, i].tolist())
+               for m in range(times.shape[0]) for i in np.flatnonzero(ens.alive_at(m)).tolist()])
+    got = (tmp_path / "flow.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    counts = [int(ens.alive_at(m).sum()) for m in range(times.shape[0])]
+    assert counts[1:] == [1001, 1000, 999, 0]
+    assert len(cli._FlowRows(ens)) == sum(counts) == got.count(b"\n") - 1
+    fields = set(got.replace(b"\n", b",").split(b","))
+    assert {b"-0", b"4.9406564584124654e-324", b"1e+308", b"0.33333333333333331"} <= fields
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

@@ -1,0 +1,155 @@
+"""Property checks of the buffered Euler step on drawn domains and ensembles.
+
+killed_sim.euler_step writes into a Workspace made once per pass.  On
+boxes and balls of one to three dimensions, with a diagonal or a full
+sigma, drifts holding +0.0 and -0.0, a shared or a per-block noise and a
+staggered prefix of started blocks, the step must give bit for bit what
+the expression form x + b dt + (z sigma^T) sqrt(dt) gives, with the
+boundary distances of the older forms and the kills of banded_bridge on
+the gathered candidates.  An exit rule that moves the new positions in
+place must leave the previous ones untouched.  The drift written into a
+buffer must equal the expression form, a zero base's 0.0 + term included,
+and the draws written into a buffer the streams joined as before.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from condiff import rng
+from condiff.geometry import BOUNDARY_TOL, Box
+from condiff.killed_sim import Noise, Workspace, _first_alike, _step_draws, _view, euler_step
+from condiff.model import ControlBox, DriftSpec, ModelSpec, UniformBox, drift_given_mean
+from condiff.scenarios import ZERO_REWARD
+
+from test_geometry import _old_box_distance
+from test_geometry_properties import _ball_points, _box_points, balls, boxes, sigmas
+
+PROPERTY = settings(max_examples=150)
+
+
+def _old_distance(dom, pts):
+    if isinstance(dom, Box):
+        return _old_box_distance(dom, pts)
+    return dom.radius - np.linalg.norm(pts - np.asarray(dom.center), axis=1)
+
+
+def _old_step(dom, x, b, z, dt, noise, alive, u):
+    """The step as it was before the workspace: fresh arrays throughout,
+    and the band taken over the gathered candidates."""
+    d = x.shape[-1]
+    x_new = x + b * dt + (z @ noise.sigma_t) * np.sqrt(dt)
+    flat, flat_new = x.reshape(-1, d), x_new.reshape(-1, d)
+    dist_new = _old_distance(dom, flat_new)
+    inside = dist_new > BOUNDARY_TOL
+    candidates = np.flatnonzero(alive & inside)
+    old = flat[candidates]
+    p = dom.banded_bridge(old, flat_new[candidates], _old_distance(dom, old),
+                          dist_new[candidates], dt, noise.cov, noise.var_max)
+    kills = candidates[u[candidates % u.shape[0]] < p] if p.any() else np.empty(0, np.int64)
+    return x_new, dist_new, alive & ~inside, kills, bool(p.any())
+
+
+@st.composite
+def steps(draw):
+    dom = draw(st.one_of(boxes(), balls()))
+    d = dom.dim
+    sigma = draw(sigmas(d))
+    dt = draw(st.sampled_from([1e-5, 1e-3, 1e-1]))
+    n_blocks = draw(st.integers(1, 3))
+    active = draw(st.integers(1, n_blocks))  # the started prefix
+    n_block = draw(st.integers(1, 24))
+    shared = draw(st.booleans())  # one noise for every started block
+    seed = draw(st.integers(0, 2 ** 16))
+    return dom, sigma, dt, n_blocks, active, n_block, shared, seed
+
+
+@PROPERTY
+@given(steps())
+def test_buffered_step_equals_the_expression_form(case):
+    dom, sigma, dt, n_blocks, active, n_block, shared, seed = case
+    gen = np.random.default_rng(seed)
+    d = dom.dim
+    noise = Noise.of(sigma)
+    scale = np.sqrt(380.0 * noise.var_max * dt)  # positions on both sides of the band's edge
+    points = (_box_points if isinstance(dom, Box) else _ball_points)(dom, gen, scale)
+    x0 = points[gen.integers(0, points.shape[0], (n_blocks, n_block))]
+    m = active * n_block
+    b = gen.choice([0.0, -0.0, 1.5, -2.5], (active, n_block, d))
+    z = gen.standard_normal((n_block, d) if shared else (active, n_block, d))
+    alive = gen.random(m) < 0.8
+    u = gen.random(n_block if shared else m)
+    drawn = []
+
+    def bridge_draws():
+        drawn.append(None)
+        return u
+
+    work = Workspace(x0.copy(), dom)
+    x_new, node_exits, kills = euler_step(dom, work, b, z, dt, noise, alive, bridge_draws)
+    want_x, want_dist, want_exits, want_kills, want_draw = _old_step(
+        dom, x0[:active], b, z, dt, noise, alive, u)
+    assert x_new.tobytes() == want_x.tobytes()
+    assert work.dist[1][:m].tobytes() == want_dist.tobytes()
+    assert np.array_equal(node_exits, want_exits)
+    assert np.array_equal(kills, want_kills)
+    assert bool(drawn) == want_draw
+    # the blocks not started keep their sample in both position sets
+    assert np.array_equal(work.x[1][active:], x0[active:])
+
+    # An exit rule moves new positions in place; the previous ones stay.
+    x_new[...] = 7.0
+    assert work.x[0].tobytes() == x0.tobytes()
+    assert work.dist[0].tobytes() == _old_distance(dom, x0.reshape(-1, d)).tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.sampled_from(["zero", "constant", "affine"]),
+       st.sampled_from([0.0, 0.5]), st.sampled_from([np.inf, 0.75]), st.integers(0, 2 ** 16))
+def test_buffered_drift_equals_the_expression_form(d, base, gain, clip, seed):
+    gen = np.random.default_rng(seed)
+    signed_zeros = [0.0, -0.0]
+    drift = DriftSpec(base_kind=base, base_vector=tuple(gen.choice(signed_zeros + [0.3], d)),
+                      base_matrix=tuple(map(tuple, gen.choice([-0.0, 0.5], (d, d)))),
+                      mf_gain=gain, clip_bound=clip,
+                      control_matrix=tuple(map(tuple, gen.choice([0.0, 1.0], (d, 2)))))
+    model = ModelSpec(domain=Box((-1.0,) * d, (1.0,) * d), sigma=tuple(map(tuple, np.eye(d))),
+                      drift=drift, control_set=ControlBox((-1.0,) * 2, (1.0,) * 2),
+                      horizon=1.0, reward=ZERO_REWARD, initial=UniformBox((-0.5,) * d, (0.5,) * d))
+    x = gen.choice(signed_zeros + [0.25, -0.5], (2, 5, d))
+    mean = gen.choice(signed_zeros + [0.1], (2, 1, d))
+    a = gen.choice(signed_zeros + [0.5], (2, 5, 2))
+
+    if base == "zero":
+        want = np.zeros_like(x)
+    elif base == "constant":
+        want = np.broadcast_to(np.asarray(drift.base_vector), x.shape).astype(float)
+    else:
+        want = x @ np.asarray(drift.base_matrix).T + np.asarray(drift.base_vector)
+    if gain:
+        want = want + gain * (mean - x)
+    want = want + a @ np.asarray(drift.control_matrix).T
+    if np.isfinite(clip):
+        want = np.clip(want, -clip, clip)
+
+    buffers = np.full(2 * x.size + 3, np.nan)
+    got = drift_given_mean(model, x, mean, a, out=_view(buffers, x.shape),
+                           scratch=buffers[x.size:][:x.size].reshape(x.shape))
+    assert got.tobytes() == want.tobytes()
+    assert drift_given_mean(model, x, mean, a).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([3, 4]), min_size=1, max_size=4),
+       st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4), st.integers(1, 5))
+def test_buffered_draws_equal_the_joined_streams(seeds, late, n_block):
+    """Blocks with the same seed and start share a stream; the buffer holds
+    the streams np.stack and np.concatenate joined before."""
+    draws_of = _first_alike(seeds, np.cumsum(late[:len(seeds)]))
+    local = np.arange(len(seeds)) + 2
+    for sample, shape, join in ((rng.normals, (n_block, 2), np.stack),
+                                (rng.uniforms, (n_block,), np.concatenate)):
+        owners = draws_of[:len(local)]
+        want = {j: sample(seeds[j], rng.GAUSS_STEP, int(local[j]), shape) for j in owners}
+        want = join([want[j] for j in owners]) if any(owners) else want[0]
+        out = np.full(len(seeds) * n_block * 2, np.nan)
+        got = _step_draws(sample, rng.GAUSS_STEP, shape, seeds, draws_of, local, out)
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
