@@ -345,14 +345,18 @@ def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
     dt = read(cfg, "sim.dt")
     with _building("sim.dt"):
         grid_steps(grid, dt)
+    n_particles, min_survivors = read(cfg, "sim.n_particles"), read(cfg, "sim.min_survivors")
+    if min_survivors > n_particles:
+        raise ConfigError(f"invalid 'sim.min_survivors': must be <= 'sim.n_particles' "
+                          f"{n_particles}, got {min_survivors}")
     with _building("sim"):
         return SimConfig(
-            n_particles=read(cfg, "sim.n_particles"),
+            n_particles=n_particles,
             dt=dt,
             seed=read(cfg, "sim.seed"),
             grid=grid,
             bridge_correction=read(cfg, "sim.bridge_correction"),
-            min_survivors=read(cfg, "sim.min_survivors"),
+            min_survivors=min_survivors,
         )
 
 

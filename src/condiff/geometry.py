@@ -25,11 +25,8 @@ BOUNDARY_TOL = 1e-12
 
 _SIGMA_COND_LIMIT = 1e12
 
-# exp(-x) is exactly 0.0 in float64 for x > 745.14, so a face term
-# exp(-2 d0 d1 / (v dt)) vanishes once d0 d1 > 372.57 v dt; the bridge
-# band keeps pairs with d0 d1 <= _BRIDGE_BAND var_max dt, which leaves
-# about 2% for rounding (see Domain.banded_bridge).
-_BRIDGE_BAND = 380.0
+# The bridge band's bound on d0 d1 / (var_max dt); see Domain.bridge_band.
+_BRIDGE_BAND = 25.0
 
 
 def check_sigma(sigma, dim: int) -> np.ndarray:
@@ -81,7 +78,7 @@ class Domain:
         tangent half-space at the nearest boundary point (ball), with
         the per-direction variance taken from sigma sigma^T.  An endpoint
         on the boundary gives probability one.  The inputs are checked
-        here; the formula runs in banded_bridge.
+        here.
         """
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError("dt must be positive and finite")
@@ -92,79 +89,49 @@ class Domain:
         dist_a, dist_b = self.boundary_distance(a), self.boundary_distance(b)
         if np.any(dist_a < -BOUNDARY_TOL) or np.any(dist_b < -BOUNDARY_TOL):
             raise ValueError("bridge endpoints must lie in the closed domain")
-        cov = sigma @ sigma.T
-        p = self.banded_bridge(a, b, dist_a, dist_b, float(dt), cov, top_variance(cov))
-        return np.clip(p, 0.0, 1.0)
+        return np.clip(self._bridge(a, b, float(dt), sigma @ sigma.T), 0.0, 1.0)
 
-    def banded_bridge(self, a: np.ndarray, b: np.ndarray, dist_a: np.ndarray,
-                      dist_b: np.ndarray, dt: float, cov: np.ndarray,
-                      var_max: float) -> np.ndarray:
-        """The bridge crossing probability of (n, d) endpoint pairs, evaluated
-        only where it can be nonzero; every other pair gets exactly 0.0.
+    def bridge_band(self, dist_a: np.ndarray, dist_b: np.ndarray, u: np.ndarray, dt: float,
+                    var_max: float, out=None, scratch=None) -> np.ndarray:
+        """The pairs on which a bridge kill test u < p must evaluate p:
+        True where dist_a dist_b <= _BRIDGE_BAND var_max dt, where a
+        distance is NaN, and where the pair's uniform is exactly 0.0.
 
-        dist_a and dist_b are the endpoints' boundary_distance, cov is
-        sigma sigma^T and var_max its largest eigenvalue.  Nothing is
-        validated: bridge_exit_probability is the checked form.  The Euler
-        step runs the two parts itself, bridge_band over all its particles
-        and _bridge on the pairs in the band.
+        dist_a and dist_b are the endpoints' boundary_distance, var_max
+        the largest eigenvalue of cov = sigma sigma^T, and u the test's
+        uniforms: pair i reads u[i % len(u)], and the pairs' count is a
+        multiple of len(u).  out is a bool array of the pairs' count and
+        scratch a float array at least as long (new ones when None).
 
-        The band.  Every term of _bridge is exp(-2 f0 f1 / (v dt)), where
-        f0, f1 are the endpoints' distances to one face (box) or to the
-        tangent half-space at one boundary point (ball), and v = n^T cov n
-        for that face's unit normal n.  A face distance is at least the
+        No pair with dist_b > 0 outside the band can be killed.  Every
+        term of _bridge is exp(-2 f0 f1 / (v dt)), where f0, f1 are the
+        endpoints' distances to one face (box) or to the tangent
+        half-space at one boundary point (ball), and v = n^T cov n for
+        that face's unit normal n.  A face distance is at least the
         distance to the boundary: the box's depth is the least face
         distance, and the ball's half-space distance R - <r, n> is at
-        least R - |r|.  And v <= var_max, by the Rayleigh quotient.  So a
-        pair with dist_a > 0 and dist_a dist_b > _BRIDGE_BAND var_max dt
-        has both distances positive and every exponent below
-        -2 * 380 = -760, far past -745.14, below which exp is exactly 0.0
-        in float64; the ~2% margin absorbs the rounding of the face
-        distances, of v and of var_max.  Such a term is 0.0, adds
-        log1p(-0.0) = -0.0 to _combine_faces' log sum, and leaves the pair
-        at 0.0, which no uniform falls below.  The band is every other
-        pair, NaN distances included, and there _bridge runs unchanged:
-        the result equals _bridge's bit for bit.  A step long enough for
-        the band to hold every pair the domain allows (inradius^2 within
-        the bound) skips the test and runs _bridge on all pairs.
-        """
-        p = np.zeros(a.shape[0])
-        near = np.flatnonzero(self.bridge_band(dist_a, dist_b, dt, var_max))
-        if near.size:
-            p[near] = self._bridge(a[near], b[near], dt, cov)
-        return p
-
-    def bridge_band(self, dist_a: np.ndarray, dist_b: np.ndarray, dt: float,
-                    var_max: float, out=None, scratch=None) -> np.ndarray:
-        """True for the pairs of banded_bridge's band, whose crossing
-        probability can be nonzero; False for those it leaves at 0.0.
-
-        out is a bool array of the pairs' count and scratch a float array
-        at least as long (new ones when None).
+        least R - |r|.  And v <= var_max, by the Rayleigh quotient.  So
+        such a pair has both distances positive and every exponent at
+        most -2 * 25 * 0.98 = -49, the 2% absorbing the rounding of the
+        face distances, of v and of var_max, and _combine_faces gives
+        p <= 2 d e^-49 < 2^-53 for any d < 10^5.  rng.uniforms draws
+        multiples of 2^-53, so u < p holds there only at u = 0.0, and the
+        band keeps those pairs: a test run on the band kills what it
+        kills run on every pair, bit for bit.
         """
         n = dist_a.shape[0]
         out = np.empty(n, dtype=bool) if out is None else out
-        bound = _BRIDGE_BAND * var_max * dt
-        if bound >= self._inradius ** 2:
-            out.fill(True)
-            return out
-        # Outside the band: dist_a > 0 and dist_a dist_b > bound, that is
-        # min(dist_a dist_b - bound, dist_a) > 0.  The difference of two
-        # floats has the sign of the exact one, and a NaN in either keeps
-        # the pair in the band, as it does in the two tests.
         s = np.multiply(dist_a, dist_b, out=None if scratch is None else scratch[:n])
-        np.subtract(s, bound, out=s)
-        np.minimum(s, dist_a, out=s)
-        return np.logical_not(np.greater(s, 0.0, out=out), out=out)
+        # not (s > bound) also holds for a NaN product
+        np.logical_not(np.greater(s, _BRIDGE_BAND * var_max * dt, out=out), out=out)
+        per_draw = out.reshape(-1, u.shape[0])
+        np.logical_or(per_draw, u == 0.0, out=per_draw)
+        return out
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     # Subclass hooks, operating on (n, d) arrays.
-    @property
-    def _inradius(self) -> float:
-        """The largest distance to the boundary of any point inside."""
-        raise NotImplementedError
-
     def _distance(self, pts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """boundary_distance of (n, d) pts, written into out (n,), with
         scratch (n * d floats) for the temporaries."""
@@ -213,10 +180,6 @@ class Box(Domain):
     @property
     def _hi(self):
         return np.asarray(self.hi)
-
-    @property
-    def _inradius(self):
-        return 0.5 * min(h - l for l, h in zip(self.lo, self.hi))
 
     def _distance(self, pts, out, scratch):
         lo, hi = self.lo, self.hi
@@ -278,10 +241,6 @@ class Ball(Domain):
     @property
     def _center(self):
         return np.asarray(self.center)
-
-    @property
-    def _inradius(self):
-        return self.radius
 
     def _distance(self, pts, out, scratch):
         # radius - np.linalg.norm(pts - center, axis=1), whose vector norm

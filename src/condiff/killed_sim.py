@@ -10,9 +10,10 @@ of exit, and one pass, _pass, runs it over the grid and records the
 nodes.  The pass stamps every exit, and the killed and the Fleming-Viot
 dynamics differ only in the exit rule it then calls: here the stamp is
 recorded and the particle stops counting as alive.  The step evaluates
-the bridge probability only on the band of geometry's bridge_band, the
-particles near enough to the boundary for it to be nonzero in float64;
-every other particle's is exactly 0.0, so the band changes no kill.
+the bridge probability only on the band of geometry's bridge_band: the
+particles near the boundary, and those whose kill uniform is exactly
+0.0.  Any other particle's probability is below every nonzero uniform,
+so the band changes no kill.
 The pass makes its arrays once, in a Workspace, and every step writes
 into them: two sets of positions and of their boundary distances that
 swap, the normal and uniform draws, the drift, the masks and one
@@ -448,13 +449,12 @@ def euler_step(domain, work: Workspace, b: np.ndarray, z: np.ndarray, dt: float,
 
     Each position's boundary distance is computed once, by the step that
     makes it; the next step reads it from work.dist[0] as the old node's.
-    The bridge test runs on domain.bridge_band: over every particle it
-    keeps the alive ones still inside whose crossing probability can be
-    nonzero, and only those pairs are gathered for the formula; any other
-    particle has probability exactly 0.0 and cannot be killed.  The
-    uniforms are drawn only when some candidate has a nonzero probability:
-    draws are keyed by (seed, purpose, step), so a step that skips them
-    moves no stream.
+    The bridge test draws the step's uniforms first, in every step, and
+    runs on domain.bridge_band: over every particle it keeps the alive ones
+    still inside whose kill the crossing formula must decide, and only
+    those pairs are gathered for it; any other particle is one that u < p
+    cannot kill.  Draws are keyed by (seed, purpose, step), so drawing in
+    a step that kills no one moves no stream.
     """
     active, m, d = b.shape[0], alive.shape[0], b.shape[-1]
     x, x_new = work.x[0][:active], work.x[1][:active]
@@ -468,18 +468,15 @@ def euler_step(domain, work: Workspace, b: np.ndarray, z: np.ndarray, dt: float,
     inside = np.greater(dist_new, BOUNDARY_TOL, out=work.inside[:m])  # contains_open
     node_exits = np.logical_not(inside, out=work.exits[:m])
     np.logical_and(alive, node_exits, out=node_exits)
-    bridge_kills = np.empty(0, dtype=np.int64)
-    if bridge_draws is not None:
-        band = domain.bridge_band(dist, dist_new, dt, noise.var_max, out=work.band[:m],
-                                  scratch=work.scratch)
-        np.logical_and(band, alive, out=band)
-        near = np.flatnonzero(np.logical_and(band, inside, out=band))
-        if near.size:
-            p = domain._bridge(flat[near], flat_new[near], dt, noise.cov)
-            if p.any():
-                u = bridge_draws()
-                bridge_kills = near[u[near % u.shape[0]] < p]
-    return x_new, node_exits, bridge_kills
+    if bridge_draws is None:
+        return x_new, node_exits, np.empty(0, dtype=np.int64)
+    u = bridge_draws()
+    band = domain.bridge_band(dist, dist_new, u, dt, noise.var_max, out=work.band[:m],
+                              scratch=work.scratch)
+    np.logical_and(band, alive, out=band)
+    near = np.flatnonzero(np.logical_and(band, inside, out=band))
+    p = domain._bridge(flat[near], flat_new[near], dt, noise.cov)
+    return x_new, node_exits, near[u[near % u.shape[0]] < p]
 
 
 def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_record=None,

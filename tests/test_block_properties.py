@@ -1,10 +1,11 @@
 """Property checks of the block-view contract on drawn models and stacks.
 
 Each block of a pass must be bit for bit its run alone, under the kill
-rule (blocks may start late) and under the mean-field reinsertion rule
-(every block starts at t = 0), on intervals, boxes and balls.  Draws are
-derandomized and small, so the module is deterministic and takes a few
-seconds.
+rule (blocks may start late, and a block depleted below min_survivors
+must raise its run alone's SurvivorDepletion) and under the mean-field
+reinsertion rule (every block starts at t = 0), on intervals, boxes and
+balls.  Draws are derandomized and small, so the module is deterministic
+and takes a few seconds.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,9 @@ PROPERTY = settings(max_examples=150)
 
 
 @st.composite
-def cases(draw, late_starts: bool):
-    """A model, Blocks over it and a config for one pass of them."""
+def cases(draw, killed: bool):
+    """A model, Blocks over it and a config for one pass of them; the kill
+    rule's blocks may start late and require survivors."""
     d = draw(st.sampled_from([1, 2]))
     half = draw(st.sampled_from([0.25, 0.4]))
     shape = draw(st.sampled_from(["box", "ball"] + ["interval"] * (d == 1)))
@@ -46,7 +48,7 @@ def cases(draw, late_starts: bool):
     inner = draw(st.sets(st.integers(1, steps - 1), max_size=2))
     grid = np.array(sorted({0, *inner, steps})) * DT
     n_blocks = draw(st.integers(1, 4))
-    late = st.integers(0, steps - 1) if late_starts else st.just(0)
+    late = st.integers(0, steps - 1) if killed else st.just(0)
     starts = sorted(draw(st.lists(late, min_size=n_blocks - 1, max_size=n_blocks - 1)))
     laws = [model.initial, PointMass((0.9 * half,) + (0.0,) * (d - 1))]
 
@@ -70,17 +72,18 @@ def cases(draw, late_starts: bool):
                     starts=[0.0, *(k * DT for k in starts)],
                     laws=[draw(st.sampled_from(laws)) for _ in range(n_blocks)])
     n_block = draw(st.integers(1, 64))
-    return model, blocks, SimConfig(n_block * n_blocks, DT, 1, grid, min_survivors=0)
+    required = draw(st.integers(0, n_block)) if killed else 0
+    return model, blocks, SimConfig(n_block * n_blocks, DT, 1, grid, min_survivors=required)
 
 
 @PROPERTY
-@given(cases(late_starts=True))
+@given(cases(killed=True))
 def test_killed_blocks_are_their_own_runs(case):
     _assert_blocks_are_their_own_runs(*case)
 
 
 @PROPERTY
-@given(cases(late_starts=False))
+@given(cases(killed=False))
 def test_meanfield_blocks_are_their_own_runs(case):
     model, blocks, config = case
     trace = simulate_fv_meanfield(model, blocks, None, config)

@@ -288,6 +288,9 @@ def test_optimize_with_no_scoring_candidate_fails(tmp_path, capsys):
     ("optimize", "optimize.method", ["optimize.method=nelder-mead"]),
     # a step that does not divide the grid names the step
     ("simulate", "sim.dt", ["model.drift.mf_gain=0", "sim.dt=0.3"]),
+    # more survivors required than particles run names the requirement
+    ("simulate", "sim.min_survivors", ["sim.n_particles=200", "sim.dt=0.01", "sim.grid.step=0.1",
+                                       "sim.min_survivors=500"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)

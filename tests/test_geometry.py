@@ -175,6 +175,27 @@ def _at_depth(dom, depth, rng):
     return np.asarray(dom.center) + (dom.radius - depth)[:, None] * u
 
 
+def _kill_uniforms(rng, n):
+    """n uniforms of the kind rng.uniforms draws, multiples of 2^-53: a third
+    exactly 0.0, a third k 2^-53 for k in [1, 10^4] (log-uniform), and a
+    third over [0, 1)."""
+    tiny = np.floor(np.exp(rng.uniform(0.0, np.log(1e4), n))) * 2.0 ** -53
+    kind = rng.integers(0, 3, n)
+    return np.where(kind == 0, 0.0, np.where(kind == 1, tiny, rng.random(n)))
+
+
+def _band_kills(dom, a, b, u, dt, cov, var_max):
+    """The pairs with b inside that the test u < p kills, pair i reading
+    u[i % len(u)]: with p evaluated on bridge_band's pairs only, and with
+    p evaluated on every pair."""
+    dist_a, dist_b = dom.boundary_distance(a), dom.boundary_distance(b)
+    inside = dist_b > BOUNDARY_TOL
+    near = np.flatnonzero(dom.bridge_band(dist_a, dist_b, u, dt, var_max) & inside)
+    every = np.flatnonzero(inside)
+    return tuple(pairs[u[pairs % u.shape[0]] < dom._bridge(a[pairs], b[pairs], dt, cov)]
+                 for pairs in (near, every))
+
+
 @pytest.mark.parametrize("dom, sigma", [
     (Interval(-1.0, 1.0), ((0.9,),)),
     (Box((-1.0, -1.0), (1.0, 1.0)), ((0.8, 0.0), (0.3, 0.6))),
@@ -182,7 +203,8 @@ def _at_depth(dom, depth, rng):
 ])
 @pytest.mark.parametrize("dt", [1e-3, 1e-5])
 def test_banded_bridge_equals_unbanded(dom, sigma, dt):
-    """The band skips only pairs whose crossing probability is exactly 0.0."""
+    """The kill test run on the band kills exactly the pairs it kills run
+    on every pair; outside the band it kills only at u = 0.0."""
     rng = np.random.default_rng(17)
     sigma = np.asarray(sigma)
     cov = sigma @ sigma.T
@@ -197,22 +219,19 @@ def test_banded_bridge_equals_unbanded(dom, sigma, dt):
                          bound / d0[2 * n:] * (1.0 + rng.uniform(-1e-6, 1e-6, n))])
     keep = (d0 < 1.0) & (d1 < 1.0)
     a, b = _at_depth(dom, d0[keep], rng), _at_depth(dom, d1[keep], rng)
-    dist_a, dist_b = dom.boundary_distance(a), dom.boundary_distance(b)
-    banded = dom.banded_bridge(a, b, dist_a, dist_b, dt, cov, var_max)
-    unbanded = dom._bridge(a, b, dt, cov)
-    assert banded.tobytes() == unbanded.tobytes()
+    u = _kill_uniforms(rng, a.shape[0])
+    banded, unbanded = _band_kills(dom, a, b, u, dt, cov, var_max)
+    assert np.array_equal(banded, unbanded)
     public = dom.bridge_exit_probability(a, b, dt, sigma)
-    assert public.tobytes() == np.clip(unbanded, 0.0, 1.0).tobytes()
-    # Not vacuous: the band drops pairs on both sides of its edge, and
-    # keeps pairs with a nonzero probability.
-    product = dist_a * dist_b
+    assert public.tobytes() == np.clip(dom._bridge(a, b, dt, cov), 0.0, 1.0).tobytes()
+    # Not vacuous: pairs on both sides of the band's edge, kills at tiny
+    # nonzero uniforms, and kills outside the band, each at u = 0.0.
+    product = dom.boundary_distance(a) * dom.boundary_distance(b)
     edge = np.abs(product / bound - 1.0) < 1e-5
     assert np.any(edge & (product > bound)) and np.any(edge & (product <= bound))
-    assert np.any(product > bound) and np.any(unbanded > 0.0)
-    # A step long enough for the band to hold the whole domain.
-    assert geometry._BRIDGE_BAND * var_max * 1.0 > dom._inradius ** 2
-    assert (dom.banded_bridge(a, b, dist_a, dist_b, 1.0, cov, var_max).tobytes()
-            == dom._bridge(a, b, 1.0, cov).tobytes())
+    assert np.any((u[unbanded] > 0.0) & (u[unbanded] < 1e4 * 2.0 ** -53))
+    outside = unbanded[product[unbanded] > bound]
+    assert outside.size and np.all(u[outside] == 0.0)
 
 
 def _old_box_distance(box, pts):

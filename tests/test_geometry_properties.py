@@ -1,17 +1,19 @@
 """Property checks of the geometry kernels on drawn domains and points.
 
 On boxes of one to three dimensions (the interval among them) and on
-balls, with a diagonal or a full sigma, banded_bridge must equal _bridge
-bit for bit on pairs drawn inside, near the boundary, on faces and at
-corners, and Box.boundary_distance must equal the older reduce-and-mask
-form bit for bit, also on points outside in two or more coordinates.
+balls, with a diagonal or a full sigma, the bridge kill test u < p run on
+bridge_band's pairs must kill what it kills run on every pair, on pairs
+drawn inside, near the boundary, on faces and at corners and uniforms
+that hold exact zeros and tiny multiples of 2^-53; and
+Box.boundary_distance must equal the older reduce-and-mask form bit for
+bit, also on points outside in two or more coordinates.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from condiff.geometry import Ball, Box, Interval, top_variance
 
-from test_geometry import _old_box_distance
+from test_geometry import _band_kills, _kill_uniforms, _old_box_distance
 
 PROPERTY = settings(max_examples=200)
 N = 48  # points of each kind
@@ -82,13 +84,12 @@ def test_banded_bridge_equals_unbanded(case):
     cov = sigma @ sigma.T
     var_max = top_variance(cov)
     # Depths on the scale of the band's edge, so pairs fall on both sides.
-    scale = np.sqrt(380.0 * var_max * dt)
+    scale = np.sqrt(25.0 * var_max * dt)
     points = (_box_points if isinstance(dom, Box) else _ball_points)(dom, rng, scale)
     a = points[rng.permutation(points.shape[0])]
     b = points[rng.permutation(points.shape[0])]
-    got = dom.banded_bridge(a, b, dom.boundary_distance(a), dom.boundary_distance(b),
-                            dt, cov, var_max)
-    assert got.tobytes() == dom._bridge(a, b, dt, cov).tobytes()
+    banded, unbanded = _band_kills(dom, a, b, _kill_uniforms(rng, a.shape[0]), dt, cov, var_max)
+    assert np.array_equal(banded, unbanded)
 
 
 @PROPERTY

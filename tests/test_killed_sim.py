@@ -218,16 +218,33 @@ def _assert_block_is_its_own_run(block, alone, label):
             assert got == want, (label, name.name)
 
 
+def _block_or_depletion(run, b):
+    """Block b of a run, or the SurvivorDepletion that ended it."""
+    try:
+        return run.block(b)
+    except SurvivorDepletion as error:
+        return error
+
+
 def _assert_blocks_are_their_own_runs(model, blocks, config):
+    """Each block of the pass is bit for bit its run alone, or, where that
+    run is depleted, raises the same SurvivorDepletion."""
     ens = simulate_killed(model, blocks, None, config)
     assert len(ens.blocks) == len(blocks)
     n_block = config.n_particles // len(blocks)
     for b, (policy, flow, seed, start, law) in enumerate(zip(
             blocks.policies, blocks.flows, blocks.seeds, blocks.starts, blocks.laws)):
         grid = np.concatenate([[start], config.grid[config.grid > start + 1e-9]])
-        alone = simulate_killed(model, Blocks((policy,), (flow,), (seed,), (start,), (law,)),
-                                None, replace(config, n_particles=n_block, grid=grid)).block(0)
-        _assert_block_is_its_own_run(ens.block(b), alone, b)
+        alone = _block_or_depletion(simulate_killed(
+            model, Blocks((policy,), (flow,), (seed,), (start,), (law,)), None,
+            replace(config, n_particles=n_block, grid=grid)), 0)
+        got = _block_or_depletion(ens, b)
+        assert type(got) is type(alone), b
+        if isinstance(alone, SurvivorDepletion):
+            assert ((got.time, got.survivors, got.required)
+                    == (alone.time, alone.survivors, alone.required)), b
+        else:
+            _assert_block_is_its_own_run(got, alone, b)
     return ens
 
 

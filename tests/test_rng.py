@@ -25,6 +25,19 @@ def test_uniforms_in_unit_interval():
     assert abs(u.mean() - 0.5) < 0.02
 
 
+def test_uniforms_are_multiples_of_2_to_the_minus_53():
+    """The bridge band's proof rests on this: no uniform lies strictly
+    between 0 and 2^-53, so one below a p < 2^-53 is exactly 0.0."""
+    for seed in (0, 7, 2 ** 40 + 3):
+        for step in (0, 1, 999):
+            u = rng.uniforms(seed, rng.BRIDGE_KILL, step, (20_000,))
+            out = np.full(20_000, np.nan)
+            rng.uniforms(seed, rng.BRIDGE_KILL, step, (20_000,), out=out)
+            for draws in (u, out):
+                scaled = draws * 2.0 ** 53
+                assert np.array_equal(scaled, np.floor(scaled))
+
+
 def test_derive_seed_stable_and_valid():
     s1 = rng.derive_seed(1729, rng.KERNEL_COLUMN, 3)
     s2 = rng.derive_seed(1729, rng.KERNEL_COLUMN, 3)

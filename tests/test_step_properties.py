@@ -5,8 +5,9 @@ boxes and balls of one to three dimensions, with a diagonal or a full
 sigma, drifts holding +0.0 and -0.0, a shared or a per-block noise and a
 staggered prefix of started blocks, the step must give bit for bit what
 the expression form x + b dt + (z sigma^T) sqrt(dt) gives, with the
-boundary distances of the older forms and the kills of banded_bridge on
-the gathered candidates.  An exit rule that moves the new positions in
+boundary distances of the older forms and the kills of the test u < p run
+on every alive pair still inside, for uniforms that hold exact zeros and
+tiny multiples of 2^-53.  An exit rule that moves the new positions in
 place must leave the previous ones untouched.  The drift written into a
 buffer must equal the expression form, a zero base's 0.0 + term included,
 and the draws written into a buffer the streams joined as before.
@@ -14,13 +15,13 @@ and the draws written into a buffer the streams joined as before.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from condiff import rng
-from condiff.geometry import BOUNDARY_TOL, Box
+from condiff import geometry, rng
+from condiff.geometry import BOUNDARY_TOL, Box, Interval
 from condiff.killed_sim import Noise, Workspace, _first_alike, _step_draws, _view, euler_step
 from condiff.model import ControlBox, DriftSpec, ModelSpec, UniformBox, drift_given_mean
 from condiff.scenarios import ZERO_REWARD
 
-from test_geometry import _old_box_distance
+from test_geometry import _kill_uniforms, _old_box_distance
 from test_geometry_properties import _ball_points, _box_points, balls, boxes, sigmas
 
 PROPERTY = settings(max_examples=150)
@@ -32,20 +33,18 @@ def _old_distance(dom, pts):
     return dom.radius - np.linalg.norm(pts - np.asarray(dom.center), axis=1)
 
 
-def _old_step(dom, x, b, z, dt, noise, alive, u):
-    """The step as it was before the workspace: fresh arrays throughout,
-    and the band taken over the gathered candidates."""
+def _unbanded_step(dom, x, b, z, dt, noise, alive):
+    """The step as an expression, with fresh arrays throughout: the new
+    positions, their distances, the node exits, and the alive pairs still
+    inside with their crossing probabilities, for a kill test on all."""
     d = x.shape[-1]
     x_new = x + b * dt + (z @ noise.sigma_t) * np.sqrt(dt)
     flat, flat_new = x.reshape(-1, d), x_new.reshape(-1, d)
     dist_new = _old_distance(dom, flat_new)
     inside = dist_new > BOUNDARY_TOL
     candidates = np.flatnonzero(alive & inside)
-    old = flat[candidates]
-    p = dom.banded_bridge(old, flat_new[candidates], _old_distance(dom, old),
-                          dist_new[candidates], dt, noise.cov, noise.var_max)
-    kills = candidates[u[candidates % u.shape[0]] < p] if p.any() else np.empty(0, np.int64)
-    return x_new, dist_new, alive & ~inside, kills, bool(p.any())
+    p = dom._bridge(flat[candidates], flat_new[candidates], dt, noise.cov)
+    return x_new, dist_new, alive & ~inside, candidates, p
 
 
 @st.composite
@@ -56,7 +55,7 @@ def steps(draw):
     dt = draw(st.sampled_from([1e-5, 1e-3, 1e-1]))
     n_blocks = draw(st.integers(1, 3))
     active = draw(st.integers(1, n_blocks))  # the started prefix
-    n_block = draw(st.integers(1, 24))
+    n_block = draw(st.integers(1, 64))
     shared = draw(st.booleans())  # one noise for every started block
     seed = draw(st.integers(0, 2 ** 16))
     return dom, sigma, dt, n_blocks, active, n_block, shared, seed
@@ -69,14 +68,21 @@ def test_buffered_step_equals_the_expression_form(case):
     gen = np.random.default_rng(seed)
     d = dom.dim
     noise = Noise.of(sigma)
-    scale = np.sqrt(380.0 * noise.var_max * dt)  # positions on both sides of the band's edge
+    scale = np.sqrt(25.0 * noise.var_max * dt)  # positions on both sides of the band's edge
     points = (_box_points if isinstance(dom, Box) else _ball_points)(dom, gen, scale)
     x0 = points[gen.integers(0, points.shape[0], (n_blocks, n_block))]
     m = active * n_block
     b = gen.choice([0.0, -0.0, 1.5, -2.5], (active, n_block, d))
     z = gen.standard_normal((n_block, d) if shared else (active, n_block, d))
     alive = gen.random(m) < 0.8
-    u = gen.random(n_block if shared else m)
+    want_x, want_dist, want_exits, candidates, p = _unbanded_step(
+        dom, x0[:active], b, z, dt, noise, alive)
+    u = _kill_uniforms(gen, n_block if shared else m)
+    # A quarter of the candidates read the largest multiple of 2^-53 below
+    # their p (0.0 where p <= 2^-53), the uniform nearest to flipping u < p.
+    edge = gen.random(candidates.size) < 0.25
+    u[candidates[edge] % u.shape[0]] = np.maximum(np.ceil(p[edge] * 2.0 ** 53) - 1.0,
+                                                  0.0) * 2.0 ** -53
     drawn = []
 
     def bridge_draws():
@@ -85,13 +91,11 @@ def test_buffered_step_equals_the_expression_form(case):
 
     work = Workspace(x0.copy(), dom)
     x_new, node_exits, kills = euler_step(dom, work, b, z, dt, noise, alive, bridge_draws)
-    want_x, want_dist, want_exits, want_kills, want_draw = _old_step(
-        dom, x0[:active], b, z, dt, noise, alive, u)
     assert x_new.tobytes() == want_x.tobytes()
     assert work.dist[1][:m].tobytes() == want_dist.tobytes()
     assert np.array_equal(node_exits, want_exits)
-    assert np.array_equal(kills, want_kills)
-    assert bool(drawn) == want_draw
+    assert np.array_equal(kills, candidates[u[candidates % u.shape[0]] < p])
+    assert len(drawn) == 1
     # the blocks not started keep their sample in both position sets
     assert np.array_equal(work.x[1][active:], x0[active:])
 
@@ -99,6 +103,29 @@ def test_buffered_step_equals_the_expression_form(case):
     x_new[...] = 7.0
     assert work.x[0].tobytes() == x0.tobytes()
     assert work.dist[0].tobytes() == _old_distance(dom, x0.reshape(-1, d)).tobytes()
+
+
+def test_step_kills_at_a_zero_uniform_outside_the_band():
+    """On (-1, 1) with sigma = 1 and dt = 1e-3, pairs moving at a depth of
+    sqrt(c var_max dt) have distance product c var_max dt and p = e^-2c
+    (the far face's term is 0.0).  The band is c <= 25: at c = 16 a tiny
+    uniform kills, at c = 30 only u = 0.0 does, as at depth 0.5 (c = 250),
+    and at the centre p = 0.0 kills no one."""
+    dom, dt = Interval(-1.0, 1.0), 1e-3
+    noise = Noise.of(np.eye(1))
+    c = np.array([30.0, 16.0, 30.0, 250.0, 1000.0])
+    depth = np.sqrt(c * noise.var_max * dt)
+    x0 = (dom.lo[0] + depth)[None, :, None]
+    u = np.array([0.0, 2.0 ** -53, 2.0 ** -53, 0.0, 0.0])
+    alive = np.ones(c.size, dtype=bool)
+    b, z = np.zeros_like(x0), np.zeros_like(x0)
+    work = Workspace(x0.copy(), dom)
+    assert (c <= geometry._BRIDGE_BAND).tolist() == [False, True, False, False, False]
+    _, node_exits, kills = euler_step(dom, work, b, z, dt, noise, alive, lambda: u)
+    candidates, p = _unbanded_step(dom, x0, b, z, dt, noise, alive)[3:]
+    want = candidates[u[candidates] < p]
+    assert not node_exits.any()
+    assert kills.tolist() == want.tolist() == [0, 1, 3]
 
 
 @PROPERTY
