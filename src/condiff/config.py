@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fleming_viot import DEFAULT_REINSERTION_CAP
-from .geometry import BOUNDARY_TOL, Ball, Box, Interval
+from .geometry import BOUNDARY_TOL, Ball, Box, Interval, check_sigma
 from .killed_sim import SimConfig, grid_steps, uniform_grid
 from .measures import _TIME_TOL
 from .model import (_BASE_KINDS, _PHI_KINDS, Cloud, ControlBox, DriftSpec, GridPolicy,
@@ -317,10 +317,15 @@ def build_model(cfg: dict) -> ModelSpec:
         # Every domain is convex: the law lies in its closure when these do.
         if np.any(domain.boundary_distance(_hull_points(initial)) < -BOUNDARY_TOL):
             raise ValueError("initial points must lie in the closed 'model.domain'")
+    with _building("model.sigma"):
+        sigma = check_sigma(read(cfg, "model.sigma"), domain.dim)
+    if drift.dim != domain.dim:
+        raise ConfigError(f"invalid 'model.drift.control_matrix': must have one row per "
+                          f"domain dimension ({domain.dim}), got {drift.dim}")
     with _building("model"):
         return ModelSpec(
             domain=domain,
-            sigma=read(cfg, "model.sigma"),
+            sigma=sigma,
             drift=drift,
             control_set=box,
             horizon=read(cfg, "model.horizon"),
@@ -335,6 +340,9 @@ def build_sim_config(cfg: dict, model: ModelSpec) -> SimConfig:
     with _building("sim.grid"):
         if times is not None:
             grid = np.asarray(times, dtype=float)
+            if grid.shape[0] < 2 or np.any(np.diff(grid) <= 0):
+                raise ConfigError(f"invalid 'sim.grid.times': must increase, with at least "
+                                  f"two nodes, got {list(times)}")
         else:
             t_end = read(cfg, "sim.grid.t_end")
             grid = uniform_grid(model.horizon if t_end is None else t_end,

@@ -1,24 +1,26 @@
 """Reinsertion dynamics that keep every particle alive.
 
 Instead of dying at the boundary, a particle jumps back into the domain
-and a counter increments.  Two variants are provided: the finite-system
-rule reinserts at the position of a uniformly chosen other particle
-that is currently inside (and drives the drift with the instantaneous
-empirical mean of all particles), while the mean-field rule reinserts
-at a fresh sample of a frozen input flow (and reads the drift's measure
-argument from that flow).  The cumulative mean number of reinsertions
-per particle estimates minus the log survival probability of the
-corresponding killed process.
+and a counter increments.  Two variants are provided, and a block's
+flow decides which it runs: a block without a flow is a finite system,
+which reinserts at the position of a uniformly chosen other particle
+of its own block that is currently inside (and drives the drift with
+the instantaneous empirical mean of its particles), while a block with
+a flow follows the mean-field rule and reinserts at a fresh sample of
+that frozen flow (and reads the drift's measure argument from it).  The
+cumulative mean number of reinsertions per particle estimates minus the
+log survival probability of the corresponding killed process.
 
 Both variants run the killed dynamics' own pass (killed_sim._pass) and
 give it a reinsertion rule where the killed run gives its kill rule.  So
 between exits they take the same step with the same draws, the pass
 stamps each exit as it does for the killed run, and a particle's first
 reinsertion happens exactly when the killed run of the same seed kills
-it; only what follows an exit differs.  Both record a killed_sim.Run; a
-trace adds its reinsertion counts and events.  Reinsertion takes only
-feedback policies, so a trace's controls are read back from its policy
-(Run.controls_at).
+it; only what follows an exit differs.  Either variant stacks over
+Blocks, each block bit for bit its run alone.  Both record a
+killed_sim.Run; a trace adds its reinsertion counts and events.
+Reinsertion takes only feedback policies, so a trace's controls are
+read back from its policy (Run.controls_at).
 """
 from __future__ import annotations
 
@@ -86,12 +88,14 @@ def _reinsert_at_peers(x_new: np.ndarray, exits: np.ndarray, draws: np.ndarray) 
         inside[i] = True
 
 
-def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: str,
+def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig,
                  reinsertion_cap: int) -> FVTrace:
     """Every block in one killed_sim pass from t = 0, with the reinsertion
-    rule in place of the kill.  A block that passes the cap, or a finite
-    system whose particles all exit in one step, is marked with its own
-    error in the pass's failed record; the others run on."""
+    rule in place of the kill: a block with a flow reinserts at samples of
+    it, and a block without one, a finite system, at its own peers.  A
+    block that passes the cap, or a finite system whose particles all exit
+    in one step, is marked with its own error in the pass's failed record;
+    the others run on."""
     grid = config.grid
     if abs(grid[0]) > _TIME_TOL or any(abs(s) > _TIME_TOL for s in blocks.starts):
         raise ValueError("reinsertion dynamics must start at t=0")
@@ -99,13 +103,13 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: s
         raise ValueError("reinsertion dynamics take a feedback policy")
     n_blocks = len(blocks)
     n = config.n_particles
-    mean_field = variant == "meanfield"
-    source = SOURCE_FLOW_SAMPLE if mean_field else SOURCE_UNIFORM_PEER
-    if mean_field and any(flow is None for flow in blocks.flows):
-        raise ValueError("the mean-field variant requires an input flow")
-    if not mean_field and (n_blocks > 1 or n < 2):
-        raise ValueError("the finite variant runs one block of at least two particles")
     n_block = n // n_blocks
+    # A block's exits land on its own peers, or at samples of its flow.
+    source = [SOURCE_UNIFORM_PEER if flow is None else SOURCE_FLOW_SAMPLE for flow in blocks.flows]
+    peered = [j for j, kind in enumerate(source) if kind == SOURCE_UNIFORM_PEER]
+    sampled = [j for j, kind in enumerate(source) if kind == SOURCE_FLOW_SAMPLE]
+    if peered and n_block < 2:
+        raise ValueError("a finite system needs at least two particles per block")
     d = model.dim
     dt = config.dt
 
@@ -120,21 +124,24 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: s
     def reinsert(clocks, x_new, exits, stamps, alive, failed, draws):
         t = float(clocks[0])
         flat = x_new.reshape(n, d)
-        if mean_field:
-            u = draws(rng.REINSERT_SAMPLE)
-        else:
-            if exits.size == n:
-                failed[0] = TotalExtinction(float(stamps[0]))
-                return
-            _reinsert_at_peers(flat, exits, draws(rng.PEER_CHOICE))
         counts[exits] += 1
         # Block j's exits, ascending, are exits[edges[j]:edges[j + 1]].
         edges = np.searchsorted(exits, np.arange(n_blocks + 1) * n_block).tolist()
-        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            mine = exits[lo:hi]
-            if mean_field:
-                flat[mine] = sample_many(blocks.flows[j].node_at(t + dt), u[mine % u.shape[0]])
-            over = mine[counts[mine] > reinsertion_cap]
+        mine = [exits[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        # Both kinds of uniform are drawn into one buffer: each is used in turn.
+        u = draws(rng.REINSERT_SAMPLE) if sampled else None
+        for j in sampled:
+            flat[mine[j]] = sample_many(blocks.flows[j].node_at(t + dt), u[mine[j] % u.shape[0]])
+        u = draws(rng.PEER_CHOICE).reshape(-1, n_block) if peered else None
+        for j in peered:
+            part = slice(j * n_block, (j + 1) * n_block)
+            if mine[j].size == n_block:
+                failed[j] = failed[j] or TotalExtinction(float(stamps[edges[j]]))
+                alive[part] = False  # no peer is left to land on
+            elif mine[j].size:
+                _reinsert_at_peers(flat[part], mine[j] - part.start, u[j % u.shape[0]])
+        for j, own in enumerate(mine):
+            over = own[counts[own] > reinsertion_cap]
             if over.size and failed[j] is None:
                 failed[j] = ReinsertionBlowup(t + dt, int(over[0]) - j * n_block,
                                               reinsertion_cap)
@@ -147,31 +154,34 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig, variant: s
         f_curve[node] = per_block.mean(axis=1)
         f_se[node] = per_block.std(axis=1, ddof=1) / np.sqrt(n_block) if n_block > 1 else 0.0
 
-    # The finite system's drift reads its own current mean.
-    shared = _pass(model, blocks, replace(config, min_survivors=0), reinsert,
-                   record_counts, live_mean=not mean_field)
-    event_times = np.concatenate([np.empty(0), *ev_times])
+    shared = _pass(model, blocks, replace(config, min_survivors=0), reinsert, record_counts)
+    event_particles = np.concatenate([np.empty(0, dtype=np.int64), *ev_particles])
     return FVTrace(
         **shared,
         f_curve=f_curve,
         f_se=f_se,
         final_counts=counts.astype(float),
-        event_times=event_times,
-        event_particles=np.concatenate([np.empty(0, dtype=np.int64), *ev_particles]),
+        event_times=np.concatenate([np.empty(0), *ev_times]),
+        event_particles=event_particles,
         event_positions=np.concatenate([np.empty((0, d)), *ev_positions]),
-        event_sources=np.full(event_times.shape[0], source, dtype=np.int64),
+        event_sources=np.array(source, dtype=np.int64)[event_particles // n_block],
     )
 
 
 def simulate_fv_finite(model: ModelSpec, policy: FeedbackPolicy, config: SimConfig,
                        reinsertion_cap: int = DEFAULT_REINSERTION_CAP) -> FVTrace:
-    """Interacting reinsertion system with uniform-peer jumps, as one block.
+    """Interacting reinsertion system with uniform-peer jumps.
 
     Same-step exits are processed in ascending particle index, each
-    seeing the post-update positions of the ones handled before it.
+    seeing the post-update positions of the ones handled before it.  As
+    in simulate_killed, policy may instead be Blocks, all starting at
+    t = 0 and without flows: each block is its own finite system, bit for
+    bit its run alone.
     """
     blocks, one_run = _as_blocks(model, policy, None, config)
-    trace = _simulate_fv(model, blocks, config, "finite", reinsertion_cap)
+    if any(flow is not None for flow in blocks.flows):
+        raise ValueError("the finite system reinserts onto its own peers and takes no flow")
+    trace = _simulate_fv(model, blocks, config, reinsertion_cap)
     return trace.block(0) if one_run else trace
 
 
@@ -185,7 +195,9 @@ def simulate_fv_meanfield(model: ModelSpec, policy, flow: MeasureFlow | None,
     from another initial law is one such block.
     """
     blocks, one_run = _as_blocks(model, policy, flow, config)
-    trace = _simulate_fv(model, blocks, config, "meanfield", reinsertion_cap)
+    if None in blocks.flows:
+        raise ValueError("the mean-field variant requires an input flow")
+    trace = _simulate_fv(model, blocks, config, reinsertion_cap)
     return trace.block(0) if one_run else trace
 
 

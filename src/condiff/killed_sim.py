@@ -34,7 +34,9 @@ bit-identical regardless of how callers parallelize around them.  A pass
 may also carry B blocks of N particles, described by one Blocks: each
 block has its own policy, input flow, seed, start and initial law, and
 is bit for bit the run of those alone.  A plain run is the one-block
-case.  Picard candidates share a seed and a start, restart-kernel
+case.  Feedback policies and open-loop controls stack in any mix, and
+a block without a flow reads its own live mean, which makes it a
+finite Fleming-Viot system under the reinsertion rule.  Picard candidates share a seed and a start, restart-kernel
 columns differ in both, and policy sweeps share a start only; the pass
 shares whatever work the blocks' data allow, and takes one drift call
 per step for all the started blocks.
@@ -116,8 +118,10 @@ class Blocks:
     and initial law on the grid that starts there and continues with the
     later nodes of the pass's grid.  Starts never decrease, so the blocks
     started by any step are a prefix of the stack; a block is neither
-    advanced nor drawn for before its start.  An open-loop control runs
-    only as one block.
+    advanced nor drawn for before its start.  Feedback policies and
+    open-loop controls mix freely.  Under the reinsertion rule a block
+    without a flow is a finite system: its drift reads its own live mean
+    and its exits land on its own particles.
     """
 
     policies: tuple
@@ -134,9 +138,6 @@ class Blocks:
             raise ValueError("blocks need one policy, flow, seed, start and law each")
         if not all(isinstance(p, (FeedbackPolicy, OpenLoopControl)) for p in policies):
             raise ValueError("a block runs a FeedbackPolicy or an OpenLoopControl")
-        if len(policies) > 1 and not all(isinstance(p, FeedbackPolicy) for p in policies):
-            raise ValueError("stacked blocks need one feedback policy each; an "
-                             "open-loop control runs only as a single block")
         if any(later < earlier for earlier, later in zip(starts, starts[1:])):
             raise ValueError("block starts must not decrease")
         for name, value in (("policies", policies), ("flows", flows), ("seeds", seeds),
@@ -154,7 +155,8 @@ class Run:
     Snapshots are stored at the output grid nodes only.  policy is the
     run's FeedbackPolicy or OpenLoopControl.  Only an open-loop control's
     values depend on the noise path, so only they are recorded, in
-    controls (None otherwise); controls_at reads either kind at a node.
+    controls (None otherwise; a pass over Blocks fills only its open-loop
+    blocks' slots); controls_at reads either kind at a node.
     A pass over Blocks keeps its snapshots with a block axis, (n_nodes,
     B, N, d), its per-particle vectors block after block, and its Blocks
     (policy is then None); block(b) reads block b as its own run, and
@@ -188,12 +190,12 @@ class Run:
         if self.blocks is None:
             return self
         size = self.n // len(self.blocks)
-        start = self.blocks.starts[b]
+        start, policy = self.blocks.starts[b], self.blocks.policies[b]
         first = int(np.searchsorted(self.times, start + _TIME_TOL, side="right")) - 1
         return type(self)(
             model=self.model, times=np.concatenate([[start], self.times[first + 1:]]),
-            snapshots=self.snapshots[first:, b], policy=self.blocks.policies[b],
-            controls=None if self.controls is None else self.controls[first:, b],
+            snapshots=self.snapshots[first:, b], policy=policy,
+            controls=self.controls[first:, b] if isinstance(policy, OpenLoopControl) else None,
             **self._record_of(b, slice(b * size, (b + 1) * size), first))
 
     def _record_of(self, b: int, part: slice, first: int) -> dict:
@@ -269,21 +271,18 @@ def restrict_ensemble(ens: KilledEnsemble, t_max: float) -> KilledEnsemble:
 
 
 def _flow_mean_per_step(flows, starts, first_steps, dt: float, total_steps: int,
-                        needed: bool) -> np.ndarray | None:
+                        d: int) -> np.ndarray:
     """Per step, the flow mean each block's drift reads at its own time.
 
     Block b reads flows[b] from step first_steps[b] on, at the times
     starts[b] + j dt.  The result is (steps, B, 1, d); a block's steps
-    before its start are zero.
+    before its start, and every step of a block without a flow, are zero.
     """
-    if not needed:
-        return None
-    if any(flow is None for flow in flows):
-        raise ValueError("the drift couples to the measure but no flow was supplied")
-    means = np.zeros((total_steps, len(flows), 1, flows[0].node_means.shape[1]))
+    means = np.zeros((total_steps, len(flows), 1, d))
     for b, (flow, start, first) in enumerate(zip(flows, starts, first_steps)):
-        step_times = start + np.arange(total_steps - first) * dt
-        means[first:, b, 0] = flow.node_means[flow.index_at(step_times)]
+        if flow is not None:
+            step_times = start + np.arange(total_steps - first) * dt
+            means[first:, b, 0] = flow.node_means[flow.index_at(step_times)]
     return means
 
 
@@ -346,22 +345,19 @@ def _view(buffer: np.ndarray, shape) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _step_controls(policies, constants, clocks: np.ndarray, x: np.ndarray, state: dict,
-                   out: np.ndarray | None) -> np.ndarray:
-    """(B', N, d_A) controls of the started blocks at their positions x
-    (B', N, d), block b's policy read at its own clock clocks[b].
+def _step_controls(policies, constants, clocks: np.ndarray, reads, out: np.ndarray) -> np.ndarray:
+    """(B', N, d_A) controls of the started blocks, block b's policy read
+    at its own clock clocks[b] and reads[b]: its (N, d) positions for a
+    feedback policy, its state for an open-loop control.
 
     constants, when every block's policy is a constant, holds the (B, N,
     d_A) values, repeated into contiguous memory once per pass, as a
-    matrix product over a broadcast view can round differently.  Several
-    blocks' policy values are written into the flat buffer out.
+    matrix product over a broadcast view can round differently.  Other
+    policies' values are written into the flat buffer out.
     """
     if constants is not None:
         return constants[:len(policies)]
-    values = [p.values_at(float(t), state if isinstance(p, OpenLoopControl) else xb)
-              for p, t, xb in zip(policies, clocks, x)]
-    if len(values) == 1:
-        return values[0][None]
+    values = [p.values_at(float(t), read) for p, t, read in zip(policies, clocks, reads)]
     stacked = _view(out, (len(values), *values[0].shape))
     for b, value in enumerate(values):
         stacked[b] = value
@@ -479,8 +475,7 @@ def euler_step(domain, work: Workspace, b: np.ndarray, z: np.ndarray, dt: float,
     return x_new, node_exits, near[u[near % u.shape[0]] < p]
 
 
-def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_record=None,
-          live_mean: bool = False):
+def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_record=None):
     """Move the blocks through euler_step and record them on the output grid.
 
     The killed and the reinsertion dynamics share this loop and differ
@@ -492,14 +487,18 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     times (the block's clock plus dt at a node, plus dt/2 for a bridge
     kill), alive the mask the rule may clear, failed the per-block record
     (None while a block runs) where it writes the error that ends a block,
-    and draws(purpose) returns the step's shared uniforms.  Each node writes a
-    SurvivorDepletion for a block below config.min_survivors, then calls
-    on_record(node).  Once every block has failed the pass stops, and the
-    later nodes stay unrecorded.  With live_mean the drift reads each
-    block's current mean instead of its flow.  Returns the fields of the
-    pass's Run: the model, the grid's times, the (n_nodes, B, N, d)
-    snapshots, the (n_nodes, 1, N, d_A) controls of an open-loop control
-    (None for feedback policies), the blocks and the failed record.
+    and draws(purpose) returns the step's uniforms, into one buffer that
+    the next call overwrites.  Each node writes a NumericalError for a
+    running block with a non-finite position and a SurvivorDepletion for
+    one below config.min_survivors, then calls on_record(node).  Once
+    every block has failed the pass stops, and the later nodes stay
+    unrecorded.  The drift of a block with a flow reads the flow's mean,
+    and that of a block without one its own live mean.  Each open-loop
+    block keeps its own state, advanced by its own normals once it has
+    started.  Returns the fields of the pass's Run: the model, the grid's
+    times, the (n_nodes, B, N, d) snapshots, the (n_nodes, B, N, d_A)
+    controls if any block runs an open-loop control (None otherwise), the
+    blocks and the failed record.
 
     The pass makes one Workspace and steps into it, so no step allocates
     arrays of the ensemble's size: a step's positions, draws, drift and
@@ -523,8 +522,11 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     first_steps = _start_steps(starts, grid, dt)
     node_steps = config.node_steps()
     coupled = model.drift.mf_gain != 0.0
-    means = _flow_mean_per_step(blocks.flows, starts, first_steps, dt, int(node_steps[-1]),
-                                needed=coupled and not live_mean)
+    means = (_flow_mean_per_step(blocks.flows, starts, first_steps, dt, int(node_steps[-1]), d)
+             if coupled else None)
+    # A block without a flow reads its own live mean: a finite system.
+    live = np.array([flow is None for flow in blocks.flows])[:, None, None]
+    live = live if coupled and live.any() else None
 
     # Positions are (B, N, d).  Blocks that share a seed and a law share one
     # initial sample, and blocks that share a seed and a start the draws of
@@ -532,13 +534,12 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     x0 = _initial_positions(model, blocks, n_block)
     draws_of = _first_alike(seeds, blocks.starts)
 
-    open_loop = isinstance(policies[0], OpenLoopControl)
-    state = policies[0].init_state(x0[0]) if open_loop else {}
+    states = {j: p.init_state(x0[j]) for j, p in enumerate(policies)
+              if isinstance(p, OpenLoopControl)}
     constants = _constant_values(policies)
     if constants is not None:
         constants = np.repeat(constants, n_block, axis=1)
-    stacked_controls = (np.empty(n * model.control_dim)
-                        if constants is None and n_blocks > 1 else None)
+    stacked_controls = np.empty(n * model.control_dim) if constants is None else None
     work = Workspace(x0, domain)
 
     alive = np.ones(n, dtype=bool)
@@ -547,8 +548,8 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     n_nodes = grid.shape[0]
     snapshots = np.empty((n_nodes, *x0.shape))
     # An open-loop control depends on the noise path, so only its values
-    # are recorded; it always runs as one block.
-    controls = np.empty((n_nodes, *x0.shape[:2], model.control_dim)) if open_loop else None
+    # are recorded.
+    controls = np.empty((n_nodes, *x0.shape[:2], model.control_dim)) if states else None
     shared = dict(model=model, times=grid.copy(), snapshots=snapshots, policy=None,
                   controls=controls, blocks=blocks)
 
@@ -556,13 +557,15 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
         # A block that has not started yet holds its initial sample, which
         # its own run records at its start time.
         snapshots[node] = work.x[0]
-        if open_loop:
-            controls[node, 0] = policies[0].values_at(t, state)
-        if config.min_survivors > 0:
-            survivors = alive.reshape(n_blocks, n_block).sum(axis=1)
-            for j in np.flatnonzero(survivors < config.min_survivors):
-                if failed[j] is None:
-                    failed[j] = SurvivorDepletion(t, int(survivors[j]), config.min_survivors)
+        for j, state in states.items():
+            controls[node, j] = policies[j].values_at(max(t, blocks.starts[j]), state)
+        finite = np.isfinite(work.x[0]).reshape(n_blocks, -1).all(axis=1)
+        survivors = alive.reshape(n_blocks, n_block).sum(axis=1)
+        for j in range(n_blocks):
+            if failed[j] is None and not finite[j]:
+                failed[j] = NumericalError(f"non-finite state at t={t:g}")
+            elif failed[j] is None and survivors[j] < config.min_survivors:
+                failed[j] = SurvivorDepletion(t, int(survivors[j]), config.min_survivors)
         if on_record is not None:
             on_record(node)
 
@@ -581,9 +584,10 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
             clocks = starts[:active] + local * dt
             x = work.x[0][:active]
             mean = None if means is None else means[k, :active]
-            if live_mean and coupled:
-                mean = x.mean(axis=1, keepdims=True)
-            a = _step_controls(policies[:active], constants, clocks, x, state, stacked_controls)
+            if live is not None:
+                mean = np.where(live[:active], x.mean(axis=1, keepdims=True), mean)
+            reads = [states.get(j, xb) for j, xb in enumerate(x)]
+            a = _step_controls(policies[:active], constants, clocks, reads, stacked_controls)
             b = drift_given_mean(model, x, mean, a, out=_view(work.drift, x.shape),
                                  scratch=_view(work.scratch, x.shape))
             z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), seeds, draws_of, local,
@@ -599,11 +603,9 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
                 on_exits(clocks, x_new, exits, stamps, alive, failed, draws)
                 # The rule may have moved its exits: measure them again.
                 work.dist[1][exits] = domain.boundary_distance(x_new.reshape(m, d)[exits])
-            if open_loop:
-                policies[0].advance(state, float(clocks[0]), z, dt)
+            for j in (j for j in states if j < active):
+                policies[j].advance(states[j], float(clocks[j]), z if z.ndim == 2 else z[j], dt)
             work.swap()
-        if not np.all(np.isfinite(work.x[0])):
-            raise NumericalError(f"non-finite state at t={grid[segment + 1]:g}")
         record(segment + 1, float(grid[segment + 1]))
     return dict(shared, failed=tuple(failed))
 
@@ -628,6 +630,8 @@ def simulate_killed(model: ModelSpec, control, flow_input,
     pass stops once every block is; a plain run raises it directly.
     """
     blocks, one_run = _as_blocks(model, control, flow_input, config)
+    if model.drift.mf_gain != 0.0 and None in blocks.flows:
+        raise ValueError("the drift couples to the measure but no flow was supplied")
     exit_times = np.full(config.n_particles, np.inf)
 
     def kill(clocks, x_new, exits, stamps, alive, failed, draws):

@@ -77,8 +77,8 @@ def solve_fixed_points(model: ModelSpec, controls, config: SimConfig,
     config.seed, so entry b equals solve_fixed_point(model, controls[b],
     config) bit for bit; where that call would raise SurvivorDepletion,
     entry b is the error instead.  The guess and each sweep are one
-    flow_update, a single simulate_killed pass over Blocks, so more than
-    one control needs feedback policies.
+    flow_update, a single simulate_killed pass over Blocks, which stacks
+    feedback policies and open-loop controls alike.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

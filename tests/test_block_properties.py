@@ -1,20 +1,26 @@
 """Property checks of the block-view contract on drawn models and stacks.
 
 Each block of a pass must be bit for bit its run alone, under the kill
-rule (blocks may start late, and a block depleted below min_survivors
-must raise its run alone's SurvivorDepletion) and under the mean-field
-reinsertion rule (every block starts at t = 0), on intervals, boxes and
-balls.  Draws are derandomized and small, so the module is deterministic
-and takes a few seconds.
+rule (blocks may start late, mix feedback policies with open-loop
+controls, and a block depleted below min_survivors must raise its run
+alone's SurvivorDepletion), under the mean-field reinsertion rule and
+under the finite system's (every block starts at t = 0, and a finite
+system that dies out at once must raise its run alone's
+TotalExtinction), on intervals, boxes and balls.  Draws are
+derandomized and small, so the module is deterministic and takes a few
+seconds.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from condiff.fleming_viot import simulate_fv_meanfield
+from condiff.errors import TotalExtinction
+from condiff.fleming_viot import simulate_fv_finite, simulate_fv_meanfield
 from condiff.geometry import Ball, Box, Interval
 from condiff.killed_sim import Blocks, SimConfig, simulate_killed
 from condiff.measures import EmpiricalMeasure, MeasureFlow
-from condiff.model import ControlBox, DriftSpec, ModelSpec, PointMass, UniformBox
+from condiff.model import (ControlBox, DriftSpec, ModelSpec, NoisePeekControl,
+                           PiecewiseControl, PointMass, RandomizedSignControl, UniformBox)
 from condiff.reward_opt import policy_family
 from condiff.scenarios import ZERO_REWARD
 
@@ -26,9 +32,12 @@ PROPERTY = settings(max_examples=150)
 
 
 @st.composite
-def cases(draw, killed: bool):
-    """A model, Blocks over it and a config for one pass of them; the kill
-    rule's blocks may start late and require survivors."""
+def cases(draw, rule: str):
+    """A model, Blocks over it and a config for one pass of them under
+    rule: the kill rule's blocks may start late, require survivors and run
+    open-loop controls; the mean-field rule's read their flows, and the
+    finite rule's have none."""
+    killed = rule == "killed"
     d = draw(st.sampled_from([1, 2]))
     half = draw(st.sampled_from([0.25, 0.4]))
     shape = draw(st.sampled_from(["box", "ball"] + ["interval"] * (d == 1)))
@@ -53,7 +62,15 @@ def cases(draw, killed: bool):
     laws = [model.initial, PointMass((0.9 * half,) + (0.0,) * (d - 1))]
 
     def policy():
-        family = policy_family(model, draw(st.sampled_from(["constant", "linear", "grid"])))
+        kind = draw(st.sampled_from(["constant", "linear", "grid"] + ["open-loop"] * killed))
+        if kind == "open-loop":
+            box, t = model.control_set, draw(st.integers(1, steps)) * DT
+            value = tuple(draw(st.lists(st.sampled_from([-0.7, 0.4]), min_size=d, max_size=d)))
+            return draw(st.sampled_from([
+                RandomizedSignControl(value, (1.0, -0.5)[:d], box),
+                PiecewiseControl(t, value, tuple(-v for v in value), box),
+                NoisePeekControl(value, t, box)]))
+        family = policy_family(model, kind)
         params = np.random.default_rng(draw(st.integers(0, 9))).uniform(family.lo, family.hi)
         return family.build(model, params)
 
@@ -66,31 +83,52 @@ def cases(draw, killed: bool):
         return MeasureFlow(grid, tuple(map(EmpiricalMeasure, points)), np.ones(grid.shape[0]))
 
     blocks = Blocks(policies=[policy() for _ in range(n_blocks)],
-                    flows=[flow() for _ in range(n_blocks)],
+                    flows=[None if rule == "finite" else flow() for _ in range(n_blocks)],
                     seeds=draw(st.lists(st.sampled_from([3, 4]), min_size=n_blocks,
                                         max_size=n_blocks)),
                     starts=[0.0, *(k * DT for k in starts)],
                     laws=[draw(st.sampled_from(laws)) for _ in range(n_blocks)])
-    n_block = draw(st.integers(1, 64))
-    required = draw(st.integers(0, n_block)) if killed else 0
+    n_block = draw(st.integers(1 + (rule == "finite"), 64))
+    required = draw(st.sampled_from([0, draw(st.integers(0, n_block))])) if killed else 0
     return model, blocks, SimConfig(n_block * n_blocks, DT, 1, grid, min_survivors=required)
 
 
 @PROPERTY
-@given(cases(killed=True))
+@given(cases("killed"))
 def test_killed_blocks_are_their_own_runs(case):
     _assert_blocks_are_their_own_runs(*case)
 
 
-@PROPERTY
-@given(cases(killed=False))
-def test_meanfield_blocks_are_their_own_runs(case):
-    model, blocks, config = case
-    trace = simulate_fv_meanfield(model, blocks, None, config)
+def _assert_reinsertion_blocks_are_their_own_runs(simulate, model, blocks, config):
+    """Each block of a reinsertion pass is bit for bit its run alone, or
+    raises that run's TotalExtinction."""
+    trace = simulate(blocks)
     n_block = config.n_particles // len(blocks)
     for b, (policy, flow, seed, law) in enumerate(zip(blocks.policies, blocks.flows,
                                                       blocks.seeds, blocks.laws)):
-        alone = simulate_fv_meanfield(
-            model, Blocks((policy,), (flow,), (seed,), (0.0,), (law,)), None,
-            SimConfig(n_block, DT, seed, config.grid)).block(0)
+        alone = simulate(Blocks((policy,), (flow,), (seed,), (0.0,), (law,)),
+                         SimConfig(n_block, DT, seed, config.grid))
+        try:
+            alone = alone.block(0)
+        except TotalExtinction as error:
+            with pytest.raises(TotalExtinction) as marked:
+                trace.block(b)
+            assert marked.value.time == error.time, b
+            continue
         _assert_same_run(trace.block(b), alone)
+
+
+@PROPERTY
+@given(cases("meanfield"))
+def test_meanfield_blocks_are_their_own_runs(case):
+    model, blocks, config = case
+    _assert_reinsertion_blocks_are_their_own_runs(
+        lambda stack, sim=config: simulate_fv_meanfield(model, stack, None, sim), *case)
+
+
+@PROPERTY
+@given(cases("finite"))
+def test_finite_blocks_are_their_own_runs(case):
+    model, blocks, config = case
+    _assert_reinsertion_blocks_are_their_own_runs(
+        lambda stack, sim=config: simulate_fv_finite(model, stack, sim), *case)

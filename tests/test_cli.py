@@ -291,6 +291,12 @@ def test_optimize_with_no_scoring_candidate_fails(tmp_path, capsys):
     # more survivors required than particles run names the requirement
     ("simulate", "sim.min_survivors", ["sim.n_particles=200", "sim.dt=0.01", "sim.grid.step=0.1",
                                        "sim.min_survivors=500"]),
+    # a bad grid, diffusion or control matrix names its leaf, not its section
+    ("simulate", "sim.grid.times", ["model.drift.mf_gain=0", "sim.grid.times=[0.5]"]),
+    *[("simulate", "model.sigma", ["model.drift.mf_gain=0", f"model.sigma={value}"])
+      for value in ("[[0.0]]", "[[1.0,0.0],[0.0,1.0]]")],
+    ("simulate", "model.drift.control_matrix",
+     ["model.drift.mf_gain=0", "model.drift.control_matrix=[[1.0],[1.0]]"]),
 ])
 def test_invalid_field_is_refused_at_read_time(tmp_path, capsys, cmd, field, overrides):
     rc = run(cmd, tmp_path, *overrides)

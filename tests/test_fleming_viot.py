@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -326,14 +328,45 @@ def test_blown_block_is_marked_while_the_others_run_on(euler_steps):
             assert steps == 50
 
 
-def test_finite_variant_and_open_loop_controls_run_alone():
+def test_extinct_finite_block_ends_while_the_others_run_on(euler_steps):
+    # Two finite systems in one pass: one starts on the boundary and dies
+    # out in its first step, the other, from near it, runs to the
+    # horizon.  Each is its own run alone.
+    model = boundary_start(horizon=0.01)
+    policy = ConstantPolicy((0.0,), model.control_set)
+    grid = np.array([0.0, 0.005, 0.01])
+    laws = [model.initial, PointMass((0.95,))]
+    trace = simulate_fv_finite(model, Blocks([policy] * 2, [None] * 2, [7, 8], [0.0] * 2, laws),
+                               SimConfig(2 * 20, 1e-3, 7, grid))
+    assert len(euler_steps) == 10
+    assert isinstance(trace.failed[0], TotalExtinction) and trace.failed[1] is None
+    with pytest.raises(TotalExtinction) as own:
+        simulate_fv_finite(model, policy, SimConfig(20, 1e-3, 7, grid))
+    with pytest.raises(TotalExtinction) as marked:
+        trace.block(0)
+    assert marked.value.time == own.value.time < 1e-3
+    alone = simulate_fv_finite(replace(model, initial=laws[1]), policy,
+                               SimConfig(20, 1e-3, 8, grid))
+    assert alone.event_times.shape[0] > 0
+    _assert_same_run(trace.block(1), alone)
+
+
+def test_reinsertion_refuses_open_loop_controls_and_mismatched_flows():
+    # Reinsertion takes feedback policies only; the finite system takes no
+    # flow, and the mean-field system needs one for every block.
     model = driftless_interval(horizon=0.1)
     policy = ConstantPolicy((0.0,), model.control_set)
     config = SimConfig(20, 1e-2, 7, np.array([0.0, 0.1]))
-    two = Blocks([policy] * 2, [None] * 2, [7, 8], [0.0] * 2, [model.initial] * 2)
-    with pytest.raises(ValueError, match="one block"):
-        simulate_fv_finite(model, two, config)
     flow = conditional_flow(simulate_killed(model, policy, None, config))
     open_loop = RandomizedSignControl((0.0,), (0.0,), model.control_set)
     with pytest.raises(ValueError, match="feedback policy"):
         simulate_fv_meanfield(model, open_loop, flow, config)
+    with pytest.raises(ValueError, match="feedback policy"):
+        simulate_fv_finite(model, open_loop, config)
+    mixed = Blocks([policy] * 2, [flow, None], [7, 8], [0.0] * 2, [model.initial] * 2)
+    with pytest.raises(ValueError, match="takes no flow"):
+        simulate_fv_finite(model, mixed, config)
+    with pytest.raises(ValueError, match="requires an input flow"):
+        simulate_fv_meanfield(model, mixed, None, config)
+    with pytest.raises(ValueError, match="requires an input flow"):
+        simulate_fv_meanfield(model, policy, None, config)

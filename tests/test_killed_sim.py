@@ -6,7 +6,7 @@ from math import erf, sqrt
 from condiff import geometry
 from condiff.errors import NumericalError, SurvivorDepletion
 from condiff.fleming_viot import simulate_fv_finite, simulate_fv_meanfield
-from condiff.geometry import Ball, Box
+from condiff.geometry import Ball, Box, Interval
 from condiff.killed_sim import (Blocks, SimConfig, analytic_interval_survival,
                                 conditional_flow, exit_cdf, girsanov_survival_floor,
                                 restrict_ensemble, simulate_killed, uniform_grid,
@@ -216,6 +216,8 @@ def _assert_block_is_its_own_run(block, alone, label):
             assert got.tobytes() == want.tobytes(), (label, name.name)
         else:
             assert got == want, (label, name.name)
+    for m in range(alone.times.shape[0]):
+        assert block.controls_at(m).tobytes() == alone.controls_at(m).tobytes(), (label, m)
 
 
 def _block_or_depletion(run, b):
@@ -375,10 +377,50 @@ def test_restarts_are_validated():
     with pytest.raises(ValueError, match="their own flows"):
         run((0.0, 0.25), flow_input=conditional_flow(simulate_killed(model, policy, None,
                                                                      config)))
-    with pytest.raises(ValueError, match="one feedback policy"):
-        run((0.0, 0.25), control=RandomizedSignControl((0.0,), (1.0,), model.control_set))
+    # Open-loop controls stack; a coupled drift needs a flow for every block.
+    assert len(run((0.0, 0.25), control=RandomizedSignControl((0.0,), (1.0,),
+                                                              model.control_set)).blocks) == 2
+    coupled = attractive_interval(horizon=0.5)
+    with pytest.raises(ValueError, match="no flow was supplied"):
+        simulate_killed(coupled, Blocks((policy,) * 2, (None,) * 2, (0, 1), (0.0, 0.25),
+                                        (model.initial,) * 2), None, config)
     with pytest.raises(ValueError, match="one policy, flow, seed, start and law"):
         Blocks((policy,) * 2, (None,) * 2, (1,), (0.0, 0.25), (model.initial,) * 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an ended block's paths overflow
+def test_non_finite_block_ends_only_itself():
+    # An unstable affine drift: the zero control loses every path by
+    # t = 0.5, and the ended block's paths then overflow, while the
+    # stabilizing feedback holds all of its own.  Each block is its run
+    # alone, and a non-finite run alone still raises NumericalError.
+    model = ModelSpec(
+        domain=Interval(-1.0, 1.0), sigma=((1.0,),),
+        drift=DriftSpec(base_kind="affine", base_matrix=((200.0,),), control_matrix=((1.0,),)),
+        control_set=ControlBox((-1000.0,), (1000.0,)), horizon=4.0, reward=ZERO_REWARD,
+        initial=PointMass((0.0,)))
+    grid = uniform_grid(4.0, 0.5)
+    still = ConstantPolicy((0.0,), model.control_set)
+    held = LinearPolicy((0.0,), ((-300.0,),), model.control_set)
+    config = SimConfig(200, 1e-3, 3, grid)
+    alone = simulate_killed(model, held, None, config)
+    assert alone.survival[-1] == 1.0
+    with pytest.raises(SurvivorDepletion) as own:
+        simulate_killed(model, still, None, config)
+    assert own.value.time == 0.5
+    for required in (1, 0):
+        ens = simulate_killed(model, Blocks((still, held), (None,) * 2, (3, 3), (0.0,) * 2,
+                                            (model.initial,) * 2), None,
+                              replace(config, n_particles=400, min_survivors=required))
+        _assert_block_is_its_own_run(ens.block(1), alone, 1)
+        with pytest.raises(SurvivorDepletion if required else NumericalError) as marked:
+            ens.block(0)
+        if required:
+            assert marked.value.time == 0.5
+        else:
+            with pytest.raises(NumericalError) as plain:
+                simulate_killed(model, still, None, replace(config, min_survivors=0))
+            assert str(marked.value) == str(plain.value)
 
 
 def _coupled_ball():
