@@ -17,10 +17,12 @@ between exits they take the same step with the same draws, the pass
 stamps each exit as it does for the killed run, and a particle's first
 reinsertion happens exactly when the killed run of the same seed kills
 it; only what follows an exit differs.  Either variant stacks over
-Blocks, each block bit for bit its run alone.  Both record a
-killed_sim.Run; a trace adds its reinsertion counts and events.
-Reinsertion takes only feedback policies, so a trace's controls are
-read back from its policy (Run.controls_at).
+Blocks, each block bit for bit its run alone.  A block that fails ends
+through the pass's end, as a killed block does: after the step in which
+it ends none of its particles is reinserted, counted or logged.  Both
+record a killed_sim.Run; a trace adds its reinsertion counts and
+events.  Reinsertion takes only feedback policies, so a trace's
+controls are read back from its policy (Run.controls_at).
 """
 from __future__ import annotations
 
@@ -94,8 +96,8 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig,
     rule in place of the kill: a block with a flow reinserts at samples of
     it, and a block without one, a finite system, at its own peers.  A
     block that passes the cap, or a finite system whose particles all exit
-    in one step, is marked with its own error in the pass's failed record;
-    the others run on."""
+    in one step, is ended with its own error through the pass's end; the
+    others run on."""
     grid = config.grid
     if abs(grid[0]) > _TIME_TOL or any(abs(s) > _TIME_TOL for s in blocks.starts):
         raise ValueError("reinsertion dynamics must start at t=0")
@@ -121,7 +123,7 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig,
     f_curve = np.empty((grid.shape[0], n_blocks))
     f_se = np.empty((grid.shape[0], n_blocks))
 
-    def reinsert(clocks, x_new, exits, stamps, alive, failed, draws):
+    def reinsert(clocks, x_new, exits, stamps, alive, end, draws):
         t = float(clocks[0])
         flat = x_new.reshape(n, d)
         counts[exits] += 1
@@ -135,16 +137,14 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig,
         u = draws(rng.PEER_CHOICE).reshape(-1, n_block) if peered else None
         for j in peered:
             part = slice(j * n_block, (j + 1) * n_block)
-            if mine[j].size == n_block:
-                failed[j] = failed[j] or TotalExtinction(float(stamps[edges[j]]))
-                alive[part] = False  # no peer is left to land on
+            if mine[j].size == n_block:  # no peer is left to land on
+                end(j, TotalExtinction(float(stamps[edges[j]])))
             elif mine[j].size:
                 _reinsert_at_peers(flat[part], mine[j] - part.start, u[j % u.shape[0]])
         for j, own in enumerate(mine):
             over = own[counts[own] > reinsertion_cap]
-            if over.size and failed[j] is None:
-                failed[j] = ReinsertionBlowup(t + dt, int(over[0]) - j * n_block,
-                                              reinsertion_cap)
+            if over.size:
+                end(j, ReinsertionBlowup(t + dt, int(over[0]) - j * n_block, reinsertion_cap))
         ev_times.append(stamps)
         ev_particles.append(exits)
         ev_positions.append(flat[exits])

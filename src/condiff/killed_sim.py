@@ -36,10 +36,15 @@ block has its own policy, input flow, seed, start and initial law, and
 is bit for bit the run of those alone.  A plain run is the one-block
 case.  Feedback policies and open-loop controls stack in any mix, and
 a block without a flow reads its own live mean, which makes it a
-finite Fleming-Viot system under the reinsertion rule.  Picard candidates share a seed and a start, restart-kernel
-columns differ in both, and policy sweeps share a start only; the pass
-shares whatever work the blocks' data allow, and takes one drift call
-per step for all the started blocks.
+finite Fleming-Viot system under the reinsertion rule.  Picard
+candidates share a seed and a start, restart-kernel columns differ in
+both, and policy sweeps share a start only: each block samples its own
+initial law, blocks that share a seed and a start share the draws of
+every step, and the started blocks take one drift call per step between
+them.  Every failure ends its block the same way: the block's first
+error goes into the run's failed record, and its particles stop
+counting as alive, so the block makes no further exit while the others
+run on.
 """
 from __future__ import annotations
 
@@ -121,7 +126,9 @@ class Blocks:
     advanced nor drawn for before its start.  Feedback policies and
     open-loop controls mix freely.  Under the reinsertion rule a block
     without a flow is a finite system: its drift reads its own live mean
-    and its exits land on its own particles.
+    and its exits land on its own particles.  A block that fails ends
+    alone: it still moves with the stack, but none of its particles
+    exits again.
     """
 
     policies: tuple
@@ -295,19 +302,6 @@ def _initial_sample(law, n: int, seed: int, model: ModelSpec) -> np.ndarray:
     return x0
 
 
-def _start_steps(starts: np.ndarray, grid: np.ndarray, dt: float) -> np.ndarray:
-    """The pass step in which each block starts."""
-    offsets = (starts - grid[0]) / dt
-    steps = np.round(offsets).astype(np.int64)
-    if abs(starts[0] - grid[0]) > _TIME_TOL:
-        raise ValueError("the grid must start at the first block's start")
-    if starts[-1] >= grid[-1] - _TIME_TOL:
-        raise ValueError("every block must start before the last grid node")
-    if np.any(np.abs(offsets - steps) > 1e-6):
-        raise ValueError("block starts must be multiples of dt after the grid start")
-    return steps
-
-
 def _first_alike(*keys) -> list[int]:
     """Per block, the first block whose keys all equal its own."""
     first: dict = {}
@@ -323,14 +317,6 @@ def _as_blocks(model: ModelSpec, control, flow_input,
     if flow_input is not None:
         raise ValueError("blocks bring their own flows")
     return control, False
-
-
-def _initial_positions(model: ModelSpec, blocks: Blocks, n_block: int) -> np.ndarray:
-    """(B, N, d) initial samples; blocks with the same seed and law share one."""
-    sample_of = _first_alike(blocks.seeds, map(id, blocks.laws))
-    samples = {j: _initial_sample(blocks.laws[j], n_block, blocks.seeds[j], model)
-               for j in set(sample_of)}
-    return np.stack([samples[j] for j in sample_of])
 
 
 def _constant_values(policies) -> np.ndarray | None:
@@ -428,7 +414,7 @@ class Workspace:
 
 
 def euler_step(domain, work: Workspace, b: np.ndarray, z: np.ndarray, dt: float,
-               noise: Noise, alive: np.ndarray, bridge_draws=None):
+               noise: Noise, alive: np.ndarray, u: np.ndarray | None = None):
     """One Euler step of the first B' blocks of work, and the exits it makes.
 
     b holds their (B', N, d) drifts and z standard normals, (B', N, d) or
@@ -438,19 +424,17 @@ def euler_step(domain, work: Workspace, b: np.ndarray, z: np.ndarray, dt: float,
     boundary distances into work.dist[1].  Returns the new positions (a
     view of work.x[1]), the mask of alive particles outside the open
     domain at the new node, and the ascending indices of alive particles
-    still inside whose pinned bridge crossed the boundary.  bridge_draws,
-    None when the bridge test is off, returns the step's BRIDGE_KILL
-    uniforms; candidate i reads u[i % len(u)], so draws shared by the
-    blocks of a stack repeat.
+    still inside whose pinned bridge crossed the boundary.  u, None when
+    the bridge test is off, holds the step's BRIDGE_KILL uniforms;
+    candidate i reads u[i % len(u)], so draws shared by the blocks of a
+    stack repeat.
 
     Each position's boundary distance is computed once, by the step that
     makes it; the next step reads it from work.dist[0] as the old node's.
-    The bridge test draws the step's uniforms first, in every step, and
-    runs on domain.bridge_band: over every particle it keeps the alive ones
-    still inside whose kill the crossing formula must decide, and only
-    those pairs are gathered for it; any other particle is one that u < p
-    cannot kill.  Draws are keyed by (seed, purpose, step), so drawing in
-    a step that kills no one moves no stream.
+    The bridge test runs on domain.bridge_band: over every particle it
+    keeps the alive ones still inside whose kill the crossing formula must
+    decide, and only those pairs are gathered for it; any other particle
+    is one that u < p cannot kill.
     """
     active, m, d = b.shape[0], alive.shape[0], b.shape[-1]
     x, x_new = work.x[0][:active], work.x[1][:active]
@@ -464,9 +448,8 @@ def euler_step(domain, work: Workspace, b: np.ndarray, z: np.ndarray, dt: float,
     inside = np.greater(dist_new, BOUNDARY_TOL, out=work.inside[:m])  # contains_open
     node_exits = np.logical_not(inside, out=work.exits[:m])
     np.logical_and(alive, node_exits, out=node_exits)
-    if bridge_draws is None:
+    if u is None:
         return x_new, node_exits, np.empty(0, dtype=np.int64)
-    u = bridge_draws()
     band = domain.bridge_band(dist, dist_new, u, dt, noise.var_max, out=work.band[:m],
                               scratch=work.scratch)
     np.logical_and(band, alive, out=band)
@@ -480,18 +463,24 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
 
     The killed and the reinsertion dynamics share this loop and differ
     only in their exit rule.  After each step with an exit the pass calls
-    on_exits(clocks, x_new, exits, stamps, alive, failed, draws): clocks
+    on_exits(clocks, x_new, exits, stamps, alive, end, draws): clocks
     holds the started blocks' times before the step, x_new their new
     (B', N, d) positions, where the rule may move the exits, exits the
-    ascending indices of the step's node exits and bridge kills, stamps their exit
-    times (the block's clock plus dt at a node, plus dt/2 for a bridge
-    kill), alive the mask the rule may clear, failed the per-block record
-    (None while a block runs) where it writes the error that ends a block,
-    and draws(purpose) returns the step's uniforms, into one buffer that
-    the next call overwrites.  Each node writes a NumericalError for a
-    running block with a non-finite position and a SurvivorDepletion for
-    one below config.min_survivors, then calls on_record(node).  Once
-    every block has failed the pass stops, and the later nodes stay
+    ascending indices of the step's node exits and bridge kills, stamps
+    their exit times (the block's clock plus dt at a node, plus dt/2 for
+    a bridge kill), alive the mask the rule may clear, end(b, error) ends
+    block b with error, and draws(purpose) returns the step's uniforms,
+    into one buffer that the next call overwrites.  Each node ends a
+    running block with a NumericalError if a position is non-finite, else
+    with a SurvivorDepletion if it has fewer than config.min_survivors
+    alive, then calls on_record(node).
+
+    end keeps a block's first error, the entry failed[b] of the record,
+    and clears the block's alive mask.  An ended block still moves with
+    the stack, but from then on none of its particles exits, is stamped
+    or reaches the bridge formula, so its exit rule reinserts, counts and
+    logs none of them; every running block is bit for bit its run alone.
+    Once every block has ended the pass stops, and the later nodes stay
     unrecorded.  The drift of a block with a flow reads the flow's mean,
     and that of a block without one its own live mean.  Each open-loop
     block keeps its own state, advanced by its own normals once it has
@@ -503,7 +492,9 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     The pass makes one Workspace and steps into it, so no step allocates
     arrays of the ensemble's size: a step's positions, draws, drift and
     masks are views of the workspace, valid until the next step writes
-    them.  An exit rule and an open-loop control copy what they keep.
+    them.  The pass draws a step's normals and, with the bridge test on,
+    its BRIDGE_KILL uniforms, and hands both to euler_step.  An exit rule
+    and an open-loop control copy what they keep.
     """
     grid = config.grid
     if grid[-1] > model.horizon + _TIME_TOL:
@@ -513,13 +504,20 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     if n % n_blocks:
         raise ValueError("n_particles must split evenly over the blocks")
     n_block = n // n_blocks
+    if config.min_survivors > n_block:
+        raise ValueError(f"min_survivors must lie in [0, {n_block}], the block size, "
+                         f"got {config.min_survivors}")
     d = model.dim
     dt = config.dt
     noise = Noise.of(model.sigma_matrix())
     domain = model.domain
     policies, seeds = blocks.policies, blocks.seeds
     starts = np.asarray(blocks.starts)
-    first_steps = _start_steps(starts, grid, dt)
+    if abs(starts[0] - grid[0]) > _TIME_TOL:
+        raise ValueError("the grid must start at the first block's start")
+    if starts[-1] >= grid[-1] - _TIME_TOL:
+        raise ValueError("every block must start before the last grid node")
+    first_steps = grid_steps(starts, dt)
     node_steps = config.node_steps()
     coupled = model.drift.mf_gain != 0.0
     means = (_flow_mean_per_step(blocks.flows, starts, first_steps, dt, int(node_steps[-1]), d)
@@ -528,10 +526,11 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     live = np.array([flow is None for flow in blocks.flows])[:, None, None]
     live = live if coupled and live.any() else None
 
-    # Positions are (B, N, d).  Blocks that share a seed and a law share one
-    # initial sample, and blocks that share a seed and a start the draws of
-    # every step (those of the first such block, a stream).
-    x0 = _initial_positions(model, blocks, n_block)
+    # Positions are (B, N, d), each block sampled from its own law and seed.
+    # Blocks that share a seed and a start share the draws of every step
+    # (those of the first such block, a stream).
+    x0 = np.stack([_initial_sample(law, n_block, seed, model)
+                   for law, seed in zip(blocks.laws, seeds)])
     draws_of = _first_alike(seeds, blocks.starts)
 
     states = {j: p.init_state(x0[j]) for j, p in enumerate(policies)
@@ -544,6 +543,10 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
 
     alive = np.ones(n, dtype=bool)
     failed: list = [None] * n_blocks
+
+    def end(b: int, error: Exception):
+        failed[b] = failed[b] or error
+        alive[b * n_block:(b + 1) * n_block] = False
 
     n_nodes = grid.shape[0]
     snapshots = np.empty((n_nodes, *x0.shape))
@@ -562,10 +565,10 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
         finite = np.isfinite(work.x[0]).reshape(n_blocks, -1).all(axis=1)
         survivors = alive.reshape(n_blocks, n_block).sum(axis=1)
         for j in range(n_blocks):
-            if failed[j] is None and not finite[j]:
-                failed[j] = NumericalError(f"non-finite state at t={t:g}")
-            elif failed[j] is None and survivors[j] < config.min_survivors:
-                failed[j] = SurvivorDepletion(t, int(survivors[j]), config.min_survivors)
+            if not finite[j]:
+                end(j, NumericalError(f"non-finite state at t={t:g}"))
+            elif survivors[j] < config.min_survivors:
+                end(j, SurvivorDepletion(t, int(survivors[j]), config.min_survivors))
         if on_record is not None:
             on_record(node)
 
@@ -594,13 +597,13 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
                             work.z)
             draws = lambda purpose: _step_draws(rng.uniforms, purpose, (n_block,), seeds,
                                                 draws_of, local, work.u).reshape(-1)
-            x_new, node_exits, bridge_kills = euler_step(
-                domain, work, b, z, dt, noise, alive[:m],
-                (lambda: draws(rng.BRIDGE_KILL)) if config.bridge_correction else None)
+            u = draws(rng.BRIDGE_KILL) if config.bridge_correction else None
+            x_new, node_exits, bridge_kills = euler_step(domain, work, b, z, dt, noise,
+                                                         alive[:m], u)
             if bridge_kills.size or node_exits.any():
                 exits = np.union1d(np.flatnonzero(node_exits), bridge_kills)
                 stamps = clocks[exits // n_block] + np.where(node_exits[exits], dt, 0.5 * dt)
-                on_exits(clocks, x_new, exits, stamps, alive, failed, draws)
+                on_exits(clocks, x_new, exits, stamps, alive, end, draws)
                 # The rule may have moved its exits: measure them again.
                 work.dist[1][exits] = domain.boundary_distance(x_new.reshape(m, d)[exits])
             for j in (j for j in states if j < active):
@@ -622,19 +625,19 @@ def simulate_killed(model: ModelSpec, control, flow_input,
     seeds, starts and laws and split config.n_particles evenly, and a
     run from another law or start is one such block, read through
     block(0).  The grid starts at the first start.
-    Work is shared where the blocks allow it: blocks with the same seed
-    and law share one initial sample, blocks with the same seed and start
-    one draw per step, and all started blocks one drift call per step.
-    A block whose survivors fall below config.min_survivors is
-    marked with its own SurvivorDepletion, which block(b) raises, and the
-    pass stops once every block is; a plain run raises it directly.
+    Blocks with the same seed and start share one draw per step, and all
+    started blocks one drift call per step.  A block whose survivors fall
+    below config.min_survivors, which must not exceed the block size, is
+    ended with its own SurvivorDepletion, which block(b) raises: none of
+    its particles is stamped with an exit after that node.  The pass
+    stops once every block has ended; a plain run raises it directly.
     """
     blocks, one_run = _as_blocks(model, control, flow_input, config)
     if model.drift.mf_gain != 0.0 and None in blocks.flows:
         raise ValueError("the drift couples to the measure but no flow was supplied")
     exit_times = np.full(config.n_particles, np.inf)
 
-    def kill(clocks, x_new, exits, stamps, alive, failed, draws):
+    def kill(clocks, x_new, exits, stamps, alive, end, draws):
         exit_times[exits] = stamps
         alive[exits] = False
 

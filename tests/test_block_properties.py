@@ -4,18 +4,22 @@ Each block of a pass must be bit for bit its run alone, under the kill
 rule (blocks may start late, mix feedback policies with open-loop
 controls, and a block depleted below min_survivors must raise its run
 alone's SurvivorDepletion), under the mean-field reinsertion rule and
-under the finite system's (every block starts at t = 0, and a finite
-system that dies out at once must raise its run alone's
-TotalExtinction), on intervals, boxes and balls.  Draws are
-derandomized and small, so the module is deterministic and takes a few
-seconds.
+under the finite system's (every block starts at t = 0, a finite system
+that dies out at once must raise its run alone's TotalExtinction, and
+under a small reinsertion cap a block that blows up its run alone's
+ReinsertionBlowup), on intervals, boxes and balls.  An ended block makes
+nothing after its end: no exit of a depleted block is stamped after its
+depletion, and no event of a blown or extinct block after its error.
+Draws are derandomized and small, so the module is deterministic and
+takes a few seconds.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condiff.errors import TotalExtinction
-from condiff.fleming_viot import simulate_fv_finite, simulate_fv_meanfield
+from condiff.errors import ReinsertionBlowup, SurvivorDepletion, TotalExtinction
+from condiff.fleming_viot import (DEFAULT_REINSERTION_CAP, simulate_fv_finite,
+                                  simulate_fv_meanfield)
 from condiff.geometry import Ball, Box, Interval
 from condiff.killed_sim import Blocks, SimConfig, simulate_killed
 from condiff.measures import EmpiricalMeasure, MeasureFlow
@@ -29,6 +33,10 @@ from test_killed_sim import _assert_blocks_are_their_own_runs
 
 DT = 0.01
 PROPERTY = settings(max_examples=150)
+# Caps small enough that some drawn blocks blow up within their few steps.
+CAPS = st.sampled_from([0, 1, 2, DEFAULT_REINSERTION_CAP])
+# Exit stamps and node times of one step may differ by rounding.
+_STAMP_TOL = 1e-9
 
 
 @st.composite
@@ -96,12 +104,18 @@ def cases(draw, rule: str):
 @PROPERTY
 @given(cases("killed"))
 def test_killed_blocks_are_their_own_runs(case):
-    _assert_blocks_are_their_own_runs(*case)
+    ens = _assert_blocks_are_their_own_runs(*case)
+    n_block = ens.n // len(ens.blocks)
+    for b, error in enumerate(ens.failed):
+        if isinstance(error, SurvivorDepletion):
+            stamps = ens.exit_times[b * n_block:(b + 1) * n_block]
+            assert np.all(stamps[np.isfinite(stamps)] <= error.time + _STAMP_TOL), b
 
 
 def _assert_reinsertion_blocks_are_their_own_runs(simulate, model, blocks, config):
     """Each block of a reinsertion pass is bit for bit its run alone, or
-    raises that run's TotalExtinction."""
+    raises that run's TotalExtinction or ReinsertionBlowup (at the same
+    particle) and logs no event after the step of its error."""
     trace = simulate(blocks)
     n_block = config.n_particles // len(blocks)
     for b, (policy, flow, seed, law) in enumerate(zip(blocks.policies, blocks.flows,
@@ -110,25 +124,34 @@ def _assert_reinsertion_blocks_are_their_own_runs(simulate, model, blocks, confi
                          SimConfig(n_block, DT, seed, config.grid))
         try:
             alone = alone.block(0)
-        except TotalExtinction as error:
-            with pytest.raises(TotalExtinction) as marked:
+        except (TotalExtinction, ReinsertionBlowup) as error:
+            with pytest.raises(type(error)) as marked:
                 trace.block(b)
             assert marked.value.time == error.time, b
+            if isinstance(error, ReinsertionBlowup):
+                assert marked.value.particle == error.particle, b
+            # No event after the step that ended it: a blowup's time is the
+            # step's end, an extinction's the stamp of its lowest exit.
+            last = np.ceil(error.time / DT - 0.25) * DT
+            mine = trace.event_particles // n_block == b
+            assert np.all(trace.event_times[mine] <= last + _STAMP_TOL), b
             continue
         _assert_same_run(trace.block(b), alone)
 
 
 @PROPERTY
-@given(cases("meanfield"))
-def test_meanfield_blocks_are_their_own_runs(case):
+@given(cases("meanfield"), CAPS)
+def test_meanfield_blocks_are_their_own_runs(case, cap):
     model, blocks, config = case
     _assert_reinsertion_blocks_are_their_own_runs(
-        lambda stack, sim=config: simulate_fv_meanfield(model, stack, None, sim), *case)
+        lambda stack, sim=config: simulate_fv_meanfield(model, stack, None, sim,
+                                                        reinsertion_cap=cap), *case)
 
 
 @PROPERTY
-@given(cases("finite"))
-def test_finite_blocks_are_their_own_runs(case):
+@given(cases("finite"), CAPS)
+def test_finite_blocks_are_their_own_runs(case, cap):
     model, blocks, config = case
     _assert_reinsertion_blocks_are_their_own_runs(
-        lambda stack, sim=config: simulate_fv_finite(model, stack, sim), *case)
+        lambda stack, sim=config: simulate_fv_finite(model, stack, sim,
+                                                     reinsertion_cap=cap), *case)

@@ -374,6 +374,12 @@ def test_restarts_are_validated():
         run((0.0, 0.125))
     with pytest.raises(ValueError, match="split evenly"):
         run((0.0, 0.1, 0.2))
+    # A stack requires its survivors per block, so no more than a block holds.
+    plain = driftless_interval(horizon=1.0)
+    with pytest.raises(ValueError, match=r"min_survivors .*\[0, 100\], the block size"):
+        simulate_killed(plain, Blocks((policy,) * 2, (None,) * 2, (1, 2), (0.0,) * 2,
+                                      (plain.initial,) * 2), None,
+                        SimConfig(200, 1e-2, 1, uniform_grid(1.0, 0.25), min_survivors=150))
     with pytest.raises(ValueError, match="their own flows"):
         run((0.0, 0.25), flow_input=conditional_flow(simulate_killed(model, policy, None,
                                                                      config)))

@@ -10,16 +10,22 @@ on every alive pair still inside, for uniforms that hold exact zeros and
 tiny multiples of 2^-53.  An exit rule that moves the new positions in
 place must leave the previous ones untouched.  The drift written into a
 buffer must equal the expression form, a zero base's 0.0 + term included,
-and the draws written into a buffer the streams joined as before.
+and the draws written into a buffer the streams joined as before.  A
+pass draws each stream's kill uniforms once in every step of its block.
 """
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from condiff import geometry, rng
+from condiff.fleming_viot import simulate_fv_finite
 from condiff.geometry import BOUNDARY_TOL, Box, Interval
-from condiff.killed_sim import Noise, Workspace, _first_alike, _step_draws, _view, euler_step
-from condiff.model import ControlBox, DriftSpec, ModelSpec, UniformBox, drift_given_mean
-from condiff.scenarios import ZERO_REWARD
+from condiff.killed_sim import (Blocks, Noise, SimConfig, Workspace, _first_alike, _step_draws,
+                                _view, euler_step, simulate_killed)
+from condiff.model import (ConstantPolicy, ControlBox, DriftSpec, ModelSpec, UniformBox,
+                           drift_given_mean)
+from condiff.scenarios import ZERO_REWARD, driftless_interval
 
 from test_geometry import _kill_uniforms, _old_box_distance
 from test_geometry_properties import _ball_points, _box_points, balls, boxes, sigmas
@@ -83,19 +89,12 @@ def test_buffered_step_equals_the_expression_form(case):
     edge = gen.random(candidates.size) < 0.25
     u[candidates[edge] % u.shape[0]] = np.maximum(np.ceil(p[edge] * 2.0 ** 53) - 1.0,
                                                   0.0) * 2.0 ** -53
-    drawn = []
-
-    def bridge_draws():
-        drawn.append(None)
-        return u
-
     work = Workspace(x0.copy(), dom)
-    x_new, node_exits, kills = euler_step(dom, work, b, z, dt, noise, alive, bridge_draws)
+    x_new, node_exits, kills = euler_step(dom, work, b, z, dt, noise, alive, u)
     assert x_new.tobytes() == want_x.tobytes()
     assert work.dist[1][:m].tobytes() == want_dist.tobytes()
     assert np.array_equal(node_exits, want_exits)
     assert np.array_equal(kills, candidates[u[candidates % u.shape[0]] < p])
-    assert len(drawn) == 1
     # the blocks not started keep their sample in both position sets
     assert np.array_equal(work.x[1][active:], x0[active:])
 
@@ -121,7 +120,7 @@ def test_step_kills_at_a_zero_uniform_outside_the_band():
     b, z = np.zeros_like(x0), np.zeros_like(x0)
     work = Workspace(x0.copy(), dom)
     assert (c <= geometry._BRIDGE_BAND).tolist() == [False, True, False, False, False]
-    _, node_exits, kills = euler_step(dom, work, b, z, dt, noise, alive, lambda: u)
+    _, node_exits, kills = euler_step(dom, work, b, z, dt, noise, alive, u)
     candidates, p = _unbanded_step(dom, x0, b, z, dt, noise, alive)[3:]
     want = candidates[u[candidates] < p]
     assert not node_exits.any()
@@ -180,3 +179,42 @@ def test_buffered_draws_equal_the_joined_streams(seeds, late, n_block):
         out = np.full(len(seeds) * n_block * 2, np.nan)
         got = _step_draws(sample, rng.GAUSS_STEP, shape, seeds, draws_of, local, out)
         assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+
+def test_each_step_draws_its_kill_uniforms_once(monkeypatch):
+    """The pass, not the step, draws the kill uniforms: with the bridge on,
+    once per stream in every step of its blocks, keyed by the block's own
+    step, and with it off never.  A stack's blocks 0 and 1 share a stream,
+    and block 2 draws its own from a later start.  The finite system's
+    peer uniforms are drawn in the steps with an exit only."""
+    calls = []
+    uniforms = rng.uniforms
+
+    def counted(seed, purpose, step, shape, *, out=None):
+        calls.append((purpose, seed, step))
+        return uniforms(seed, purpose, step, shape, out=out)
+
+    monkeypatch.setattr(rng, "uniforms", counted)
+    model = driftless_interval(halfwidth=0.3, horizon=0.1)
+    policy = ConstantPolicy((0.0,), model.control_set)
+    grid, dt = np.array([0.0, 0.05, 0.1]), 0.01
+    blocks = Blocks((policy,) * 3, (None,) * 3, (3, 3, 4), (0.0, 0.0, 0.03),
+                    (model.initial,) * 3)
+    for bridge in (True, False):
+        calls.clear()
+        ens = simulate_killed(model, blocks, None, SimConfig(3 * 50, dt, 3, grid,
+                                                             bridge_correction=bridge,
+                                                             min_survivors=0))
+        assert np.isfinite(ens.exit_times).any()
+        want = {(3, k): 1 for k in range(10)} | {(4, k): 1 for k in range(7)}
+        assert Counter((seed, step) for _, seed, step in calls) == (want if bridge else {})
+        assert {purpose for purpose, _, _ in calls} <= {rng.BRIDGE_KILL}
+
+    calls.clear()
+    trace = simulate_fv_finite(model, ConstantPolicy((0.0,), model.control_set),
+                               SimConfig(50, dt, 5, grid))
+    assert trace.event_times.size
+    by_purpose = Counter((purpose, step) for purpose, _, step in calls)
+    assert by_purpose == ({(rng.BRIDGE_KILL, k): 1 for k in range(10)}
+                          | {(rng.PEER_CHOICE, k): 1
+                             for k in {int(t / dt - 0.25) for t in trace.event_times}})
