@@ -29,10 +29,13 @@ class SurvivorDepletion(ModelRuntimeError):
 
 
 class TotalExtinction(ModelRuntimeError):
-    """Every particle of an interacting ensemble left the domain in one step."""
+    """Every particle of an interacting ensemble left the domain in one step.
+
+    time is the step's last exit stamp, by which every particle had exited.
+    """
 
     def __init__(self, time: float):
-        super().__init__(f"all particles exited simultaneously at t={time:g}")
+        super().__init__(f"every particle had exited by t={time:g}")
         self.time = time
 
 

@@ -138,7 +138,7 @@ def _simulate_fv(model: ModelSpec, blocks: Blocks, config: SimConfig,
         for j in peered:
             part = slice(j * n_block, (j + 1) * n_block)
             if mine[j].size == n_block:  # no peer is left to land on
-                end(j, TotalExtinction(float(stamps[edges[j]])))
+                end(j, TotalExtinction(float(stamps[edges[j]:edges[j + 1]].max())))
             elif mine[j].size:
                 _reinsert_at_peers(flat[part], mine[j] - part.start, u[j % u.shape[0]])
         for j, own in enumerate(mine):

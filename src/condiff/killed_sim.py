@@ -41,10 +41,11 @@ candidates share a seed and a start, restart-kernel columns differ in
 both, and policy sweeps share a start only: each block samples its own
 initial law, blocks that share a seed and a start share the draws of
 every step, and the started blocks take one drift call per step between
-them.  Every failure ends its block the same way: the block's first
-error goes into the run's failed record, and its particles stop
-counting as alive, so the block makes no further exit while the others
-run on.
+them.  That call reads their controls from one array, in which a
+constant block's value is written once per pass.  Every failure ends
+its block the same way: the block's first error goes into the run's
+failed record, and its particles stop counting as alive, so the block
+makes no further exit while the others run on.
 """
 from __future__ import annotations
 
@@ -319,35 +320,9 @@ def _as_blocks(model: ModelSpec, control, flow_input,
     return control, False
 
 
-def _constant_values(policies) -> np.ndarray | None:
-    """(B, 1, d_A) values when every block runs a ConstantPolicy, else None."""
-    if all(type(p) is ConstantPolicy for p in policies):
-        return np.array([p.value for p in policies])[:, None, :]
-    return None
-
-
 def _view(buffer: np.ndarray, shape) -> np.ndarray:
     """The start of a flat buffer, as a (contiguous) array of shape."""
     return buffer[:math.prod(shape)].reshape(shape)
-
-
-def _step_controls(policies, constants, clocks: np.ndarray, reads, out: np.ndarray) -> np.ndarray:
-    """(B', N, d_A) controls of the started blocks, block b's policy read
-    at its own clock clocks[b] and reads[b]: its (N, d) positions for a
-    feedback policy, its state for an open-loop control.
-
-    constants, when every block's policy is a constant, holds the (B, N,
-    d_A) values, repeated into contiguous memory once per pass, as a
-    matrix product over a broadcast view can round differently.  Other
-    policies' values are written into the flat buffer out.
-    """
-    if constants is not None:
-        return constants[:len(policies)]
-    values = [p.values_at(float(t), read) for p, t, read in zip(policies, clocks, reads)]
-    stacked = _view(out, (len(values), *values[0].shape))
-    for b, value in enumerate(values):
-        stacked[b] = value
-    return stacked
 
 
 def _step_draws(sample, purpose: int, shape, seeds, draws_of, local,
@@ -484,17 +459,23 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
     unrecorded.  The drift of a block with a flow reads the flow's mean,
     and that of a block without one its own live mean.  Each open-loop
     block keeps its own state, advanced by its own normals once it has
-    started.  Returns the fields of the pass's Run: the model, the grid's
-    times, the (n_nodes, B, N, d) snapshots, the (n_nodes, B, N, d_A)
-    controls if any block runs an open-loop control (None otherwise), the
-    blocks and the failed record.
+    started.  The controls live in one (B, N, d_A) array made beside the
+    workspace: a ConstantPolicy block's value is written into its slot
+    once, and each step overwrites only the slots of the started blocks
+    that vary, a feedback policy read at its block's clock and positions
+    and an open-loop control at its clock and state; the drift reads the
+    started prefix.  Returns the fields of the pass's Run: the model, the
+    grid's times, the (n_nodes, B, N, d) snapshots, the (n_nodes, B, N,
+    d_A) controls if any block runs an open-loop control (None
+    otherwise), the blocks and the failed record.
 
     The pass makes one Workspace and steps into it, so no step allocates
     arrays of the ensemble's size: a step's positions, draws, drift and
-    masks are views of the workspace, valid until the next step writes
-    them.  The pass draws a step's normals and, with the bridge test on,
-    its BRIDGE_KILL uniforms, and hands both to euler_step.  An exit rule
-    and an open-loop control copy what they keep.
+    masks are views of the workspace, and its controls of the control
+    array, valid until the next step writes them.  The pass draws a
+    step's normals and, with the bridge test on, its BRIDGE_KILL
+    uniforms, and hands both to euler_step.  An exit rule and an
+    open-loop control copy what they keep.
     """
     grid = config.grid
     if grid[-1] > model.horizon + _TIME_TOL:
@@ -535,11 +516,16 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
 
     states = {j: p.init_state(x0[j]) for j, p in enumerate(policies)
               if isinstance(p, OpenLoopControl)}
-    constants = _constant_values(policies)
-    if constants is not None:
-        constants = np.repeat(constants, n_block, axis=1)
-    stacked_controls = np.empty(n * model.control_dim) if constants is None else None
     work = Workspace(x0, domain)
+    # One control array: a constant block's slot is written once, and a
+    # varying block's is overwritten in every step that runs it.
+    a = np.empty((*x0.shape[:2], model.control_dim))
+    varying = []
+    for j, p in enumerate(policies):
+        if type(p) is ConstantPolicy:
+            a[j] = p.value
+        else:
+            varying.append(j)
 
     alive = np.ones(n, dtype=bool)
     failed: list = [None] * n_blocks
@@ -589,9 +575,9 @@ def _pass(model: ModelSpec, blocks: Blocks, config: SimConfig, on_exits, on_reco
             mean = None if means is None else means[k, :active]
             if live is not None:
                 mean = np.where(live[:active], x.mean(axis=1, keepdims=True), mean)
-            reads = [states.get(j, xb) for j, xb in enumerate(x)]
-            a = _step_controls(policies[:active], constants, clocks, reads, stacked_controls)
-            b = drift_given_mean(model, x, mean, a, out=_view(work.drift, x.shape),
+            for j in (j for j in varying if j < active):
+                a[j] = policies[j].values_at(float(clocks[j]), states.get(j, x[j]))
+            b = drift_given_mean(model, x, mean, a[:active], out=_view(work.drift, x.shape),
                                  scratch=_view(work.scratch, x.shape))
             z = _step_draws(rng.normals, rng.GAUSS_STEP, (n_block, d), seeds, draws_of, local,
                             work.z)

@@ -2,9 +2,11 @@
 
 These scenarios pin down concrete models whose behavior is known well
 enough to check against: a driftless interval (survival and the
-surviving law have closed forms), an interacting model with attraction
-to the conditional mean, a short-horizon model for control
-reconstruction, and degenerate starts for exit-detection diagnostics.
+surviving law have closed forms, and started on the boundary with
+x0 = L it is the degenerate start of the exit-detection diagnostics),
+an interacting model with attraction to the conditional mean, a
+short-horizon model for control reconstruction, and a clipped-control
+model for the survival floor.
 """
 from __future__ import annotations
 
@@ -89,20 +91,6 @@ def bounded_control_interval(clip_bound: float = 1.0,
         horizon=horizon,
         reward=ZERO_REWARD,
         initial=PointMass((0.0,)),
-    )
-
-
-def boundary_start(horizon: float = 0.01) -> ModelSpec:
-    """Start on the boundary itself: every path should exit immediately
-    when within-step crossings are accounted for."""
-    return ModelSpec(
-        domain=Interval(-1.0, 1.0),
-        sigma=((1.0,),),
-        drift=DriftSpec(base_kind="zero", control_matrix=((0.0,),)),
-        control_set=ControlBox((0.0,), (0.0,)),
-        horizon=horizon,
-        reward=ZERO_REWARD,
-        initial=PointMass((1.0,)),
     )
 
 

@@ -36,7 +36,7 @@ from .picard import solve_fixed_point
 from .renewal import estimate_restart_kernel, log_survival_check, volterra_solve
 from .reward_opt import (eval_reward_conditional, eval_reward_fv, optimize_policy,
                          policy_family)
-from .scenarios import (QSD_SECOND_MOMENT, attractive_interval, boundary_start,
+from .scenarios import (QSD_SECOND_MOMENT, attractive_interval,
                         bounded_control_interval, driftless_interval,
                         mimic_interval, rich_reward)
 
@@ -351,7 +351,7 @@ class Verifier:
                   ["policy", "survival", "survival_se", "floor"], rows)
 
     def c10_boundary_start(self) -> None:
-        model = boundary_start(horizon=0.01)
+        model = driftless_interval(horizon=0.01, x0=1.0)
         policy = ConstantPolicy((0.0,), model.control_set)
         grid = np.array([0.0, 0.01])
         rows = {}

@@ -131,7 +131,7 @@ def _assert_reinsertion_blocks_are_their_own_runs(simulate, model, blocks, confi
             if isinstance(error, ReinsertionBlowup):
                 assert marked.value.particle == error.particle, b
             # No event after the step that ended it: a blowup's time is the
-            # step's end, an extinction's the stamp of its lowest exit.
+            # step's end, an extinction's the stamp of its last exit.
             last = np.ceil(error.time / DT - 0.25) * DT
             mine = trace.event_particles // n_block == b
             assert np.all(trace.event_times[mine] <= last + _STAMP_TOL), b

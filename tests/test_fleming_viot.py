@@ -17,7 +17,7 @@ from condiff.geometry import Box, Interval
 from condiff.picard import solve_fixed_point
 from condiff.reward_opt import eval_reward_conditional, eval_reward_fv
 from condiff.rng import GAUSS_STEP, REINSERT_SAMPLE, normals, uniforms
-from condiff.scenarios import attractive_interval, boundary_start, driftless_interval
+from condiff.scenarios import attractive_interval, driftless_interval
 from condiff.scenarios import ZERO_REWARD
 
 _FIELDS = ("snapshots", "f_curve", "f_se", "final_counts", "event_times",
@@ -207,11 +207,25 @@ def test_reinsertion_blowup():
 
 
 def test_total_extinction_with_two_particles():
-    model = boundary_start(horizon=0.01)
+    model = driftless_interval(horizon=0.01, x0=1.0)
     policy = ConstantPolicy((0.0,), model.control_set)
     config = SimConfig(2, 1e-5, 7, np.array([0.0, 0.01]))
     with pytest.raises(TotalExtinction):
         simulate_fv_finite(model, policy, config)
+
+
+def test_total_extinction_is_stamped_with_the_last_exit():
+    # In the second step one particle is bridge-killed at 0.015 and the
+    # other leaves at the node, 0.02: only then has every particle exited.
+    model = ModelSpec(
+        domain=Interval(-0.25, 0.25), sigma=((1.0,),),
+        drift=DriftSpec(base_kind="zero", control_matrix=((1.0,),), clip_bound=3.0),
+        control_set=ControlBox((-1.0,), (1.0,)), horizon=1.0, reward=ZERO_REWARD,
+        initial=PointMass((0.225,)))
+    policy = ConstantPolicy((0.2739,), model.control_set)
+    with pytest.raises(TotalExtinction, match="every particle had exited by t=0.02") as error:
+        simulate_fv_finite(model, policy, SimConfig(2, 0.01, 3, np.array([0.0, 0.02])))
+    assert error.value.time == 0.02
 
 
 def test_finite_needs_two_particles():
@@ -332,7 +346,7 @@ def test_extinct_finite_block_ends_while_the_others_run_on(euler_steps):
     # Two finite systems in one pass: one starts on the boundary and dies
     # out in its first step, the other, from near it, runs to the
     # horizon.  Each is its own run alone.
-    model = boundary_start(horizon=0.01)
+    model = driftless_interval(horizon=0.01, x0=1.0)
     policy = ConstantPolicy((0.0,), model.control_set)
     grid = np.array([0.0, 0.005, 0.01])
     laws = [model.initial, PointMass((0.95,))]
@@ -344,7 +358,7 @@ def test_extinct_finite_block_ends_while_the_others_run_on(euler_steps):
         simulate_fv_finite(model, policy, SimConfig(20, 1e-3, 7, grid))
     with pytest.raises(TotalExtinction) as marked:
         trace.block(0)
-    assert marked.value.time == own.value.time < 1e-3
+    assert marked.value.time == own.value.time == 1e-3
     alone = simulate_fv_finite(replace(model, initial=laws[1]), policy,
                                SimConfig(20, 1e-3, 8, grid))
     assert alone.event_times.shape[0] > 0

@@ -12,10 +12,9 @@ from condiff.killed_sim import (Blocks, SimConfig, analytic_interval_survival,
                                 restrict_ensemble, simulate_killed, uniform_grid,
                                 without_mean_field)
 from condiff.model import (Cloud, ConstantPolicy, ControlBox, DriftSpec, GridPolicy,
-                          LinearPolicy, ModelSpec, PointMass, RandomizedSignControl,
-                          UniformBox)
-from condiff.scenarios import (attractive_interval, boundary_start,
-                               ZERO_REWARD, driftless_interval)
+                          LinearPolicy, ModelSpec, PiecewiseControl, PointMass,
+                          RandomizedSignControl, UniformBox)
+from condiff.scenarios import attractive_interval, ZERO_REWARD, driftless_interval
 
 
 def images_survival(t: float, terms: int = 200) -> float:
@@ -115,7 +114,7 @@ def test_restrict_ensemble(driftless_run):
 
 
 def test_boundary_start_bridge_detects_certainly():
-    model = boundary_start(horizon=0.01)
+    model = driftless_interval(horizon=0.01, x0=1.0)
     policy = ConstantPolicy((0.0,), model.control_set)
     grid = np.array([0.0, 0.01])
     on = simulate_killed(model, policy, None,
@@ -136,7 +135,7 @@ def test_survivor_depletion_raises():
 
 
 def test_min_survivors_zero_allows_extinction():
-    model = boundary_start(horizon=0.01)
+    model = driftless_interval(horizon=0.01, x0=1.0)
     policy = ConstantPolicy((0.0,), model.control_set)
     ens = simulate_killed(model, policy, None,
                           SimConfig(50, 1e-5, 3, np.array([0.0, 0.01]),
@@ -351,6 +350,35 @@ def test_controls_are_read_back_from_the_policy():
     want = box.clamp(np.sign(open_loop.snapshots[0] @ np.array([1.0]))[:, None] * 0.3)
     for m in range(grid.shape[0]):
         assert open_loop.controls_at(m).tobytes() == want.tobytes()
+
+
+def test_pass_reads_only_the_varying_controls(monkeypatch, euler_steps):
+    # A constant block's controls are written once per pass; every other
+    # block's policy is read once per step that the block runs.  An
+    # open-loop control is also read at each node, where its values are
+    # recorded.
+    model = without_mean_field(attractive_interval(horizon=0.5))
+    box = model.control_set
+    blocks = Blocks(policies=(ConstantPolicy((0.4,), box), LinearPolicy((0.1,), ((-0.8,),), box),
+                              ConstantPolicy((-0.3,), box),
+                              PiecewiseControl(0.3, (0.5,), (-0.5,), box)),
+                    flows=(None,) * 4, seeds=(5, 6, 7, 8), starts=(0.0, 0.0, 0.1, 0.23),
+                    laws=(model.initial,) * 4)
+    config = SimConfig(4 * 50, 0.01, 5, np.array([0.0, 0.2, 0.35, 0.5]), min_survivors=0)
+    reads = []
+    for kind in (ConstantPolicy, LinearPolicy, PiecewiseControl):
+        def counted(self, t, x, values_at=kind.values_at):
+            reads.append(type(self))
+            return values_at(self, t, x)
+
+        monkeypatch.setattr(kind, "values_at", counted)
+    simulate_killed(model, blocks, None, config)
+    assert len(euler_steps) == 50
+    assert reads.count(ConstantPolicy) == 0
+    assert reads.count(LinearPolicy) == 50
+    assert reads.count(PiecewiseControl) == 27 + 4
+    monkeypatch.undo()
+    _assert_blocks_are_their_own_runs(model, blocks, config)
 
 
 def test_restarts_are_validated():
